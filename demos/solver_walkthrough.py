@@ -3,7 +3,9 @@
 Builds a kernel matrix implicitly from a 2D grid, compresses it into the
 multi-level nested-basis format, factorizes with the ULV scheme, and
 solves one right-hand side, comparing everything against a brute-force
-dense Cholesky along the way.
+dense Cholesky along the way.  Finally the single-level BLR2 format, a
+one-level tree with every block under the root, goes through the same
+factorization path.
 
 Run from the repository root:  python3 demos/solver_walkthrough.py
 """
@@ -11,9 +13,9 @@ Run from the repository root:  python3 demos/solver_walkthrough.py
 import numpy as np
 import scipy.linalg as sla
 
-from hssulv import (KernelSpec, build_hss, construct_error, generate_grid,
-                    kernel_matrix, matvec, reconstruct_check, solve_error,
-                    ulv_factor_hss, ulv_solve)
+from hssulv import (KernelSpec, build_blr2, build_hss, construct_error,
+                    generate_grid, kernel_matrix, matvec, reconstruct_check,
+                    solve_error, ulv_factor_hss, ulv_solve)
 
 N, NLEAF, MAX_RANK, SEED = 1024, 256, 100, 0
 
@@ -53,3 +55,11 @@ x_dense = sla.cho_solve(sla.cho_factor(dense, lower=True), b)
 rel = np.linalg.norm(x_ulv - x_dense) / np.linalg.norm(x_dense)
 print(f"solve vs dense Cholesky: {rel:.3e}")
 print(f"forward/backward solve residual: {solve_error(f, h, seed=SEED):.3e}")
+
+# --- BLR2: the same tree type with one level ------------------------------
+# The root has all N / NLEAF blocks as children and every pair is coupled;
+# the root merge is the same rule as the binary merges above.
+m = build_blr2(spec, ps, nleaf=NLEAF, max_rank=MAX_RANK)
+fm = ulv_factor_hss(m)
+print(f"BLR2: {m.num_nodes(1)} blocks under the root, root block dimension "
+      f"{fm.root_dim}, solve residual {solve_error(fm, m, seed=SEED):.3e}")

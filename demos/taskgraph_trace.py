@@ -1,9 +1,9 @@
 """Executing the factorization as an asynchronous task graph.
 
 Shows the task counts and dependency depth, runs the graph on a worker
-pool, verifies the factors match the sequential sweep bitwise, looks for
-the asynchrony witness (a merge finishing before its level has drained),
-and simulates a row-cyclic process distribution to count inter-owner
+pool, verifies the factors match workers=1 (which is ``ulv_factor_hss``)
+bitwise, looks for the asynchrony witness (a merge finishing before its
+level has drained), and simulates a row-cyclic process distribution to count inter-owner
 transfers.  Exports the schedule (JSON lines) and the communication
 totals (CSV) next to this script.
 
@@ -30,14 +30,14 @@ counts = graph.kind_counts()
 print(f"tasks: {len(graph)} total, {counts}")
 
 owners = assign_owners(graph, PROCS)
-leaf_owner = [owners.owner_of(h.max_level, i) for i in range(1 << h.max_level)]
+leaf_owner = [owners.owner_of(h.max_level, i) for i in range(h.num_nodes(h.max_level))]
 print(f"leaf owners (round robin over {PROCS} ranks): {leaf_owner}")
 
 # --- executor: dependency-driven, deterministic results -------------------
 factors, stats = execute(graph, h, workers=WORKERS, owners=owners)
-sequential = ulv_factor_hss(h)
-same = np.array_equal(factors.root_chol, sequential.root_chol)
-print(f"parallel factors match sequential bitwise: {same}")
+inline = ulv_factor_hss(h)  # the same executor with workers=1
+same = np.array_equal(factors.root_chol, inline.root_chol)
+print(f"factors with {WORKERS} workers match workers=1 bitwise: {same}")
 print(f"makespan {stats.makespan_seconds * 1e3:.1f} ms, "
       f"max concurrency {stats.max_concurrent}, "
       f"per kind (ms): "

@@ -1,25 +1,24 @@
 """Fast direct solver for kernel-generated dense matrices.
 
-Builds weak-admissibility shared-basis compressions (single-level BLR2 and
-multi-level nested-basis HSS) of Green's-function matrices, factorizes
-them in O(N) with a ULV scheme, and can execute the factorization as an
-asynchronous task graph with a simulated process distribution and
-communication accounting.
+Builds weak-admissibility shared-basis compressions of Green's-function
+matrices as one tree type, :class:`HssMatrix`, in two fan-outs (binary
+multi-level HSS, and single-level BLR2 with every block under the root),
+and factorizes them in O(N) with a ULV scheme run as an asynchronous task
+graph, with a simulated process distribution and communication
+accounting.  :func:`ulv_factor_hss` is that executor with one worker.
 """
 
 from .bench import (ExperimentConfig, ExperimentReport, breakdown_report,
                     rank_accuracy_sweep, run_single, scaling_sweep)
-from .construct import (BlockBasis, Blr2Matrix, HssMatrix, build_blr2,
-                        build_hss, build_shared_basis, construct_error, matvec)
+from .construct import (BlockBasis, HssMatrix, build_blr2, build_hss,
+                        build_shared_basis, construct_error, matvec)
 from .factor import (NodeFactor, UlvFactors, diagonal_product, merge_children,
                      reconstruct_check, solve_error, ulv_factor_blr2,
                      ulv_factor_hss, ulv_solve)
 from .geometry import PointSet, generate_grid
-from .kernels import (KERNEL_KINDS, KernelEvaluationError, KernelSpec,
-                      dense_block, kernel_eval, kernel_matrix)
-from .linalg import (NotPositiveDefiniteError, PartialFactorResult,
-                     apply_permutation, cholesky, partial_cholesky,
-                     pivoted_qr_truncated, tri_solve_lower)
+from .kernels import KERNEL_KINDS, KernelEvaluationError, KernelSpec, kernel_matrix
+from .linalg import (NotPositiveDefiniteError, PartialFactorResult, cholesky,
+                     partial_cholesky, tri_solve_lower)
 from .storage import load_hss, save_hss
 from .taskdag import (CommTrace, ExecutionStats, OwnerMap, Task, TaskFailure,
                       TaskGraph, TaskKind, assign_owners, build_dag, execute,
@@ -28,16 +27,15 @@ from .taskdag import (CommTrace, ExecutionStats, OwnerMap, Task, TaskFailure,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockBasis", "Blr2Matrix", "HssMatrix", "build_blr2", "build_hss",
+    "BlockBasis", "HssMatrix", "build_blr2", "build_hss",
     "build_shared_basis", "construct_error", "matvec",
     "NodeFactor", "UlvFactors", "diagonal_product", "merge_children",
     "reconstruct_check", "solve_error", "ulv_factor_blr2", "ulv_factor_hss",
     "ulv_solve",
     "PointSet", "generate_grid",
-    "KERNEL_KINDS", "KernelEvaluationError", "KernelSpec", "dense_block",
-    "kernel_eval", "kernel_matrix",
-    "NotPositiveDefiniteError", "PartialFactorResult", "apply_permutation",
-    "cholesky", "partial_cholesky", "pivoted_qr_truncated", "tri_solve_lower",
+    "KERNEL_KINDS", "KernelEvaluationError", "KernelSpec", "kernel_matrix",
+    "NotPositiveDefiniteError", "PartialFactorResult", "cholesky",
+    "partial_cholesky", "tri_solve_lower",
     "load_hss", "save_hss",
     "CommTrace", "ExecutionStats", "OwnerMap", "Task", "TaskFailure",
     "TaskGraph", "TaskKind", "assign_owners", "build_dag", "execute",

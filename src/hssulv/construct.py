@@ -1,22 +1,26 @@
-"""Shared-basis block low-rank (BLR2) and multi-level HSS construction.
+"""Shared-basis compression of kernel matrices into one tree format.
 
-Both formats keep exact dense diagonal blocks and compress everything off
-the block diagonal (weak admissibility).  Each block row shares one
-orthonormal basis, split into redundant and skeleton columns; off-diagonal
-blocks are stored only through their small skeleton coupling
-``S_ij = Us_i^T A_ij Us_j``.
+Both formats are an :class:`HssMatrix` tree that keeps exact dense leaf
+diagonal blocks and compresses everything off the block diagonal (weak
+admissibility).  Each node shares one orthonormal basis, split into
+redundant and skeleton columns; blocks between sibling nodes are stored
+only through their small skeleton coupling ``S_ij = Us_i^T A_ij Us_j``.
+The two formats differ only in fan-out:
 
-The multi-level format nests bases across levels: an upper-level basis is
-a transfer matrix acting on the stacked skeleton coefficients of its two
-children, so a raw-coordinate basis is never materialized.  Upper-level
-bases are built by compressing the admissible interactions restricted to
-the children's skeletons on both sides, which keeps construction memory
-at O(N * nleaf) plus the skeleton interaction table.
+* HSS (:func:`build_hss`) is a binary tree of depth L.  An upper-level
+  basis is a transfer matrix acting on the stacked skeleton coefficients
+  of its two children, so a raw-coordinate basis is never materialized.
+  Upper-level bases are built by compressing the admissible interactions
+  restricted to the children's skeletons on both sides, which keeps
+  construction memory at O(N * nleaf) plus the skeleton interaction table.
+* BLR2 (:func:`build_blr2`) is a one-level tree: the root has every leaf
+  block as a child, and every pair of leaves is coupled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from .linalg import pivoted_qr_full
 
 __all__ = [
     "BlockBasis",
-    "Blr2Matrix",
     "HssMatrix",
     "build_shared_basis",
     "build_blr2",
@@ -101,40 +104,21 @@ def _identity_basis(n: int) -> BlockBasis:
 
 
 @dataclass(frozen=True)
-class Blr2Matrix:
-    """Single-level shared-basis format: dense diagonal, coupled skeletons.
-
-    ``coupling[(i, j)]`` holds ``S_ij`` for every ordered pair ``i != j``
-    with ``coupling[(j, i)]`` the exact transpose.
-    """
-
-    nleaf: int
-    diag: tuple
-    bases: tuple
-    coupling: dict
-
-    @property
-    def nblocks(self) -> int:
-        return len(self.diag)
-
-    @property
-    def n(self) -> int:
-        return sum(d.shape[0] for d in self.diag)
-
-    def block_range(self, i: int) -> tuple[int, int]:
-        return i * self.nleaf, (i + 1) * self.nleaf
-
-
-@dataclass(frozen=True)
 class HssMatrix:
-    """Multi-level nested-basis format.
+    """Nested-basis tree format; BLR2 is its one-level case.
 
     ``bases[(level, i)]`` is the shared basis of node ``i`` at ``level``
-    (levels run 1..max_level, leaves at max_level).  Leaf bases act on raw
-    coordinates; upper bases are transfer matrices on the stacked skeleton
-    coefficients of the node's two children.  ``coupling[(level, i)]``
-    couples node ``i`` to its sibling, with the sibling entry the exact
-    transpose.
+    (levels run 1..max_level, leaves at max_level; the root, level 0, has
+    none).  Leaf bases act on raw coordinates; upper bases are transfer
+    matrices on the stacked skeleton coefficients of the node's children.
+    ``coupling[(level, i, j)]`` couples node ``i`` (rows) to its sibling
+    ``j`` for every ordered pair of children of one parent, with
+    ``(level, j, i)`` the exact transpose.
+
+    A level's node count is the number of its bases, and each parent owns
+    an equal contiguous run of the level below: two children per parent
+    from :func:`build_hss`, every leaf under the root from
+    :func:`build_blr2`.
     """
 
     nleaf: int
@@ -145,10 +129,22 @@ class HssMatrix:
 
     @property
     def n(self) -> int:
-        return self.nleaf * (1 << self.max_level)
+        return self.nleaf * len(self.leaf_diag)
+
+    @cached_property
+    def _level_sizes(self) -> tuple:
+        sizes = [1] + [0] * self.max_level
+        for level, _ in self.bases:
+            sizes[level] += 1
+        return tuple(sizes)
 
     def num_nodes(self, level: int) -> int:
-        return 1 << level
+        return self._level_sizes[level]
+
+    def children(self, level: int, node: int) -> range:
+        """Indices at ``level + 1`` of the children of node ``(level, node)``."""
+        fan_out = self.num_nodes(level + 1) // self.num_nodes(level)
+        return range(node * fan_out, (node + 1) * fan_out)
 
     def skeleton_dim(self, level: int, node: int) -> int:
         return self.bases[(level, node)].skeleton_dim
@@ -188,8 +184,12 @@ def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     return diags, bases, coupling
 
 
-def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> Blr2Matrix:
-    """Compress a kernel matrix into the single-level shared-basis format."""
+def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssMatrix:
+    """Compress a kernel matrix into the single-level shared-basis format.
+
+    The result is a one-level tree whose root has all ``n / nleaf`` blocks
+    as children, with every pair of blocks coupled.
+    """
     n = ps.n
     if nleaf <= 0 or n % nleaf:
         raise ValueError(f"n={n} is not divisible by nleaf={nleaf}")
@@ -197,9 +197,10 @@ def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> Blr
         raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
     if n == nleaf:
         block = kernel_matrix(spec, ps.points, ps.points)
-        return Blr2Matrix(nleaf, (_freeze(block),), (_identity_basis(n),), {})
+        return HssMatrix(nleaf, 1, (_freeze(block),), {(1, 0): _identity_basis(n)}, {})
     diags, bases, coupling = _leaf_pass(spec, ps, nleaf, max_rank)
-    return Blr2Matrix(nleaf, tuple(diags), tuple(bases), coupling)
+    return HssMatrix(nleaf, 1, tuple(diags), {(1, i): b for i, b in enumerate(bases)},
+                     {(1, i, j): block for (i, j), block in coupling.items()})
 
 
 def _coupling_table(bases: list, coupling: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -249,8 +250,8 @@ def _sibling_couplings(level: int, table: np.ndarray, offs: np.ndarray, out: dic
     for p in range(nb // 2):
         left, right = 2 * p, 2 * p + 1
         block = table[offs[left]:offs[left + 1], offs[right]:offs[right + 1]]
-        out[(level, left)] = _freeze(block)
-        out[(level, right)] = _freeze(block.T)
+        out[(level, left, right)] = _freeze(block)
+        out[(level, right, left)] = _freeze(block.T)
 
 
 def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssMatrix:
@@ -278,71 +279,48 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssM
     return HssMatrix(nleaf, max_level, tuple(diags), bases, coupling)
 
 
-def _matvec_blr2(m: Blr2Matrix, x: np.ndarray) -> np.ndarray:
-    nb = m.nblocks
-    segs = [x[m.block_range(i)[0]:m.block_range(i)[1]] for i in range(nb)]
-    coeffs = [m.bases[i].skeleton.T @ segs[i] for i in range(nb)]
-    y = np.empty_like(x)
-    for i in range(nb):
-        acc = np.zeros_like(coeffs[i])
-        for j in range(nb):
-            if j != i:
-                acc += m.coupling[(i, j)] @ coeffs[j]
-        r0, r1 = m.block_range(i)
-        y[r0:r1] = m.diag[i] @ segs[i] + m.bases[i].skeleton @ acc
-    return y
-
-
-def _matvec_hss(h: HssMatrix, x: np.ndarray) -> np.ndarray:
-    L = h.max_level
-    nleaf = h.nleaf
-    # Upward sweep: skeleton coefficients per node, leaves first.
-    coeffs = {}
-    for i in range(1 << L):
-        coeffs[(L, i)] = h.bases[(L, i)].skeleton.T @ x[i * nleaf:(i + 1) * nleaf]
-    for level in range(L - 1, 0, -1):
-        for i in range(1 << level):
-            stacked = np.concatenate([coeffs[(level + 1, 2 * i)],
-                                      coeffs[(level + 1, 2 * i + 1)]])
-            coeffs[(level, i)] = h.bases[(level, i)].skeleton.T @ stacked
-    # Sibling couplings at every level.
-    partial = {}
-    for level in range(1, L + 1):
-        for i in range(1 << level):
-            sib = i ^ 1
-            partial[(level, i)] = h.coupling[(level, i)] @ coeffs[(level, sib)]
-    # Downward sweep: push accumulated skeleton results to the children.
-    for level in range(1, L):
-        for i in range(1 << level):
-            down = h.bases[(level, i)].skeleton @ partial[(level, i)]
-            k = coeffs[(level + 1, 2 * i)].shape[0]
-            partial[(level + 1, 2 * i)] += down[:k]
-            partial[(level + 1, 2 * i + 1)] += down[k:]
-    y = np.empty_like(x)
-    for i in range(1 << L):
-        r0, r1 = i * nleaf, (i + 1) * nleaf
-        y[r0:r1] = h.leaf_diag[i] @ x[r0:r1] + h.bases[(L, i)].skeleton @ partial[(L, i)]
-    return y
-
-
-def matvec(m, x: np.ndarray) -> np.ndarray:
+def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
     """Apply the compressed operator to a vector or a block of vectors."""
     x = np.asarray(x, dtype=np.float64)
     n = m.n
     if x.shape[0] != n:
         raise ValueError(f"operand has leading dimension {x.shape[0]}, expected {n}")
-    flat = x.ndim == 1
     work = x.reshape(n, -1)
-    if isinstance(m, Blr2Matrix):
-        out = _matvec_blr2(m, work)
-    elif isinstance(m, HssMatrix):
-        if m.max_level == 0:
-            out = m.leaf_diag[0] @ work
-        else:
-            out = _matvec_hss(m, work)
-    else:
-        raise TypeError(f"unsupported operand type {type(m)!r}")
-    return out[:, 0] if flat else out
+    L = m.max_level
+    nleaf = m.nleaf
+    # Upward sweep: skeleton coefficients per node, leaves first.
+    coeffs = {}
+    for i in range(m.num_nodes(L)):
+        coeffs[(L, i)] = m.bases[(L, i)].skeleton.T @ work[i * nleaf:(i + 1) * nleaf]
+    for level in range(L - 1, 0, -1):
+        for i in range(m.num_nodes(level)):
+            stacked = np.concatenate([coeffs[(level + 1, c)] for c in m.children(level, i)])
+            coeffs[(level, i)] = m.bases[(level, i)].skeleton.T @ stacked
+    # Sibling couplings at every level.
+    partial = {}
+    for level in range(1, L + 1):
+        for p in range(m.num_nodes(level - 1)):
+            siblings = m.children(level - 1, p)
+            for i in siblings:
+                acc = np.zeros_like(coeffs[(level, i)])
+                for j in siblings:
+                    if j != i:
+                        acc += m.coupling[(level, i, j)] @ coeffs[(level, j)]
+                partial[(level, i)] = acc
+    # Downward sweep: push accumulated skeleton results to the children.
+    for level in range(1, L):
+        for i in range(m.num_nodes(level)):
+            down = m.bases[(level, i)].skeleton @ partial[(level, i)]
+            off = 0
+            for c in m.children(level, i):
+                k = coeffs[(level + 1, c)].shape[0]
+                partial[(level + 1, c)] += down[off:off + k]
+                off += k
+    y = np.empty_like(work)
+    for i in range(m.num_nodes(L)):
+        r0, r1 = i * nleaf, (i + 1) * nleaf
+        y[r0:r1] = m.leaf_diag[i] @ work[r0:r1] + m.bases[(L, i)].skeleton @ partial[(L, i)]
+    return y[:, 0] if x.ndim == 1 else y
 
 
 def construct_error(m, spec: KernelSpec, ps: PointSet, seed: int) -> float:

@@ -1,11 +1,18 @@
-"""ULV factorization of shared-basis block matrices and the matching solves.
+"""ULV factorization of shared-basis trees and the matching solves.
 
 Each diagonal block is rotated by its basis, the redundant part is
 eliminated with a partial Cholesky, and the skeleton Schur complement is
 deferred upward.  Off-diagonal blocks are never touched: in the rotated
 coordinates they are zero outside the skeleton corner, so sibling
 couplings flow straight into the parent merge.  That removes every
-same-level data dependency; only the merge links two levels.
+same-level data dependency; only the merge links two levels.  One merge
+rule serves every fan-out: two children in HSS, all blocks under the
+root in BLR2.
+
+This module holds the task bodies; :func:`hssulv.taskdag.execute` runs
+them.  :func:`ulv_factor_hss` (alias :func:`ulv_factor_blr2`) is that
+executor with one worker, inline on the calling thread, so there is a
+single factorization path for both formats.
 
 The factored form is a product, per level, of a block-diagonal basis
 rotation, a block unit-lower elimination and a gather permutation,
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .construct import BlockBasis, Blr2Matrix, HssMatrix, matvec
+from .construct import BlockBasis, HssMatrix, matvec
 from .linalg import NotPositiveDefiniteError, cholesky, partial_cholesky
 
 __all__ = [
@@ -47,26 +54,30 @@ def diagonal_product(block: np.ndarray, basis: BlockBasis) -> np.ndarray:
     return basis.q.T @ block @ basis.q
 
 
-def merge_children(ss_left: np.ndarray, ss_right: np.ndarray,
-                   s_coupling: np.ndarray) -> np.ndarray:
-    """Assemble the parent diagonal block from two skeleton remainders.
+def merge_children(remainders: list, couplings: dict) -> np.ndarray:
+    """Assemble a parent diagonal block from its children's skeleton remainders.
 
-    The children's Schur complements land on the diagonal corners and the
-    sibling coupling (left rows, right columns) fills the off-diagonal
-    corners, matching the gather permutation of the factored form.
+    The children's Schur complements land on the diagonal blocks, in child
+    order, and ``couplings[(a, b)]`` (child ``a`` rows, child ``b``
+    columns, ``a < b``) fills off-diagonal block ``(a, b)`` and, transposed,
+    ``(b, a)``, matching the gather permutation of the factored form.
     """
-    rl, rr = ss_left.shape[0], ss_right.shape[0]
-    if ss_left.shape != (rl, rl) or ss_right.shape != (rr, rr):
+    dims = [ss.shape[0] for ss in remainders]
+    if any(ss.shape != (d, d) for ss, d in zip(remainders, dims)):
         raise ValueError("skeleton remainders must be square")
-    if s_coupling.shape != (rl, rr):
-        raise ValueError(
-            f"coupling shape {s_coupling.shape} does not match remainders ({rl}, {rr})"
-        )
-    out = np.empty((rl + rr, rl + rr))
-    out[:rl, :rl] = ss_left
-    out[:rl, rl:] = s_coupling
-    out[rl:, :rl] = s_coupling.T
-    out[rl:, rl:] = ss_right
+    offs = np.concatenate([[0], np.cumsum(dims)])
+    out = np.empty((offs[-1], offs[-1]))
+    for a, ss in enumerate(remainders):
+        rows = slice(offs[a], offs[a + 1])
+        out[rows, rows] = ss
+        for b in range(a + 1, len(remainders)):
+            block = couplings[(a, b)]
+            if block.shape != (dims[a], dims[b]):
+                raise ValueError(f"coupling shape {block.shape} does not match "
+                                 f"remainders ({dims[a]}, {dims[b]})")
+            cols = slice(offs[b], offs[b + 1])
+            out[rows, cols] = block
+            out[cols, rows] = block.T
     return out
 
 
@@ -93,17 +104,15 @@ class NodeFactor:
 
 @dataclass(frozen=True)
 class UlvFactors:
-    """Per-level node factors, gather permutations and the root factor.
+    """Per-level node factors and the root factor.
 
     ``levels[l]`` lists the node factors at level ``l`` (leaf level is
-    ``max_level``); ``perms[l]`` gathers the level's interleaved
-    redundant/skeleton coordinates into ``[all redundant | all skeleton]``.
+    ``max_level``).
     """
 
     n: int
     max_level: int
     levels: dict
-    perms: dict
     root_chol: np.ndarray
 
     @property
@@ -111,8 +120,8 @@ class UlvFactors:
         return self.root_chol.shape[0]
 
 
-# Task bodies shared by the sequential driver and the task-graph executor.
-# Results are keyed ("dp"|"pf"|"mg", level, node) plus ("root",).
+# Task bodies run by the task-graph executor.  Results are keyed
+# ("dp"|"pf"|"mg", level, node) plus ("root",).
 
 
 def run_diag_product(h: HssMatrix, results: dict, level: int, node: int):
@@ -130,9 +139,11 @@ def run_partial_factor(h: HssMatrix, results: dict, level: int, node: int):
 
 
 def run_merge(h: HssMatrix, results: dict, level: int, parent: int):
-    left = results[("pf", level, 2 * parent)].ss_remainder
-    right = results[("pf", level, 2 * parent + 1)].ss_remainder
-    return merge_children(left, right, h.coupling[(level, 2 * parent)])
+    kids = h.children(level - 1, parent)
+    return merge_children(
+        [results[("pf", level, c)].ss_remainder for c in kids],
+        {(a, b): h.coupling[(level, kids[a], kids[b])]
+         for a in range(len(kids)) for b in range(a + 1, len(kids))})
 
 
 def run_root_factor(h: HssMatrix, results: dict):
@@ -140,6 +151,8 @@ def run_root_factor(h: HssMatrix, results: dict):
 
 
 def _perm_for_level(factors: list) -> np.ndarray:
+    # Gathers a level's interleaved redundant/skeleton coordinates into
+    # [all redundant | all skeleton].
     red, skel = [], []
     off = 0
     for nf in factors:
@@ -150,62 +163,35 @@ def _perm_for_level(factors: list) -> np.ndarray:
 
 
 def assemble_factors(h: HssMatrix, results: dict) -> UlvFactors:
-    levels, perms = {}, {}
+    levels = {}
     for level in range(h.max_level, 0, -1):
         lvl = []
-        for node in range(1 << level):
+        for node in range(h.num_nodes(level)):
             pf = results[("pf", level, node)]
             lvl.append(NodeFactor(h.bases[(level, node)], pf.l_rr, pf.l_sr))
         levels[level] = lvl
-        perms[level] = _perm_for_level(lvl)
-    return UlvFactors(h.n, h.max_level, levels, perms, results[("root",)])
+    return UlvFactors(h.n, h.max_level, levels, results[("root",)])
 
 
-def ulv_factor_hss(h: HssMatrix, node_order=None) -> UlvFactors:
-    """Sequential multi-level ULV factorization.
+def ulv_factor_hss(h: HssMatrix) -> UlvFactors:
+    """ULV factorization: the task graph of ``h`` run by
+    :func:`hssulv.taskdag.execute` with one worker, inline on the calling
+    thread.
 
-    ``node_order(level)``, when given, reorders the per-level node sweep;
-    results are independent of that order because same-level tasks share
-    no data.
+    A failing task raises its own error, such as a
+    :class:`NotPositiveDefiniteError` naming the level and node, rather
+    than the executor's :class:`~hssulv.taskdag.TaskFailure`.
     """
-    results: dict = {}
-    for level in range(h.max_level, 0, -1):
-        nodes = list(range(1 << level)) if node_order is None else list(node_order(level))
-        for i in nodes:
-            results[("dp", level, i)] = run_diag_product(h, results, level, i)
-        for i in nodes:
-            results[("pf", level, i)] = run_partial_factor(h, results, level, i)
-        for p in range(1 << (level - 1)):
-            results[("mg", level, p)] = run_merge(h, results, level, p)
-    results[("root",)] = run_root_factor(h, results)
-    return assemble_factors(h, results)
+    from . import taskdag  # taskdag imports this module
+
+    try:
+        return taskdag.execute(taskdag.build_dag(h), h, workers=1)[0]
+    except taskdag.TaskFailure as failure:
+        raise failure.cause from None
 
 
-def ulv_factor_blr2(m: Blr2Matrix) -> UlvFactors:
-    """Single-level ULV: eliminate every block, then one dense root Cholesky.
-
-    All skeleton remainders and pairwise couplings gather into one dense
-    matrix of order ``nblocks * rank`` that is factorized directly.
-    """
-    nb = m.nblocks
-    factors, ss = [], []
-    for i in range(nb):
-        rotated = diagonal_product(m.diag[i], m.bases[i])
-        pf = partial_cholesky(rotated, m.bases[i].redundant_dim,
-                              context=f"level 1 block {i}")
-        factors.append(NodeFactor(m.bases[i], pf.l_rr, pf.l_sr))
-        ss.append(pf.ss_remainder)
-    ranks = [nf.skeleton_dim for nf in factors]
-    offs = np.concatenate([[0], np.cumsum(ranks)])
-    root = np.zeros((offs[-1], offs[-1]))
-    for i in range(nb):
-        root[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = ss[i]
-        for j in range(nb):
-            if j != i:
-                root[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = m.coupling[(i, j)]
-    root_chol = cholesky(root, context="root block")
-    levels = {1: factors}
-    return UlvFactors(m.n, 1, levels, {1: _perm_for_level(factors)}, root_chol)
+# BLR2 is the one-level tree, factored by the same path.
+ulv_factor_blr2 = ulv_factor_hss
 
 
 def _forward_node(nf: NodeFactor, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +285,7 @@ def reconstruct_check(f: UlvFactors, m) -> float:
             if rd:
                 chain[:, rcols] = chain[:, rcols] @ nf.l_rr + chain[:, scols] @ nf.l_sr
             off += nf.width
-        chain[:, start:] = chain[:, start:][:, f.perms[level]]
+        chain[:, start:] = chain[:, start:][:, _perm_for_level(f.levels[level])]
         start += sum(nf.redundant_dim for nf in f.levels[level])
     chain[:, start:] = chain[:, start:] @ f.root_chol
     rebuilt = chain @ chain.T

@@ -25,15 +25,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import gamma, kv
 
-from .geometry import PointSet
-
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
     "KernelEvaluationError",
-    "kernel_eval",
     "kernel_matrix",
-    "dense_block",
 ]
 
 KERNEL_KINDS = ("laplace2d", "yukawa", "matern")
@@ -94,31 +90,3 @@ def kernel_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     return _eval_distances(spec, cdist(x, y))
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Single kernel entry ``f(x, y)``."""
-    return float(kernel_matrix(spec, [x], [y])[0, 0])
-
-
-def _as_range(r, n: int, name: str) -> tuple[int, int]:
-    if isinstance(r, range):
-        if r.step != 1:
-            raise ValueError(f"{name} range must be contiguous")
-        start, stop = r.start, r.stop
-    else:
-        start, stop = int(r[0]), int(r[1])
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"{name} range [{start}, {stop}) outside [0, {n})")
-    return start, stop
-
-
-def dense_block(spec: KernelSpec, ps: PointSet, rows, cols) -> np.ndarray:
-    """Materialize the kernel block for two contiguous index ranges.
-
-    ``rows`` and ``cols`` are ``(start, stop)`` pairs or ``range`` objects
-    into the point set's bisection ordering.
-    """
-    r0, r1 = _as_range(rows, ps.n, "rows")
-    c0, c1 = _as_range(cols, ps.n, "cols")
-    return kernel_matrix(spec, ps.points[r0:r1], ps.points[c0:c1])

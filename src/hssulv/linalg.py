@@ -1,5 +1,5 @@
-"""Small dense building blocks: Cholesky, triangular solves, pivoted QR,
-partial Cholesky and permutations.
+"""Small dense building blocks: Cholesky, triangular solves, pivoted QR
+and partial Cholesky.
 
 Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
@@ -19,10 +19,8 @@ __all__ = [
     "PartialFactorResult",
     "cholesky",
     "tri_solve_lower",
-    "pivoted_qr_truncated",
     "pivoted_qr_full",
     "partial_cholesky",
-    "apply_permutation",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -139,19 +137,6 @@ def pivoted_qr_full(a: np.ndarray) -> tuple[np.ndarray, int]:
     return q, _numerical_rank(np.diag(r))
 
 
-def pivoted_qr_truncated(a: np.ndarray, max_rank: int) -> tuple[np.ndarray, int]:
-    """Greedy rank-capped column basis via column-pivoted QR.
-
-    The achieved rank is ``min(max_rank, numerical rank, min(a.shape))``;
-    the returned Q holds exactly that many orthonormal columns.
-    """
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    q, rank = pivoted_qr_full(a)
-    rank = min(rank, max_rank)
-    return np.ascontiguousarray(q[:, :rank]), rank
-
-
 @dataclass(frozen=True)
 class PartialFactorResult:
     """Partial Cholesky of a 2x2-split SPD block.
@@ -195,23 +180,3 @@ def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
     l_sr = tri_solve_lower(l_rr, a_hat[rd:, :rd], side="right", transposed=True)
     ss = a_hat[rd:, rd:] - l_sr @ l_sr.T
     return PartialFactorResult(l_rr, l_sr, ss)
-
-
-def apply_permutation(a: np.ndarray, perm, side: str = "rows") -> np.ndarray:
-    """Gather rows and/or columns of ``a`` by a permutation vector.
-
-    ``out[i] = a[perm[i]]`` for rows (likewise for columns); applying the
-    inverse permutation (``np.argsort(perm)``) restores ``a`` exactly.
-    """
-    a = np.asarray(a)
-    perm = np.asarray(perm, dtype=np.intp)
-    dim = a.shape[0] if side in ("rows", "both") else a.shape[1]
-    if perm.shape != (dim,) or not np.array_equal(np.sort(perm), np.arange(dim)):
-        raise ValueError("perm is not a bijection on the permuted dimension")
-    if side == "rows":
-        return a[perm].copy()
-    if side == "cols":
-        return a[:, perm].copy()
-    if side == "both":
-        return a[np.ix_(perm, perm)].copy()
-    raise ValueError(f"side must be 'rows', 'cols' or 'both', got {side!r}")

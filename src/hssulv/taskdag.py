@@ -1,17 +1,20 @@
-"""Typed task DAG for the multi-level factorization, an asynchronous
-executor, and a simulated multi-process distribution with communication
-accounting.
+"""Typed task DAG of the ULV factorization, the executor that runs it,
+and a simulated multi-process distribution with communication accounting.
 
-Per level there is one diagonal-product and one partial-factor task per
-node and one merge per parent; a single root task closes the graph.  The
-only cross-task edges are produced by the merge step, so a merge can fire
-as soon as its two children finish, independent of the rest of its level.
+The graph is built from the tree of either format: per level there is one
+diagonal-product and one partial-factor task per node and one merge per
+parent; a single root task closes the graph.  The only cross-task edges
+are produced by the merge step, so a merge can fire as soon as its
+children finish (two in HSS, every block in BLR2), independent of the
+rest of its level.
 
-Execution is shared memory on a worker pool.  The simulated "process"
-distribution is pure accounting: block rows are owned round-robin at the
-leaf level, every merged parent inherits its left child's owner, and a
-transfer event is recorded for every dependency edge whose endpoints
-resolve to different owners.
+Execution is shared memory: the calling thread is worker 0 and
+``workers - 1`` threads join it, so ``execute(g, h, workers=1)`` runs
+inline and is what :func:`hssulv.factor.ulv_factor_hss` calls.  The
+simulated "process" distribution is pure accounting: block rows are
+owned round-robin at the leaf level, every merged parent inherits its
+first child's owner, and a transfer event is recorded for every
+dependency edge whose endpoints resolve to different owners.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ class Task:
     level: int
     node: int
     deps: frozenset
-    owner: int = 0
 
     def priority(self) -> tuple:
         # Merges feed the level above; rank them with it so the path
@@ -116,27 +118,28 @@ ROOT_ID = "root"
 
 
 def build_dag(h: HssMatrix) -> TaskGraph:
-    """Task graph of the multi-level factorization of ``h``.
+    """Task graph of the ULV factorization of ``h``.
 
-    Total task count is ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` for
-    ``L = max_level``: a diagonal product and a partial factor per node
-    per level, a merge per parent, and one root factorization.
+    A diagonal product and a partial factor per node per level, a merge
+    per parent and one root factorization: for a binary tree of depth
+    ``L`` that is ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` tasks, for BLR2
+    with ``nb`` blocks ``2*nb + 2``.
     """
     L = h.max_level
     tasks = {}
     for level in range(L, 0, -1):
-        for node in range(1 << level):
+        for node in range(h.num_nodes(level)):
             deps = frozenset() if level == L else frozenset({_mg_id(level + 1, node)})
             tid = _dp_id(level, node)
             tasks[tid] = Task(tid, TaskKind.DIAG_PRODUCT, level, node, deps)
             pid = _pf_id(level, node)
             tasks[pid] = Task(pid, TaskKind.PARTIAL_FACTOR, level, node,
                               frozenset({tid}))
-        for parent in range(1 << (level - 1)):
+        for parent in range(h.num_nodes(level - 1)):
             mid = _mg_id(level, parent)
             tasks[mid] = Task(mid, TaskKind.MERGE, level, parent,
-                              frozenset({_pf_id(level, 2 * parent),
-                                         _pf_id(level, 2 * parent + 1)}))
+                              frozenset(_pf_id(level, c)
+                                        for c in h.children(level - 1, parent)))
     tasks[ROOT_ID] = Task(ROOT_ID, TaskKind.ROOT_FACTOR, 0, 0,
                           frozenset({_mg_id(1, 0)}))
     return TaskGraph(L, tasks)
@@ -147,7 +150,7 @@ class OwnerMap:
     """Simulated process ownership: (level, node) -> rank.
 
     Leaf nodes go round-robin by node index; every merged parent is owned
-    by its left child's owner, so ancestors collapse onto the leftmost
+    by its first child's owner, so ancestors collapse onto the leftmost
     descendant leaf's rank.
     """
 
@@ -166,12 +169,13 @@ def assign_owners(g: TaskGraph, nprocs: int) -> OwnerMap:
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
     L = g.max_level
-    assignment = {}
-    for node in range(1 << L):
-        assignment[(L, node)] = node % nprocs
-    for level in range(L - 1, -1, -1):
-        for node in range(1 << level):
-            assignment[(level, node)] = assignment[(level + 1, 2 * node)]
+    assignment = {(L, t.node): t.node % nprocs for t in g.tasks.values()
+                  if t.kind == TaskKind.DIAG_PRODUCT and t.level == L}
+    # The merge at level l creates node (l - 1, parent) from its children.
+    merges = [t for t in g.tasks.values() if t.kind == TaskKind.MERGE]
+    for task in sorted(merges, key=lambda t: -t.level):
+        first = min(g.tasks[d].node for d in task.deps)
+        assignment[(task.level - 1, task.node)] = assignment[(task.level, first)]
     return OwnerMap(nprocs, L, assignment)
 
 
@@ -255,12 +259,13 @@ _RESULT_KEY = {
 
 def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = None,
             shuffle_seed: int | None = None) -> tuple[UlvFactors, ExecutionStats]:
-    """Run the task graph on a worker pool.
+    """Run the task graph on the calling thread plus ``workers - 1`` threads.
 
     Tasks start when and only when their dependencies completed; each
     writes a distinct result slot, so the assembled factors are bitwise
-    identical for any worker count.  ``shuffle_seed`` randomizes ready-
-    queue pops (scheduling stress for tests) without affecting results.
+    identical for any worker count.  With ``workers=1`` no thread is
+    started.  ``shuffle_seed`` randomizes ready-queue pops (scheduling
+    stress for tests) without affecting results.
     A failing task cancels its transitive dependents and surfaces the
     originating error as :class:`TaskFailure`.
     """
@@ -336,9 +341,10 @@ def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = 
                 cond.notify_all()
 
     threads = [threading.Thread(target=worker_loop, args=(w,), daemon=True)
-               for w in range(workers)]
+               for w in range(1, workers)]
     for t in threads:
         t.start()
+    worker_loop(0)
     for t in threads:
         t.join()
     if state["failure"] is not None:
@@ -382,8 +388,7 @@ def _edge_payload(h: HssMatrix, dep: Task) -> tuple[str, int]:
         sk = h.skeleton_dim(dep.level, dep.node)
         return f"ss_remainder[{dep.level},{dep.node}]", sk * sk
     if dep.kind == TaskKind.MERGE:
-        sk = h.skeleton_dim(dep.level, 2 * dep.node) + \
-            h.skeleton_dim(dep.level, 2 * dep.node + 1)
+        sk = sum(h.skeleton_dim(dep.level, c) for c in h.children(dep.level - 1, dep.node))
         return f"merged_block[{dep.level - 1},{dep.node}]", sk * sk
     raise ValueError(f"unexpected dependency kind {dep.kind}")
 
@@ -392,8 +397,8 @@ def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
     """Record one transfer per dependency edge crossing an owner boundary.
 
     The payload is the block that flows along the edge, sized in matrix
-    entries; with the left-child-owner rule the dominant transfers are the
-    right children's skeleton remainders feeding each merge.
+    entries; with the first-child-owner rule the dominant transfers are the
+    other children's skeleton remainders feeding each merge.
     """
     events = []
     for task in g.tasks.values():

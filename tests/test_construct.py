@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,9 +65,9 @@ class TestBlr2:
         spec = KernelSpec("laplace2d")
         ps = generate_grid(64)
         m = build_blr2(spec, ps, nleaf=64, max_rank=64)
-        assert m.nblocks == 1 and not m.coupling
+        assert len(m.leaf_diag) == 1 and not m.coupling
         dense = kernel_matrix(spec, ps.points, ps.points)
-        assert np.array_equal(m.diag[0], dense)
+        assert np.array_equal(m.leaf_diag[0], dense)
 
     def test_compressed_error_small(self):
         spec = KernelSpec("yukawa")
@@ -77,17 +79,19 @@ class TestBlr2:
         spec = KernelSpec("matern")
         ps = generate_grid(256)
         m = build_blr2(spec, ps, nleaf=64, max_rank=20)
-        for (i, j), block in m.coupling.items():
-            assert np.array_equal(block, m.coupling[(j, i)].T)
+        # one level, every ordered pair of the 4 blocks coupled
+        assert m.max_level == 1 and len(m.coupling) == 4 * 3
+        for (level, i, j), block in m.coupling.items():
+            assert np.array_equal(block, m.coupling[(level, j, i)].T)
 
     def test_diag_blocks_exact_bitwise(self):
         spec = KernelSpec("laplace2d")
         ps = generate_grid(256)
         m = build_blr2(spec, ps, nleaf=64, max_rank=32)
         dense = kernel_matrix(spec, ps.points, ps.points)
-        for i in range(m.nblocks):
-            lo, hi = m.block_range(i)
-            assert np.array_equal(m.diag[i], dense[lo:hi, lo:hi])
+        for i, block in enumerate(m.leaf_diag):
+            lo, hi = i * 64, (i + 1) * 64
+            assert np.array_equal(block, dense[lo:hi, lo:hi])
 
 
 class TestHss:
@@ -136,7 +140,7 @@ class TestHss:
             for i in range(1 << level):
                 j = i ^ 1
                 block = dense[i * width:(i + 1) * width, j * width:(j + 1) * width]
-                approx = raw[(level, i)] @ h.coupling[(level, i)] @ raw[(level, j)].T
+                approx = raw[(level, i)] @ h.coupling[(level, i, j)] @ raw[(level, j)].T
                 # error measured at operator scale: tiny far-field blocks may
                 # carry the rank-detection noise of the whole admissible row
                 assert np.linalg.norm(block - approx) <= 1e-10 * scale
@@ -247,3 +251,53 @@ class TestStorage:
         path.write_bytes(b"nope" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_hss(path)
+
+    def test_blr2_round_trip_bitwise(self, tmp_path):
+        spec = KernelSpec("yukawa")
+        ps = generate_grid(512)
+        m = build_blr2(spec, ps, nleaf=128, max_rank=40)
+        path = tmp_path / "m.hss"
+        save_hss(m, path)
+        back = load_hss(path)
+        assert back.max_level == 1 and back.coupling.keys() == m.coupling.keys()
+        for key, block in m.coupling.items():
+            assert np.array_equal(back.coupling[key], block)
+        x = np.random.default_rng(6).standard_normal(512)
+        assert np.array_equal(matvec(back, x), matvec(m, x))
+
+
+class TestStorageFaults:
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        h = build_hss(KernelSpec("laplace2d"), generate_grid(256), nleaf=64, max_rank=20)
+        path = tmp_path_factory.mktemp("hss") / "ok.hss"
+        save_hss(h, path)
+        return path.read_bytes()
+
+    def load_bytes(self, tmp_path, data):
+        path = tmp_path / "bad.hss"
+        path.write_bytes(data)
+        return load_hss(path)
+
+    def test_truncated_header_named(self, tmp_path, blob):
+        with pytest.raises(ValueError, match="truncated header"):
+            self.load_bytes(tmp_path, blob[:20])
+
+    def test_truncated_payload_named(self, tmp_path, blob):
+        with pytest.raises(ValueError, match="truncated payload"):
+            self.load_bytes(tmp_path, blob[:len(blob) // 2])
+
+    def test_implausible_size_named(self, tmp_path, blob):
+        # first leaf block's (rows, cols) field, right after the 32-byte header
+        bad = blob[:32] + struct.pack("<QQ", 2**40, 2**20) + blob[48:]
+        with pytest.raises(ValueError, match="implausible size"):
+            self.load_bytes(tmp_path, bad)
+
+    def test_trailing_bytes_named(self, tmp_path, blob):
+        with pytest.raises(ValueError, match="trailing bytes"):
+            self.load_bytes(tmp_path, blob + b"junk")
+
+    def test_loaded_arrays_frozen(self, tmp_path, blob):
+        h = self.load_bytes(tmp_path, blob)
+        arrays = [*h.leaf_diag, *(b.q for b in h.bases.values()), *h.coupling.values()]
+        assert not any(a.flags.writeable for a in arrays)

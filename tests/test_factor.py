@@ -49,13 +49,19 @@ class TestDiagonalProduct:
 class TestMergeChildren:
     def test_zero_coupling_is_block_diagonal(self):
         a, b = np.eye(2), 2 * np.eye(3)
-        out = merge_children(a, b, np.zeros((2, 3)))
+        out = merge_children([a, b], {(0, 1): np.zeros((2, 3))})
         assert np.array_equal(out, sla.block_diag(a, b))
 
     def test_scalar_assembly(self):
-        out = merge_children(np.array([[1.0]]), np.array([[3.0]]),
-                             np.array([[2.0]]))
+        out = merge_children([np.array([[1.0]]), np.array([[3.0]])],
+                             {(0, 1): np.array([[2.0]])})
         assert np.array_equal(out, [[1.0, 2.0], [2.0, 3.0]])
+
+    def test_three_children_all_pairs(self):
+        out = merge_children([np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]])],
+                             {(0, 1): np.array([[4.0]]), (0, 2): np.array([[5.0]]),
+                              (1, 2): np.array([[6.0]])})
+        assert np.array_equal(out, [[1.0, 4.0, 5.0], [4.0, 2.0, 6.0], [5.0, 6.0, 3.0]])
 
     def test_lossless_parent_matches_dense_elimination(self):
         # Oracle: eliminate all redundant coordinates of the rotated dense
@@ -84,7 +90,7 @@ class TestMergeChildren:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="coupling shape"):
-            merge_children(np.eye(2), np.eye(2), np.zeros((3, 2)))
+            merge_children([np.eye(2), np.eye(2)], {(0, 1): np.zeros((3, 2))})
 
 
 class TestBlr2Ulv:
@@ -94,7 +100,7 @@ class TestBlr2Ulv:
         m = build_blr2(spec, ps, nleaf=64, max_rank=64)
         f = ulv_factor_blr2(m)
         from hssulv import cholesky
-        assert np.array_equal(f.root_chol, cholesky(np.asarray(m.diag[0])))
+        assert np.array_equal(f.root_chol, cholesky(np.asarray(m.leaf_diag[0])))
 
     def test_two_block_lossless_vs_dense_solve(self):
         spec = KernelSpec("laplace2d")
@@ -150,18 +156,6 @@ class TestHssUlv:
         f = ulv_factor_hss(h)
         assert solve_error(f, h, seed=0) <= 1e-9
 
-    def test_node_order_does_not_change_factors(self):
-        spec = KernelSpec("matern")
-        ps = generate_grid(512)
-        h = build_hss(spec, ps, nleaf=128, max_rank=60)
-        a = ulv_factor_hss(h)
-        b = ulv_factor_hss(h, node_order=lambda level: reversed(range(1 << level)))
-        assert np.array_equal(a.root_chol, b.root_chol)
-        for level in a.levels:
-            for x, y in zip(a.levels[level], b.levels[level]):
-                assert np.array_equal(x.l_rr, y.l_rr)
-                assert np.array_equal(x.l_sr, y.l_sr)
-
     def test_non_spd_names_level_and_node(self):
         spec = KernelSpec("laplace2d")
         ps = generate_grid(512)
@@ -171,6 +165,16 @@ class TestHssUlv:
         broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases, h.coupling)
         with pytest.raises(NotPositiveDefiniteError, match="level 2 node 2"):
             ulv_factor_hss(broken)
+
+    def test_blr2_non_spd_names_level_and_node(self):
+        spec = KernelSpec("yukawa")
+        ps = generate_grid(512)
+        m = build_blr2(spec, ps, nleaf=128, max_rank=60)
+        bad_diag = list(m.leaf_diag)
+        bad_diag[3] = -np.asarray(bad_diag[3])
+        broken = type(m)(m.nleaf, m.max_level, tuple(bad_diag), m.bases, m.coupling)
+        with pytest.raises(NotPositiveDefiniteError, match="level 1 node 3"):
+            ulv_factor_blr2(broken)
 
 
 class TestUlvSolve:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from hssulv import (KernelEvaluationError, KernelSpec, dense_block,
-                    generate_grid, kernel_eval, kernel_matrix)
+from hssulv import KernelEvaluationError, KernelSpec, generate_grid, kernel_matrix
 
 # Arbitrary-precision reference for the matern formula at d = mu = 0.03
 # (mpmath, 40 digits); recomputed live below when mpmath is available.
 MATERN_AT_003 = 0.48025248600998968446
+
+
+def kernel_eval(spec, x, y):
+    """Single kernel entry ``f(x, y)``."""
+    return float(kernel_matrix(spec, [x], [y])[0, 0])
 
 
 def test_laplace_zero_distance():
@@ -57,22 +61,22 @@ def test_kernel_finite_on_grid(kind):
 def test_dense_block_diagonal_is_symmetric_bitwise():
     spec = KernelSpec("laplace2d")
     ps = generate_grid(64)
-    block = dense_block(spec, ps, (0, 32), (0, 32))
+    block = kernel_matrix(spec, ps.points[:32], ps.points[:32])
     assert np.array_equal(block, block.T)
 
 
 def test_dense_block_transpose_identity_exact():
     spec = KernelSpec("matern")
     ps = generate_grid(64)
-    a = dense_block(spec, ps, (0, 16), (32, 64))
-    b = dense_block(spec, ps, (32, 64), (0, 16))
+    a = kernel_matrix(spec, ps.points[0:16], ps.points[32:64])
+    b = kernel_matrix(spec, ps.points[32:64], ps.points[0:16])
     assert np.array_equal(a, b.T)
 
 
 def test_dense_block_single_matern_point():
     spec = KernelSpec("matern")
     ps = generate_grid(16)
-    assert np.array_equal(dense_block(spec, ps, (3, 4), (3, 4)), [[1.0]])
+    assert np.array_equal(kernel_matrix(spec, ps.points[3:4], ps.points[3:4]), [[1.0]])
 
 
 def test_yukawa_matrix_is_spd():
@@ -81,13 +85,6 @@ def test_yukawa_matrix_is_spd():
     pts = generate_grid(64).points
     a = kernel_matrix(spec, pts, pts)
     assert np.linalg.eigvalsh(a).min() > 0
-
-
-def test_dense_block_rejects_out_of_range():
-    spec = KernelSpec("laplace2d")
-    ps = generate_grid(16)
-    with pytest.raises(ValueError, match="rows"):
-        dense_block(spec, ps, (0, 20), (0, 4))
 
 
 def test_bessel_overflow_reports_distance():

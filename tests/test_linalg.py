@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from hssulv import (NotPositiveDefiniteError, apply_permutation, cholesky,
-                    KernelSpec, generate_grid, kernel_matrix,
-                    partial_cholesky, pivoted_qr_truncated, tri_solve_lower)
+from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
+                    build_shared_basis, generate_grid, kernel_matrix,
+                    partial_cholesky, tri_solve_lower)
+from hssulv.linalg import pivoted_qr_full
+
+
+def capped_basis(a, max_rank):
+    """Orthonormal columns spanning the dominant column space of ``a``,
+    capped at ``max_rank``: the skeleton of its shared basis."""
+    basis = build_shared_basis(a.T, max_rank)
+    return basis.skeleton, basis.skeleton_dim
 
 
 class TestCholesky:
@@ -76,14 +84,14 @@ class TestTriSolve:
 
 class TestPivotedQr:
     def test_identity_full_rank(self):
-        q, rank = pivoted_qr_truncated(np.eye(4), 4)
+        q, rank = pivoted_qr_full(np.eye(4))
         assert rank == 4 and q.shape == (4, 4)
         assert np.allclose(q.T @ q, np.eye(4), atol=1e-14)
 
     def test_outer_product_rank_one(self):
         rng = np.random.default_rng(5)
         a = np.outer(rng.standard_normal(9), rng.standard_normal(7))
-        q, rank = pivoted_qr_truncated(a, 3)
+        q, rank = capped_basis(a, 3)
         assert rank == 1
         assert np.linalg.norm(a - q @ (q.T @ a)) <= 1e-13 * np.linalg.norm(a)
 
@@ -92,7 +100,7 @@ class TestPivotedQr:
         spec = KernelSpec("laplace2d")
         pts = generate_grid(64).points
         a = kernel_matrix(spec, pts[:32], pts[32:])
-        q, rank = pivoted_qr_truncated(a, 10)
+        q, rank = capped_basis(a, 10)
         assert rank == 10
         qr_err = np.linalg.norm(a - q @ (q.T @ a))
         svd_err = np.linalg.norm(np.linalg.svd(a, compute_uv=False)[10:])
@@ -102,19 +110,21 @@ class TestPivotedQr:
         rng = np.random.default_rng(2)
         for trial in range(20):
             a = rng.standard_normal((12, 9))
-            q, rank = pivoted_qr_truncated(a, rng.integers(1, 10))
+            q, rank = capped_basis(a, rng.integers(1, 10))
             assert np.allclose(q.T @ q, np.eye(rank), atol=1e-13)
             assert np.linalg.norm(a - q @ (q.T @ a)) <= np.linalg.norm(a) + 1e-12
 
     def test_zero_matrix_rank_zero(self):
-        q, rank = pivoted_qr_truncated(np.zeros((5, 4)), 3)
+        q, rank = pivoted_qr_full(np.zeros((5, 4)))
+        assert rank == 0 and q.shape == (5, 5)
+        q, rank = capped_basis(np.zeros((5, 4)), 3)
         assert rank == 0 and q.shape == (5, 0)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((20, 16))
-        q1, _ = pivoted_qr_truncated(a, 7)
-        q2, _ = pivoted_qr_truncated(a.copy(), 7)
+        q1, _ = pivoted_qr_full(a)
+        q2, _ = pivoted_qr_full(a.copy())
         assert np.array_equal(q1, q2)
 
 
@@ -163,29 +173,3 @@ class TestPartialCholesky:
         a = np.diag([-1.0, 2.0, 3.0])
         with pytest.raises(NotPositiveDefiniteError):
             partial_cholesky(a, 2)
-
-
-class TestApplyPermutation:
-    def test_identity(self):
-        a = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(apply_permutation(a, [0, 1, 2], "rows"), a)
-
-    def test_inverse_round_trip_bitwise(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((7, 7))
-        perm = rng.permutation(7)
-        inv = np.argsort(perm)
-        for side in ("rows", "cols", "both"):
-            moved = apply_permutation(a, perm, side)
-            back = apply_permutation(moved, inv, side)
-            assert np.array_equal(back, a)
-
-    def test_half_swap_block_layout(self):
-        b, c, d, e = [np.full((2, 2), v) for v in (1.0, 2.0, 3.0, 4.0)]
-        a = np.block([[b, c], [d, e]])
-        swapped = apply_permutation(a, [2, 3, 0, 1], "both")
-        assert np.array_equal(swapped, np.block([[e, d], [c, b]]))
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError, match="bijection"):
-            apply_permutation(np.eye(3), [0, 0, 2], "rows")

@@ -1,0 +1,57 @@
+"""Properties of the one factorization path over random trees of both formats.
+
+For a random kernel, leaf size, depth and rank cap, the factors of
+``ulv_factor_hss`` rebuild the compressed operator exactly, and the
+executor reproduces them bitwise for any worker count and scheduling order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
+                    TaskFailure, build_blr2, build_dag, build_hss, execute,
+                    generate_grid, reconstruct_check, ulv_factor_hss)
+
+
+def factors_equal(a, b):
+    if not np.array_equal(a.root_chol, b.root_chol):
+        return False
+    return all(np.array_equal(x.l_rr, y.l_rr) and np.array_equal(x.l_sr, y.l_sr)
+               for level in a.levels
+               for x, y in zip(a.levels[level], b.levels[level]))
+
+
+@st.composite
+def trees(draw):
+    """(builder, spec, n, nleaf, max_rank) with n = nleaf * 2**L <= 1024."""
+    build = draw(st.sampled_from([build_hss, build_blr2]))
+    spec = KernelSpec(draw(st.sampled_from(KERNEL_KINDS)),
+                      alpha=draw(st.floats(0.5, 4.0)),
+                      mu=draw(st.floats(0.02, 0.1)))
+    nleaf = draw(st.sampled_from([16, 32, 64, 128]))
+    levels = draw(st.integers(1, (1024 // nleaf).bit_length() - 1))
+    max_rank = draw(st.integers(1, nleaf))
+    return build, spec, nleaf << levels, nleaf, max_rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=trees(), workers=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+def test_one_path_exact_and_schedule_independent(tree, workers, seed):
+    build, spec, n, nleaf, max_rank = tree
+    op = build(spec, generate_grid(n), nleaf, max_rank)
+    graph = build_dag(op)
+    try:
+        f = ulv_factor_hss(op)
+    except NotPositiveDefiniteError as err:
+        # A tiny rank cap can cost the compressed operator its definiteness;
+        # the failure names where it happened, under any schedule.
+        event("not positive definite")
+        assert "node" in str(err) or "root block" in str(err)
+        with pytest.raises(TaskFailure):
+            execute(graph, op, workers=workers, shuffle_seed=seed)
+        return
+    assert reconstruct_check(f, op) <= 1e-10
+    shuffled, _ = execute(graph, op, workers=workers, shuffle_seed=seed)
+    assert factors_equal(f, shuffled)

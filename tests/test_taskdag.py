@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hssulv import (KernelSpec, NotPositiveDefiniteError, TaskFailure,
-                    TaskKind, assign_owners, build_dag, build_hss, execute,
-                    export_comm_csv, export_schedule_jsonl, generate_grid,
-                    simulate_comm, ulv_factor_hss)
+                    TaskKind, assign_owners, build_blr2, build_dag, build_hss,
+                    execute, export_comm_csv, export_schedule_jsonl,
+                    generate_grid, simulate_comm, ulv_factor_blr2,
+                    ulv_factor_hss)
 
 # smallest square-or-2:1 grid for each level count
 TINY_N = {1: 4, 2: 16, 3: 16, 4: 64, 5: 64, 6: 256, 7: 256, 8: 1024}
@@ -103,6 +104,34 @@ class TestBuildDag:
             for dep_id in task.deps:
                 dep = graph.tasks[dep_id]
                 assert not (dep.kind == task.kind and dep.level == task.level)
+
+
+class TestBlr2Graph:
+    @pytest.fixture(scope="class")
+    def blr2(self):
+        return build_blr2(KernelSpec("laplace2d"), generate_grid(1024), 128, 40)
+
+    def test_one_merge_over_all_blocks(self, blr2):
+        graph = build_dag(blr2)
+        assert graph.max_level == 1 and len(graph) == 2 * 8 + 2
+        merge = graph.tasks["mg:1:0"]
+        assert {graph.tasks[d].node for d in merge.deps} == set(range(8))
+
+    def test_executor_matches_inline_run(self, blr2):
+        graph = build_dag(blr2)
+        ref = ulv_factor_blr2(blr2)
+        for seed in range(3):
+            factors, _ = execute(graph, blr2, workers=3, shuffle_seed=seed)
+            assert factors_equal(ref, factors)
+
+    def test_comm_ships_off_rank_remainders_to_root_merge(self, blr2):
+        graph = build_dag(blr2)
+        owners = assign_owners(graph, 4)
+        assert owners.owner_of(0, 0) == 0
+        trace = simulate_comm(graph, owners, blr2)
+        off_rank = [i for i in range(8) if i % 4]
+        assert [e[0] for e in trace.events] == ["mg:1:0"] * len(off_rank)
+        assert trace.total_entries == sum(blr2.skeleton_dim(1, i) ** 2 for i in off_rank)
 
 
 class TestAssignOwners:
