@@ -8,8 +8,8 @@ graph, with a simulated process distribution and communication
 accounting.  :func:`ulv_factor_hss` is that executor with one worker.
 """
 
-from .bench import (ExperimentConfig, ExperimentReport, breakdown_report,
-                    rank_accuracy_sweep, run_single, scaling_sweep)
+from .bench import (ExperimentConfig, ExperimentReport, rank_accuracy_sweep,
+                    run_single, scaling_sweep)
 from .construct import (BlockBasis, HssMatrix, build_blr2, build_hss,
                         build_shared_basis, construct_error, matvec)
 from .factor import (NodeFactor, UlvFactors, diagonal_product, merge_children,
@@ -18,7 +18,7 @@ from .factor import (NodeFactor, UlvFactors, diagonal_product, merge_children,
 from .geometry import PointSet, generate_grid
 from .kernels import KERNEL_KINDS, KernelEvaluationError, KernelSpec, kernel_matrix
 from .linalg import (NotPositiveDefiniteError, PartialFactorResult, cholesky,
-                     partial_cholesky, tri_solve_lower)
+                     partial_cholesky)
 from .storage import load_hss, save_hss
 from .taskdag import (CommTrace, ExecutionStats, OwnerMap, Task, TaskFailure,
                       TaskGraph, TaskKind, assign_owners, build_dag, execute,
@@ -35,11 +35,11 @@ __all__ = [
     "PointSet", "generate_grid",
     "KERNEL_KINDS", "KernelEvaluationError", "KernelSpec", "kernel_matrix",
     "NotPositiveDefiniteError", "PartialFactorResult", "cholesky",
-    "partial_cholesky", "tri_solve_lower",
+    "partial_cholesky",
     "load_hss", "save_hss",
     "CommTrace", "ExecutionStats", "OwnerMap", "Task", "TaskFailure",
     "TaskGraph", "TaskKind", "assign_owners", "build_dag", "execute",
     "export_comm_csv", "export_schedule_jsonl", "simulate_comm",
-    "ExperimentConfig", "ExperimentReport", "breakdown_report",
-    "rank_accuracy_sweep", "run_single", "scaling_sweep",
+    "ExperimentConfig", "ExperimentReport", "rank_accuracy_sweep",
+    "run_single", "scaling_sweep",
 ]

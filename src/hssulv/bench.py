@@ -1,10 +1,14 @@
-"""Benchmark harness: accuracy sweeps, N-scaling, and runtime breakdown.
+"""Benchmark harness: one experiment report, and sweeps made of its rows.
 
-Drives the full pipeline (grid, kernel compression, task-graph
-factorization, solve) and reports both error metrics plus wall times with
-95% confidence intervals.  Construction is timed separately from
-factorization; repetitions re-run factorization and solve on the already
-built operator, so the build time carries no interval.
+:func:`run_single` drives the full pipeline (grid, kernel compression,
+task-graph factorization, solve) and returns an :class:`ExperimentReport`
+with both error metrics, wall times with 95% confidence intervals, and the
+executor's breakdown of the last factorization: makespan, scheduler and
+idle overhead, per-kind and per-worker task seconds, and simulated
+communication.  Construction is timed separately from factorization;
+repetitions re-run factorization and solve on the already built operator,
+so the build time carries no interval.  Each sweep row is one such report
+cut down to the sweep's pinned columns.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "run_single",
     "rank_accuracy_sweep",
     "scaling_sweep",
-    "breakdown_report",
     "write_csv",
 ]
 
@@ -65,7 +68,6 @@ class ExperimentConfig:
     nprocs_simulated: int = 1
     seed: int = 0
     repetitions: int = 5
-    output: str | None = None
 
     def __post_init__(self):
         if self.max_rank > self.nleaf:
@@ -113,6 +115,7 @@ class ExperimentReport:
     solve_seconds_ci95: float | None
     task_count: int
     makespan_seconds: float
+    overhead_seconds: float
     per_kind_seconds: dict
     per_worker_busy_seconds: list
     max_concurrent: int
@@ -163,6 +166,9 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         solve_seconds_ci95=solve_ci,
         task_count=len(graph),
         makespan_seconds=stats.makespan_seconds,
+        # worker time inside the makespan not spent in tasks: scheduling and idle
+        overhead_seconds=max(
+            cfg.workers * stats.makespan_seconds - stats.total_task_seconds, 0.0),
         per_kind_seconds=stats.per_kind_seconds,
         per_worker_busy_seconds=stats.per_worker_busy_seconds,
         max_concurrent=stats.max_concurrent,
@@ -171,29 +177,35 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _sweep_row(columns: list, base: ExperimentConfig, **changes) -> tuple:
+    """One sweep row for ``base`` with ``changes`` applied.
+
+    The pinned columns are filled from the config and its report; a config
+    that fails, when built or run, leaves its message in the row instead.
+    """
+    params = {**vars(base), **changes}
+    row = dict.fromkeys(columns, "")
+    row.update({k: v for k, v in params.items() if k in row},
+               schema_version=SCHEMA_VERSION, kernel=params["kernel"].kind,
+               N=params["n"], status="ok")
+    try:
+        report = run_single(ExperimentConfig(**params))
+    except Exception as exc:
+        row.update(status="error", message=str(exc))
+        return row, None
+    row.update({k: "" if v is None else v
+                for k, v in report.as_dict().items() if k in row})
+    return row, report
+
+
 def rank_accuracy_sweep(kernels, rank_leaf_pairs, base: ExperimentConfig) -> list:
     """One row per (kernel, max_rank, nleaf); failures recorded per row."""
     rows = []
     for kind in kernels:
         kernel = kind if isinstance(kind, KernelSpec) else KernelSpec(kind)
         for max_rank, nleaf in rank_leaf_pairs:
-            row = {
-                "schema_version": SCHEMA_VERSION, "kernel": kernel.kind,
-                "N": base.n, "nleaf": nleaf, "max_rank": max_rank,
-                "construct_error": "", "solve_error": "",
-                "status": "ok", "message": "",
-            }
-            try:
-                cfg = ExperimentConfig(
-                    kernel=kernel, n=base.n, nleaf=nleaf, max_rank=max_rank,
-                    workers=base.workers, nprocs_simulated=base.nprocs_simulated,
-                    seed=base.seed, repetitions=1)
-                report = run_single(cfg)
-                row["construct_error"] = report.construct_error
-                row["solve_error"] = report.solve_error
-            except Exception as exc:
-                row["status"] = "error"
-                row["message"] = str(exc)
+            row, _ = _sweep_row(RANK_SWEEP_COLUMNS, base, kernel=kernel,
+                                nleaf=nleaf, max_rank=max_rank, repetitions=1)
             rows.append(row)
     return rows
 
@@ -210,61 +222,13 @@ def scaling_sweep(n_list, base: ExperimentConfig) -> tuple[list, float | None]:
     rows = []
     fit_ns, fit_times = [], []
     for n in n_list:
-        row = {
-            "schema_version": SCHEMA_VERSION, "kernel": base.kernel.kind,
-            "N": n, "nleaf": base.nleaf, "max_rank": base.max_rank,
-            "workers": base.workers, "repetitions": base.repetitions,
-            "build_seconds": "", "factor_seconds_mean": "",
-            "factor_seconds_ci95": "", "solve_seconds_mean": "",
-            "solve_seconds_ci95": "", "task_count": "",
-            "status": "ok", "message": "",
-        }
-        try:
-            cfg = ExperimentConfig(
-                kernel=base.kernel, n=n, nleaf=base.nleaf, max_rank=base.max_rank,
-                workers=base.workers, nprocs_simulated=base.nprocs_simulated,
-                seed=base.seed, repetitions=base.repetitions)
-            report = run_single(cfg)
-            row["build_seconds"] = report.build_seconds
-            row["factor_seconds_mean"] = report.factor_seconds_mean
-            row["factor_seconds_ci95"] = report.factor_seconds_ci95 or ""
-            row["solve_seconds_mean"] = report.solve_seconds_mean
-            row["solve_seconds_ci95"] = report.solve_seconds_ci95 or ""
-            row["task_count"] = report.task_count
+        row, report = _sweep_row(SCALING_COLUMNS, base, n=n)
+        rows.append(row)
+        if report is not None:
             fit_ns.append(n)
             fit_times.append(report.factor_seconds_mean)
-        except Exception as exc:
-            row["status"] = "error"
-            row["message"] = str(exc)
-        rows.append(row)
     exponent = fit_growth_exponent(fit_ns, fit_times) if len(fit_ns) >= 2 else None
     return rows, exponent
-
-
-def breakdown_report(cfg: ExperimentConfig) -> dict:
-    """Split the factorization makespan into compute vs scheduler/idle time."""
-    ps = generate_grid(cfg.n)
-    h = build_hss(cfg.kernel, ps, cfg.nleaf, cfg.max_rank)
-    graph = build_dag(h)
-    owners = assign_owners(graph, cfg.nprocs_simulated)
-    _, stats = execute(graph, h, cfg.workers, owners)
-    per_worker = [
-        {"worker": w, "busy_seconds": busy,
-         "overhead_seconds": max(stats.makespan_seconds - busy, 0.0)}
-        for w, busy in enumerate(stats.per_worker_busy_seconds)
-    ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.as_dict(),
-        "makespan_seconds": stats.makespan_seconds,
-        "compute_task_seconds": stats.total_task_seconds,
-        "overhead_seconds": max(
-            cfg.workers * stats.makespan_seconds - stats.total_task_seconds, 0.0),
-        "per_kind_seconds": stats.per_kind_seconds,
-        "per_worker": per_worker,
-        "max_concurrent": stats.max_concurrent,
-        "task_count": len(graph),
-    }
 
 
 def write_csv(rows: list, columns: list, path_or_file):

@@ -6,15 +6,15 @@ Examples:
         --workers 2 --seed 0 --reps 3 --format json
     hssulv-bench --sweep rank --N 4096 --out table.csv
     hssulv-bench --sweep scaling --N 2048,4096,8192 --nleaf 256 --max-rank 100
-    hssulv-bench --sweep breakdown --N 2048 --nleaf 256 --max-rank 100 --workers 4
 
 A JSON config file may preset any option, including kernel constants:
 
     {"kernel": "matern", "constants": {"sigma": 1.0, "mu": 0.03, "rho": 0.5},
      "N": 4096, "nleaf": 256, "max_rank": 100}
 
-Explicit command-line flags override config-file values.  Exit status is
-zero only if every requested row succeeded.
+Config-file values replace the option defaults, so explicit command-line
+flags override them.  Exit status is zero only if every requested row
+succeeded.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import json
 import sys
 
 from .bench import (DEFAULT_RANK_GRID, RANK_SWEEP_COLUMNS, SCALING_COLUMNS,
-                    ExperimentConfig, breakdown_report, rank_accuracy_sweep,
-                    run_single, scaling_sweep, write_csv, write_json)
+                    ExperimentConfig, rank_accuracy_sweep, run_single,
+                    scaling_sweep, write_csv, write_json)
 from .kernels import KERNEL_KINDS, KernelSpec
 
 __all__ = ["main", "build_parser"]
@@ -37,16 +37,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmark the compressed kernel-matrix direct solver.")
     p.add_argument("--kernel", choices=KERNEL_KINDS, default=None,
                    help="kernel kind (default laplace2d; rank sweep runs all)")
-    p.add_argument("--N", dest="n", default=None,
+    p.add_argument("--N", default="4096",
                    help="problem size; comma separated list for --sweep scaling")
-    p.add_argument("--nleaf", type=int, default=None, help="leaf block size")
-    p.add_argument("--max-rank", type=int, default=None, help="skeleton rank cap")
-    p.add_argument("--workers", type=int, default=None, help="executor worker threads")
-    p.add_argument("--procs", type=int, default=None,
+    p.add_argument("--nleaf", type=int, default=256, help="leaf block size")
+    p.add_argument("--max-rank", type=int, default=100, help="skeleton rank cap")
+    p.add_argument("--workers", type=int, default=1, help="executor worker threads")
+    p.add_argument("--procs", type=int, default=1,
                    help="simulated process count for communication accounting")
-    p.add_argument("--seed", type=int, default=None, help="probe-vector seed")
-    p.add_argument("--reps", type=int, default=None, help="timing repetitions")
-    p.add_argument("--sweep", choices=("rank", "scaling", "breakdown"), default=None,
+    p.add_argument("--seed", type=int, default=0, help="probe-vector seed")
+    p.add_argument("--reps", type=int, default=5, help="timing repetitions")
+    p.add_argument("--sweep", choices=("rank", "scaling"), default=None,
                    help="run a sweep instead of a single experiment")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None,
@@ -55,37 +55,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_DEFAULTS = {"kernel": "laplace2d", "n": "4096", "nleaf": 256, "max_rank": 100,
-             "workers": 1, "procs": 1, "seed": 0, "reps": 5,
-             "sweep": None, "out": None, "format": None}
-
-_CONFIG_KEYS = {"kernel": "kernel", "N": "n", "nleaf": "nleaf",
-                "max_rank": "max_rank", "workers": "workers", "procs": "procs",
-                "seed": "seed", "reps": "reps", "sweep": "sweep", "out": "out",
-                "format": "format"}
-
-
-def _merge_options(args) -> dict:
-    opts = dict(_DEFAULTS)
-    constants = {}
-    kernel_explicit = args.kernel is not None
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        constants = dict(file_cfg.pop("constants", {}))
-        kernel_explicit = kernel_explicit or "kernel" in file_cfg
-        for key, value in file_cfg.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            opts[_CONFIG_KEYS[key]] = value
-    for key in ("kernel", "n", "nleaf", "max_rank", "workers", "procs",
-                "seed", "reps", "sweep", "out", "format"):
-        value = getattr(args, key)
-        if value is not None:
-            opts[key] = value
-    opts["constants"] = constants
-    opts["kernel_explicit"] = kernel_explicit
-    return opts
+def _parse(argv) -> tuple[argparse.Namespace, dict]:
+    """Options and kernel constants; a config file replaces the defaults."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args, {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        file_cfg = json.load(fh)
+    constants = dict(file_cfg.pop("constants", {}))
+    for key in file_cfg:
+        if key not in vars(args) or key == "config":
+            raise ValueError(f"unknown config key {key!r}")
+    parser.set_defaults(**file_cfg)
+    return parser.parse_args(argv), constants
 
 
 def _parse_sizes(raw) -> list:
@@ -96,40 +79,32 @@ def _parse_sizes(raw) -> list:
 
 def _emit(payload, out, fmt, columns=None):
     if fmt == "csv":
-        if out:
-            write_csv(payload, columns, out)
-        else:
-            write_csv(payload, columns, sys.stdout)
+        write_csv(payload, columns, out or sys.stdout)
+    elif out:
+        write_json(payload, out)
     else:
-        if out:
-            write_json(payload, out)
-        else:
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        opts = _merge_options(args)
-        kernel = KernelSpec(opts["kernel"], **opts["constants"])
-        sizes = _parse_sizes(opts["n"])
+        args, constants = _parse(argv)
+        kernel = KernelSpec(args.kernel or "laplace2d", **constants)
+        sizes = _parse_sizes(args.N)
         base = ExperimentConfig(
-            kernel=kernel, n=sizes[0], nleaf=opts["nleaf"],
-            max_rank=opts["max_rank"], workers=opts["workers"],
-            nprocs_simulated=opts["procs"], seed=opts["seed"],
-            repetitions=opts["reps"], output=opts["out"])
+            kernel=kernel, n=sizes[0], nleaf=args.nleaf, max_rank=args.max_rank,
+            workers=args.workers, nprocs_simulated=args.procs, seed=args.seed,
+            repetitions=args.reps)
     except Exception as exc:
         json.dump({"status": "error", "message": str(exc)}, sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 2
 
-    sweep = opts["sweep"]
-    fmt = opts["format"]
-    out = opts["out"]
+    sweep, fmt, out = args.sweep, args.format, args.out
     try:
         if sweep == "rank":
-            kernels = [kernel] if opts["kernel_explicit"] else list(KERNEL_KINDS)
+            kernels = [kernel] if args.kernel else list(KERNEL_KINDS)
             rows = rank_accuracy_sweep(kernels, DEFAULT_RANK_GRID, base)
             _emit(rows, out, fmt or "csv", RANK_SWEEP_COLUMNS)
             return 0 if all(r["status"] == "ok" for r in rows) else 1
@@ -139,9 +114,6 @@ def main(argv=None) -> int:
             if exponent is not None:
                 sys.stderr.write(f"fitted_exponent={exponent:.4f}\n")
             return 0 if all(r["status"] == "ok" for r in rows) else 1
-        if sweep == "breakdown":
-            _emit(breakdown_report(base), out, "json")
-            return 0
         report = run_single(base)
         if fmt == "csv":
             payload = report.as_dict()

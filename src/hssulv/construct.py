@@ -68,10 +68,6 @@ class BlockBasis:
         return self.q.shape[0]
 
     @property
-    def redundant(self) -> np.ndarray:
-        return self.q[:, : self.redundant_dim]
-
-    @property
     def skeleton(self) -> np.ndarray:
         return self.q[:, self.redundant_dim :]
 
@@ -153,14 +149,12 @@ class HssMatrix:
         return self.bases[(level, node)].size
 
 
-def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
-               both_orientations: bool = True):
+def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int):
     """Exact diagonals, leaf bases and all skeleton couplings at the leaf cut.
 
     Kernel rows are materialized one block row at a time.  Couplings for
     pairs (i, j) with j < i are projected while row i is in memory, which
-    avoids a second kernel pass; (j, i) is the exact transpose and is
-    stored only when ``both_orientations`` is set.
+    avoids a second kernel pass; (j, i) is the exact transpose.
     """
     n = ps.n
     nb = n // nleaf
@@ -179,8 +173,6 @@ def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
             c0, c1 = j * nleaf, (j + 1) * nleaf
             block = proj[:, c0:c1] @ bases[j].skeleton
             coupling[(i, j)] = _freeze(block)
-            if both_orientations:
-                coupling[(j, i)] = _freeze(block.T)
     return diags, bases, coupling
 
 
@@ -198,20 +190,26 @@ def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> Hss
     if n == nleaf:
         block = kernel_matrix(spec, ps.points, ps.points)
         return HssMatrix(nleaf, 1, (_freeze(block),), {(1, 0): _identity_basis(n)}, {})
-    diags, bases, coupling = _leaf_pass(spec, ps, nleaf, max_rank)
+    diags, bases, lower = _leaf_pass(spec, ps, nleaf, max_rank)
+    coupling = {}
+    for (i, j), block in lower.items():
+        coupling[(1, i, j)] = block
+        coupling[(1, j, i)] = _freeze(block.T)
     return HssMatrix(nleaf, 1, tuple(diags), {(1, i): b for i, b in enumerate(bases)},
-                     {(1, i, j): block for (i, j), block in coupling.items()})
+                     coupling)
 
 
 def _coupling_table(bases: list, coupling: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Pack pairwise couplings into one matrix indexed by skeleton offsets."""
+    """Pack pairwise couplings into one matrix indexed by skeleton offsets.
+
+    Each pair is given once; its transpose fills the mirrored block.
+    """
     ranks = np.array([b.skeleton_dim for b in bases])
     offs = np.concatenate([[0], np.cumsum(ranks)])
     table = np.zeros((offs[-1], offs[-1]))
     for (i, j), block in coupling.items():
         table[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block
-        if (j, i) not in coupling:
-            table[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = block.T
+        table[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = block.T
     return table, offs
 
 
@@ -264,8 +262,7 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssM
     if max_rank > nleaf:
         raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
     max_level = ps.tree_depth(nleaf)
-    diags, leaf_bases, leaf_coupling = _leaf_pass(spec, ps, nleaf, max_rank,
-                                                  both_orientations=False)
+    diags, leaf_bases, leaf_coupling = _leaf_pass(spec, ps, nleaf, max_rank)
     bases = {(max_level, i): b for i, b in enumerate(leaf_bases)}
     coupling: dict = {}
     table, offs = _coupling_table(leaf_bases, leaf_coupling)

@@ -121,21 +121,24 @@ class UlvFactors:
 
 
 # Task bodies run by the task-graph executor.  Results are keyed
-# ("dp"|"pf"|"mg", level, node) plus ("root",).
+# ("dp"|"pf"|"mg", level, node) plus ("root",).  A rotated diagonal or a
+# merged block has one consumer, which pops it; partial factors stay for
+# assemble_factors.
 
 
 def run_diag_product(h: HssMatrix, results: dict, level: int, node: int):
     if level == h.max_level:
         block = h.leaf_diag[node]
     else:
-        block = results[("mg", level + 1, node)]
+        block = results.pop(("mg", level + 1, node))
     return diagonal_product(block, h.bases[(level, node)])
 
 
 def run_partial_factor(h: HssMatrix, results: dict, level: int, node: int):
     basis = h.bases[(level, node)]
-    return partial_cholesky(results[("dp", level, node)], basis.redundant_dim,
-                            context=f"level {level} node {node}")
+    return partial_cholesky(
+        results.pop(("dp", level, node)), basis.redundant_dim,
+        context=f"level {level} node {node} (skeleton rank {basis.skeleton_dim})")
 
 
 def run_merge(h: HssMatrix, results: dict, level: int, parent: int):
@@ -147,7 +150,10 @@ def run_merge(h: HssMatrix, results: dict, level: int, parent: int):
 
 
 def run_root_factor(h: HssMatrix, results: dict):
-    return cholesky(results[("mg", 1, 0)], context="root block")
+    block = results.pop(("mg", 1, 0))
+    ranks = [h.skeleton_dim(1, i) for i in range(h.num_nodes(1))]
+    return cholesky(block, context=f"root block (order {block.shape[0]}, "
+                                   f"level-1 skeleton ranks {ranks})")
 
 
 def _perm_for_level(factors: list) -> np.ndarray:

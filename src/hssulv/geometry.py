@@ -44,12 +44,11 @@ def _bisection_order(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Ordered 2D geometry with an implicit binary index tree.
+    """Ordered 2D geometry.
 
-    ``points`` are stored in bisection order, so tree node ``(level, i)``
-    owns the contiguous index range ``[i*w, (i+1)*w)`` with
-    ``w = n / 2**level`` whenever ``n`` is divisible by ``2**level``.
-    Immutable after construction; safe to share across threads.
+    ``points`` are stored in bisection order, so each aligned block of
+    ``n / 2**level`` consecutive indices covers a compact patch of the
+    domain.  Immutable after construction; safe to share across threads.
     """
 
     points: np.ndarray
@@ -64,23 +63,6 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def num_nodes(self, level: int) -> int:
-        return 1 << level
-
-    def node_range(self, level: int, node: int) -> tuple[int, int]:
-        """Index range owned by tree node ``(level, node)``."""
-        width, rem = divmod(self.n, 1 << level)
-        if rem:
-            raise ValueError(
-                f"n={self.n} has no complete level {level}: not divisible by {1 << level}"
-            )
-        if not 0 <= node < (1 << level):
-            raise ValueError(f"node {node} out of range at level {level}")
-        return node * width, (node + 1) * width
 
     def tree_depth(self, nleaf: int) -> int:
         """Level count L satisfying ``n == nleaf * 2**L`` with L >= 1."""

@@ -1,5 +1,4 @@
-"""Small dense building blocks: Cholesky, triangular solves, pivoted QR
-and partial Cholesky.
+"""Small dense building blocks: Cholesky, pivoted QR and partial Cholesky.
 
 Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
@@ -18,7 +17,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PartialFactorResult",
     "cholesky",
-    "tri_solve_lower",
     "pivoted_qr_full",
     "partial_cholesky",
 ]
@@ -84,30 +82,6 @@ def cholesky(a: np.ndarray, context: str = "") -> np.ndarray:
     if info < 0:
         raise ValueError(f"invalid input to Cholesky (lapack info={info})")
     return c
-
-
-def tri_solve_lower(low: np.ndarray, b: np.ndarray, side: str = "left",
-                    transposed: bool = False) -> np.ndarray:
-    """Solve with a lower-triangular factor on either side.
-
-    side="left":  L   X = B   (or L^T X = B when transposed)
-    side="right": X L   = B   (or X L^T = B when transposed)
-    """
-    low = _require_square(low, "low")
-    b = np.asarray(b, dtype=np.float64)
-    if low.shape[0] == 0:
-        return b.copy()
-    if np.any(np.diag(low) == 0.0):
-        raise ValueError("triangular factor has a zero diagonal entry")
-    if side == "left":
-        return scipy.linalg.solve_triangular(low, b, lower=True,
-                                             trans="T" if transposed else "N")
-    if side == "right":
-        # X L = B  <=>  L^T X^T = B^T, and X L^T = B  <=>  L X^T = B^T.
-        out = scipy.linalg.solve_triangular(low, b.T, lower=True,
-                                            trans="N" if transposed else "T")
-        return np.ascontiguousarray(out.T)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _numerical_rank(r_diag: np.ndarray) -> int:
@@ -177,6 +151,8 @@ def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
     l_rr = cholesky(a_hat[:rd, :rd], context)
     if rd == n:
         return PartialFactorResult(l_rr, np.zeros((0, rd)), np.zeros((0, 0)))
-    l_sr = tri_solve_lower(l_rr, a_hat[rd:, :rd], side="right", transposed=True)
+    # l_sr l_rr^T = A^SR  <=>  l_rr l_sr^T = (A^SR)^T
+    l_sr = np.ascontiguousarray(scipy.linalg.solve_triangular(
+        l_rr, a_hat[rd:, :rd].T, lower=True).T)
     ss = a_hat[rd:, rd:] - l_sr @ l_sr.T
     return PartialFactorResult(l_rr, l_sr, ss)

@@ -155,14 +155,10 @@ class OwnerMap:
     """
 
     nprocs: int
-    max_level: int
     assignment: dict
 
     def owner_of(self, level: int, node: int) -> int:
         return self.assignment[(level, node)]
-
-    def task_owner(self, task: Task) -> int:
-        return self.assignment[(task.level, task.node)]
 
 
 def assign_owners(g: TaskGraph, nprocs: int) -> OwnerMap:
@@ -176,7 +172,7 @@ def assign_owners(g: TaskGraph, nprocs: int) -> OwnerMap:
     for task in sorted(merges, key=lambda t: -t.level):
         first = min(g.tasks[d].node for d in task.deps)
         assignment[(task.level - 1, task.node)] = assignment[(task.level, first)]
-    return OwnerMap(nprocs, L, assignment)
+    return OwnerMap(nprocs, assignment)
 
 
 @dataclass
@@ -328,7 +324,7 @@ def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = 
                     cond.notify_all()
                 return
             end = time.perf_counter_ns()
-            owner = owners.task_owner(task) if owners is not None else 0
+            owner = owners.owner_of(task.level, task.node) if owners is not None else 0
             with cond:
                 results[_RESULT_KEY[task.kind](task)] = out
                 records.append(TaskRecord(task.id, task.kind, task.level, task.node,
@@ -371,13 +367,6 @@ class CommTrace:
             out[(src, dst)] = (ev + 1, en + entries)
         return out
 
-    def events_by_dst_level(self, g: TaskGraph) -> dict:
-        out: dict = {}
-        for task_id, _, _, _, _ in self.events:
-            level = g.tasks[task_id].level
-            out[level] = out.get(level, 0) + 1
-        return out
-
 
 def _edge_payload(h: HssMatrix, dep: Task) -> tuple[str, int]:
     """Label and entry count of the block a dependency edge transfers."""
@@ -402,10 +391,10 @@ def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
     """
     events = []
     for task in g.tasks.values():
-        dst = owners.task_owner(task)
+        dst = owners.owner_of(task.level, task.node)
         for dep_id in sorted(task.deps):
             dep = g.tasks[dep_id]
-            src = owners.task_owner(dep)
+            src = owners.owner_of(dep.level, dep.node)
             if src != dst:
                 label, entries = _edge_payload(h, dep)
                 events.append((task.id, label, src, dst, entries))

@@ -52,3 +52,12 @@ def cache():
 def random_spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+def factors_equal(a, b):
+    """Bitwise equality of two factorizations' root and node factors."""
+    if not np.array_equal(a.root_chol, b.root_chol):
+        return False
+    return all(np.array_equal(x.l_rr, y.l_rr) and np.array_equal(x.l_sr, y.l_sr)
+               for level in a.levels
+               for x, y in zip(a.levels[level], b.levels[level]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_spd
+from conftest import factors_equal, random_spd
 from hssulv import (ExperimentConfig, KernelSpec, TaskKind, assign_owners,
                     build_dag, execute, generate_grid, partial_cholesky,
                     reconstruct_check, simulate_comm, solve_error, ulv_solve)
@@ -28,17 +28,6 @@ class Budget:
     def check(self):
         elapsed = time.perf_counter() - self.t0
         assert elapsed < self.seconds, f"runtime {elapsed:.1f}s over budget {self.seconds}s"
-
-
-def factors_equal(a, b):
-    if not np.array_equal(a.root_chol, b.root_chol):
-        return False
-    for level in a.levels:
-        for x, y in zip(a.levels[level], b.levels[level]):
-            if not (np.array_equal(x.l_rr, y.l_rr)
-                    and np.array_equal(x.l_sr, y.l_sr)):
-                return False
-    return True
 
 
 def test_criterion_1_solve_matches_dense_oracle(cache):

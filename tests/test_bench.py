@@ -5,8 +5,8 @@ import pytest
 
 from hssulv import ExperimentConfig, KernelSpec, run_single
 from hssulv.bench import (DEFAULT_RANK_GRID, RANK_SWEEP_COLUMNS, SCALING_COLUMNS,
-                          breakdown_report, fit_growth_exponent,
-                          rank_accuracy_sweep, scaling_sweep, write_csv)
+                          fit_growth_exponent, rank_accuracy_sweep,
+                          scaling_sweep, write_csv)
 from hssulv.cli import main
 
 
@@ -102,19 +102,21 @@ class TestSweeps:
 
 
 class TestBreakdown:
+    """The report's split of the last factorization's makespan."""
+
     def test_accounting_identity_single_worker(self):
-        report = breakdown_report(small_config())
-        assert report["overhead_seconds"] >= 0
-        busy = sum(w["busy_seconds"] for w in report["per_worker"])
-        assert report["overhead_seconds"] == pytest.approx(
-            report["makespan_seconds"] - busy, abs=1e-9)
+        report = run_single(small_config())
+        assert report.overhead_seconds >= 0
+        busy = sum(report.per_worker_busy_seconds)
+        assert report.overhead_seconds == pytest.approx(
+            report.makespan_seconds - busy, abs=1e-9)
 
     def test_per_kind_totals_cover_all_kinds(self):
-        report = breakdown_report(small_config(n=1024, max_rank=64))
-        assert set(report["per_kind_seconds"]) == {
+        report = run_single(small_config(n=1024, max_rank=64))
+        assert set(report.per_kind_seconds) == {
             "DiagProduct", "PartialFactor", "Merge", "RootFactor"}
         # compute time concentrates in the numeric block kinds, not merges
-        totals = report["per_kind_seconds"]
+        totals = report.per_kind_seconds
         assert max(totals, key=totals.get) != "Merge"
 
     def test_lossless_run_time_sits_in_dense_block_kinds(self):
@@ -122,8 +124,8 @@ class TestBreakdown:
         # dense block work (rotation, leaf Cholesky, root Cholesky) carries
         # the runtime; merge assembly is bookkeeping.  Which dense kind
         # wins is machine noise at this scale, so only the split is pinned.
-        report = breakdown_report(small_config())
-        totals = report["per_kind_seconds"]
+        report = run_single(small_config())
+        totals = report.per_kind_seconds
         numeric = totals["DiagProduct"] + totals["PartialFactor"] \
             + totals["RootFactor"]
         assert totals["Merge"] <= 0.2 * numeric
@@ -200,13 +202,14 @@ class TestCli:
         assert "fitted_exponent=" in capsys.readouterr().err
 
     def test_breakdown_json(self, tmp_path):
-        out = tmp_path / "breakdown.json"
-        code = main(["--sweep", "breakdown", "--N", "512", "--nleaf", "256",
-                     "--max-rank", "128", "--workers", "2", "--out", str(out)])
+        out = tmp_path / "report.json"
+        code = main(["--N", "512", "--nleaf", "256", "--max-rank", "128",
+                     "--workers", "2", "--reps", "1", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["makespan_seconds"] > 0
-        assert len(report["per_worker"]) == 2
+        assert report["overhead_seconds"] >= 0
+        assert len(report["per_worker_busy_seconds"]) == 2
 
     def test_invalid_config_nonzero_exit_with_json_error(self, capsys):
         code = main(["--N", "511"])

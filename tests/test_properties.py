@@ -1,8 +1,9 @@
 """Properties of the one factorization path over random trees of both formats.
 
-For a random kernel, leaf size, depth and rank cap, the factors of
-``ulv_factor_hss`` rebuild the compressed operator exactly, and the
-executor reproduces them bitwise for any worker count and scheduling order.
+For a random kernel, leaf size, depth and rank cap, the compressed
+operator is symmetric, the factors of ``ulv_factor_hss`` rebuild it
+exactly, and the executor reproduces them bitwise for any worker count
+and scheduling order.
 """
 
 import numpy as np
@@ -10,17 +11,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import factors_equal
 from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
                     TaskFailure, build_blr2, build_dag, build_hss, execute,
-                    generate_grid, reconstruct_check, ulv_factor_hss)
-
-
-def factors_equal(a, b):
-    if not np.array_equal(a.root_chol, b.root_chol):
-        return False
-    return all(np.array_equal(x.l_rr, y.l_rr) and np.array_equal(x.l_sr, y.l_sr)
-               for level in a.levels
-               for x, y in zip(a.levels[level], b.levels[level]))
+                    generate_grid, matvec, reconstruct_check, ulv_factor_hss)
 
 
 @st.composite
@@ -49,9 +43,18 @@ def test_one_path_exact_and_schedule_independent(tree, workers, seed):
         # the failure names where it happened, under any schedule.
         event("not positive definite")
         assert "node" in str(err) or "root block" in str(err)
+        assert "skeleton rank" in str(err)
         with pytest.raises(TaskFailure):
             execute(graph, op, workers=workers, shuffle_seed=seed)
         return
     assert reconstruct_check(f, op) <= 1e-10
     shuffled, _ = execute(graph, op, workers=workers, shuffle_seed=seed)
     assert factors_equal(f, shuffled)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=trees())
+def test_compressed_operator_symmetric(tree):
+    build, spec, n, nleaf, max_rank = tree
+    dense = matvec(build(spec, generate_grid(n), nleaf, max_rank), np.eye(n))
+    assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()

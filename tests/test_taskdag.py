@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import factors_equal
 from hssulv import (KernelSpec, NotPositiveDefiniteError, TaskFailure,
                     TaskKind, assign_owners, build_blr2, build_dag, build_hss,
                     execute, export_comm_csv, export_schedule_jsonl,
@@ -25,17 +26,6 @@ def tiny_hss(level, cache={}):
 
 def expected_task_count(level):
     return 2 * (2 ** (level + 1) - 2) + (2 ** level - 1) + 1
-
-
-def factors_equal(a, b):
-    if not np.array_equal(a.root_chol, b.root_chol):
-        return False
-    for level in a.levels:
-        for x, y in zip(a.levels[level], b.levels[level]):
-            if not (np.array_equal(x.l_rr, y.l_rr)
-                    and np.array_equal(x.l_sr, y.l_sr)):
-                return False
-    return True
 
 
 def longest_path_tasks(graph):
@@ -138,7 +128,8 @@ class TestAssignOwners:
     def test_single_proc(self):
         graph = build_dag(tiny_hss(2))
         owners = assign_owners(graph, 1)
-        assert all(owners.task_owner(t) == 0 for t in graph.tasks.values())
+        assert all(owners.owner_of(t.level, t.node) == 0
+                   for t in graph.tasks.values())
 
     def test_level2_two_procs(self):
         owners = assign_owners(build_dag(tiny_hss(2)), 2)
@@ -239,7 +230,8 @@ class TestSimulateComm:
         h = cache.hss("laplace2d", 1024, 256, 64)
         graph = build_dag(h)
         trace = simulate_comm(graph, assign_owners(graph, 2), h)
-        assert trace.events_by_dst_level(graph) == {2: 2, 1: 1}
+        levels = [graph.tasks[e[0]].level for e in trace.events]
+        assert sorted(levels) == [1, 2, 2]
 
     def test_conservation(self, cache):
         h = cache.hss("laplace2d", 2048, 256, 64)
@@ -248,7 +240,8 @@ class TestSimulateComm:
         trace = simulate_comm(graph, owners, h)
         crossing = sum(
             1 for t in graph.tasks.values() for d in t.deps
-            if owners.task_owner(graph.tasks[d]) != owners.task_owner(t))
+            if owners.owner_of(graph.tasks[d].level, graph.tasks[d].node)
+            != owners.owner_of(t.level, t.node))
         assert len(trace.events) == crossing
 
     def test_payload_matches_block_dims(self, cache):
