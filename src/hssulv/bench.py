@@ -2,12 +2,13 @@
 
 :func:`run_single` drives the full pipeline (grid, kernel compression,
 task-graph factorization, solve) and returns an :class:`ExperimentReport`
-with both error metrics, wall times with 95% confidence intervals, and the
-executor's breakdown of the last factorization: makespan, scheduler and
-idle overhead, per-kind and per-worker task seconds, and simulated
-communication.  Construction is timed separately from factorization;
-repetitions re-run factorization and solve on the already built operator,
-so the build time carries no interval.  Each sweep row is one such report
+with both error metrics, wall times with 95% confidence intervals, the
+skeleton ranks reached at each tree level, and the executor's breakdown
+of the last factorization: makespan, scheduler and idle overhead,
+per-kind and per-worker task seconds, and simulated communication.
+Construction is timed separately from factorization; repetitions re-run
+factorization and solve on the already built operator, so the build time
+carries no interval.  Each sweep row is one such report
 cut down to the sweep's pinned columns.
 """
 
@@ -121,9 +122,20 @@ class ExperimentReport:
     max_concurrent: int
     comm_events: int
     comm_entries: int
+    # per level: {"level", "min", "mean", "max", "at_cap"} skeleton ranks
+    rank_stats: list
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _rank_stats(h, max_rank: int) -> list:
+    out = []
+    for level in range(1, h.max_level + 1):
+        ranks = [h.skeleton_dim(level, i) for i in range(h.num_nodes(level))]
+        out.append({"level": level, "min": min(ranks), "mean": float(np.mean(ranks)),
+                    "max": max(ranks), "at_cap": ranks.count(max_rank)})
+    return out
 
 
 def run_single(cfg: ExperimentConfig) -> ExperimentReport:
@@ -174,6 +186,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         max_concurrent=stats.max_concurrent,
         comm_events=len(trace.events),
         comm_entries=trace.total_entries,
+        rank_stats=_rank_stats(h, cfg.max_rank),
     )
 
 

@@ -5,6 +5,9 @@ diagonal blocks and compresses everything off the block diagonal (weak
 admissibility).  Each node shares one orthonormal basis, split into
 redundant and skeleton columns; blocks between sibling nodes are stored
 only through their small skeleton coupling ``S_ij = Us_i^T A_ij Us_j``.
+A node's skeleton is the span of the leading left singular vectors of its
+stacked admissible blocks (a QR squeezes the wide row down to a square
+triangle first), the best column space of that rank.
 The two formats differ only in fan-out:
 
 * HSS (:func:`build_hss`) is a binary tree of depth L.  An upper-level
@@ -26,7 +29,7 @@ import numpy as np
 
 from .geometry import PointSet
 from .kernels import KernelSpec, kernel_matrix
-from .linalg import pivoted_qr_full
+from .linalg import dominant_basis_full
 
 __all__ = [
     "BlockBasis",
@@ -77,16 +80,18 @@ def build_shared_basis(row_block: np.ndarray, max_rank: int) -> BlockBasis:
 
     ``row_block`` holds the admissible blocks of the row stacked as an
     ``(m, block_size)`` matrix (each block transposed, equivalently the
-    matching block column stacked).  A column-pivoted QR of its transpose
-    yields the skeleton columns; the remaining columns of the full square
-    Q complete the orthonormal basis.
+    matching block column stacked).  The skeleton columns are the leading
+    left singular vectors of ``row_block.T``, taken from an SVD of the
+    small triangular factor of an unpivoted QR of ``row_block``, so each
+    basis is the truncated-SVD optimum for its row at the given rank; the
+    remaining singular vectors complete the square orthonormal basis.
     """
     row_block = np.asarray(row_block, dtype=np.float64)
     if row_block.ndim != 2 or row_block.size == 0:
         raise ValueError("row_block is empty: no admissible blocks to compress")
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
-    q, rank = pivoted_qr_full(row_block.T)
+    q, rank = dominant_basis_full(row_block.T)
     size = q.shape[0]
     rank = min(rank, max_rank, size)
     # Reorder to [redundant | skeleton].

@@ -122,8 +122,10 @@ class UlvFactors:
 
 # Task bodies run by the task-graph executor.  Results are keyed
 # ("dp"|"pf"|"mg", level, node) plus ("root",).  A rotated diagonal or a
-# merged block has one consumer, which pops it; partial factors stay for
-# assemble_factors.
+# merged block has one consumer, which pops it.  A partial factor's
+# skeleton remainder is read only by its parent's merge, which pops the
+# partial factor and leaves the node's factors under ("nf", level, node)
+# for assemble_factors.
 
 
 def run_diag_product(h: HssMatrix, results: dict, level: int, node: int):
@@ -143,8 +145,13 @@ def run_partial_factor(h: HssMatrix, results: dict, level: int, node: int):
 
 def run_merge(h: HssMatrix, results: dict, level: int, parent: int):
     kids = h.children(level - 1, parent)
+    remainders = []
+    for c in kids:
+        pf = results.pop(("pf", level, c))
+        results[("nf", level, c)] = NodeFactor(h.bases[(level, c)], pf.l_rr, pf.l_sr)
+        remainders.append(pf.ss_remainder)
     return merge_children(
-        [results[("pf", level, c)].ss_remainder for c in kids],
+        remainders,
         {(a, b): h.coupling[(level, kids[a], kids[b])]
          for a in range(len(kids)) for b in range(a + 1, len(kids))})
 
@@ -169,13 +176,8 @@ def _perm_for_level(factors: list) -> np.ndarray:
 
 
 def assemble_factors(h: HssMatrix, results: dict) -> UlvFactors:
-    levels = {}
-    for level in range(h.max_level, 0, -1):
-        lvl = []
-        for node in range(h.num_nodes(level)):
-            pf = results[("pf", level, node)]
-            lvl.append(NodeFactor(h.bases[(level, node)], pf.l_rr, pf.l_sr))
-        levels[level] = lvl
+    levels = {level: [results[("nf", level, node)] for node in range(h.num_nodes(level))]
+              for level in range(h.max_level, 0, -1)}
     return UlvFactors(h.n, h.max_level, levels, results[("root",)])
 
 

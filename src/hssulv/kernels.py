@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.special import gamma, kv
+from scipy.special import gamma, k1, kv
 
 __all__ = [
     "KERNEL_KINDS",
@@ -72,8 +72,12 @@ def _eval_distances(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
         t = d[pos] / spec.mu
         pref = spec.sigma**2 / (2.0 ** (spec.rho - 1.0) * gamma(spec.rho))
         with np.errstate(over="ignore", invalid="ignore"):
-            # non-finite results are caught explicitly below
-            vals = pref * t**spec.sigma * kv(spec.sigma, t)
+            # non-finite results are caught explicitly below; order one,
+            # the default, has its own faster Bessel routine
+            if spec.sigma == 1.0:
+                vals = pref * t * k1(t)
+            else:
+                vals = pref * t**spec.sigma * kv(spec.sigma, t)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             offending = d[pos][bad][0]

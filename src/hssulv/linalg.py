@@ -1,4 +1,4 @@
-"""Small dense building blocks: Cholesky, pivoted QR and partial Cholesky.
+"""Small dense building blocks: Cholesky, the dominant basis and partial Cholesky.
 
 Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
@@ -17,7 +17,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PartialFactorResult",
     "cholesky",
-    "pivoted_qr_full",
+    "dominant_basis_full",
     "partial_cholesky",
 ]
 
@@ -84,22 +84,23 @@ def cholesky(a: np.ndarray, context: str = "") -> np.ndarray:
     return c
 
 
-def _numerical_rank(r_diag: np.ndarray) -> int:
-    if r_diag.size == 0:
+def _numerical_rank(s: np.ndarray) -> int:
+    # singular values in descending order
+    if s.size == 0 or s[0] == 0:
         return 0
-    mags = np.abs(r_diag)
-    top = mags[0]
-    if top == 0:
-        return 0
-    return int(np.count_nonzero(mags > RANK_RTOL * top))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
-def pivoted_qr_full(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Complete orthonormal basis from a column-pivoted QR.
+def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Complete orthonormal basis ordered by the singular values of ``a``.
 
     Returns the full square Q (shape ``m x m``) whose leading columns span
-    the dominant column space of ``a``, plus the numerical rank detected
-    from the R diagonal at relative tolerance ``RANK_RTOL``.
+    the dominant column space of ``a``, plus the numerical rank read from
+    the singular values at relative tolerance ``RANK_RTOL``.  Truncating
+    to the leading ``k`` columns is the best rank-``k`` column space.  A
+    wide input is first compressed to the ``m x m`` triangle of an
+    unpivoted QR of its transpose, which has the same column space and
+    singular values, so the SVD only ever sees a small factor.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -107,8 +108,11 @@ def pivoted_qr_full(a: np.ndarray) -> tuple[np.ndarray, int]:
     m, n = a.shape
     if m == 0 or n == 0:
         return np.eye(m), 0
-    q, r, _ = scipy.linalg.qr(a, mode="full", pivoting=True)
-    return q, _numerical_rank(np.diag(r))
+    if n > m:
+        # a = (Q R)^T = R^T Q^T, so R^T carries the column space of a
+        a = scipy.linalg.qr(a.T, mode="r")[0][:m].T
+    u, s, _ = scipy.linalg.svd(a, full_matrices=True)
+    return u, _numerical_rank(s)
 
 
 @dataclass(frozen=True)

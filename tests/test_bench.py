@@ -51,6 +51,15 @@ class TestRunSingle:
         assert report.construct_error <= 1e-7
         assert report.solve_error <= 1e-12
 
+    def test_rank_stats_per_level(self):
+        # every matern node reaches the cap at this size
+        report = run_single(small_config(kernel=KernelSpec("matern"), n=1024,
+                                         max_rank=100))
+        assert report.rank_stats == [
+            {"level": 1, "min": 100, "mean": 100.0, "max": 100, "at_cap": 2},
+            {"level": 2, "min": 100, "mean": 100.0, "max": 100, "at_cap": 4},
+        ]
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exceeds nleaf"):
             small_config(max_rank=300)

@@ -45,6 +45,19 @@ class TestSharedBasis:
         tail = np.linalg.norm(np.linalg.svd(stacked, compute_uv=False)[100:])
         assert err <= 10 * tail + 1e-12 * np.linalg.norm(stacked)
 
+    @pytest.mark.parametrize("kind", ["yukawa", "matern"])
+    def test_leaf_row_at_svd_optimum(self, kind):
+        # Oracle: singular value tail of the first leaf's admissible row at
+        # N = 4096; the basis must reach it up to rounding.
+        pts = generate_grid(4096).points
+        row = kernel_matrix(KernelSpec(kind), pts[:256], pts)
+        stacked = row[:, 256:].T
+        basis = build_shared_basis(stacked, max_rank=100)
+        assert basis.skeleton_dim == 100
+        err = np.linalg.norm(stacked - stacked @ basis.skeleton @ basis.skeleton.T)
+        tail = np.linalg.norm(np.linalg.svd(stacked, compute_uv=False)[100:])
+        assert err <= tail + 1e-14 * np.linalg.norm(stacked)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
             build_shared_basis(np.zeros((0, 8)), 4)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.special import gamma, kv
 
 from hssulv import KernelEvaluationError, KernelSpec, generate_grid, kernel_matrix
 
@@ -85,6 +87,31 @@ def test_yukawa_matrix_is_spd():
     pts = generate_grid(64).points
     a = kernel_matrix(spec, pts, pts)
     assert np.linalg.eigvalsh(a).min() > 0
+
+
+def _matern_by_kv(spec, x, y):
+    # the general-order formula, with the zero-distance branch
+    d = cdist(x, y)
+    t = d / spec.mu
+    pref = spec.sigma**2 / (2.0 ** (spec.rho - 1.0) * gamma(spec.rho))
+    with np.errstate(invalid="ignore"):
+        vals = pref * t**spec.sigma * kv(spec.sigma, t)
+    return np.where(d > 0, vals, spec.sigma**2)
+
+
+def test_matern_order_one_fast_path_matches_kv():
+    spec = KernelSpec("matern")
+    pts = generate_grid(4096).points
+    got = kernel_matrix(spec, pts[:256], pts)
+    ref = _matern_by_kv(spec, pts[:256], pts)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_matern_other_orders_use_kv_bitwise():
+    spec = KernelSpec("matern", sigma=1.5)
+    pts = generate_grid(4096).points
+    got = kernel_matrix(spec, pts[:256], pts)
+    assert np.array_equal(got, _matern_by_kv(spec, pts[:256], pts))
 
 
 def test_bessel_overflow_reports_distance():

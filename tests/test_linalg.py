@@ -5,7 +5,7 @@ from conftest import random_spd
 from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
                     build_shared_basis, generate_grid, kernel_matrix,
                     partial_cholesky)
-from hssulv.linalg import pivoted_qr_full
+from hssulv.linalg import dominant_basis_full
 
 
 def capped_basis(a, max_rank):
@@ -55,9 +55,9 @@ class TestCholesky:
         assert np.array_equal(cholesky(a), cholesky(a.copy()))
 
 
-class TestPivotedQr:
+class TestDominantBasis:
     def test_identity_full_rank(self):
-        q, rank = pivoted_qr_full(np.eye(4))
+        q, rank = dominant_basis_full(np.eye(4))
         assert rank == 4 and q.shape == (4, 4)
         assert np.allclose(q.T @ q, np.eye(4), atol=1e-14)
 
@@ -75,9 +75,9 @@ class TestPivotedQr:
         a = kernel_matrix(spec, pts[:32], pts[32:])
         q, rank = capped_basis(a, 10)
         assert rank == 10
-        qr_err = np.linalg.norm(a - q @ (q.T @ a))
+        err = np.linalg.norm(a - q @ (q.T @ a))
         svd_err = np.linalg.norm(np.linalg.svd(a, compute_uv=False)[10:])
-        assert qr_err <= 1.5 * svd_err
+        assert err <= (1 + 1e-9) * svd_err
 
     def test_projection_error_bounded_by_input_norm(self):
         rng = np.random.default_rng(2)
@@ -87,8 +87,20 @@ class TestPivotedQr:
             assert np.allclose(q.T @ q, np.eye(rank), atol=1e-13)
             assert np.linalg.norm(a - q @ (q.T @ a)) <= np.linalg.norm(a) + 1e-12
 
+    @pytest.mark.parametrize("shape", [(6, 20), (20, 6)], ids=["wide", "tall"])
+    def test_square_orthonormal_with_rank(self, shape):
+        # rank 4 by construction, on either side of the square case
+        rng = np.random.default_rng(6)
+        m, n = shape
+        a = rng.standard_normal((m, 4)) @ rng.standard_normal((4, n))
+        q, rank = dominant_basis_full(a)
+        assert q.shape == (m, m) and rank == 4
+        assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-13
+        lead = q[:, :rank]
+        assert np.linalg.norm(a - lead @ (lead.T @ a)) <= 1e-13 * np.linalg.norm(a)
+
     def test_zero_matrix_rank_zero(self):
-        q, rank = pivoted_qr_full(np.zeros((5, 4)))
+        q, rank = dominant_basis_full(np.zeros((5, 4)))
         assert rank == 0 and q.shape == (5, 5)
         q, rank = capped_basis(np.zeros((5, 4)), 3)
         assert rank == 0 and q.shape == (5, 0)
@@ -96,8 +108,8 @@ class TestPivotedQr:
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((20, 16))
-        q1, _ = pivoted_qr_full(a)
-        q2, _ = pivoted_qr_full(a.copy())
+        q1, _ = dominant_basis_full(a)
+        q2, _ = dominant_basis_full(a.copy())
         assert np.array_equal(q1, q2)
 
 
