@@ -3,6 +3,7 @@
 :func:`run_single` drives the full pipeline (grid, kernel compression,
 task-graph factorization, solve) and returns an :class:`ExperimentReport`
 with both error metrics, wall times with 95% confidence intervals, the
+BLAS thread count in effect inside library calls, the
 skeleton ranks reached at each tree level, and the executor's breakdown
 of the last factorization: makespan, scheduler and idle overhead,
 per-kind and per-worker task seconds, and simulated communication.
@@ -22,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._threads import blas_threads
 from .construct import build_hss, construct_error
 from .factor import solve_error, ulv_solve
 from .geometry import generate_grid
@@ -107,6 +109,9 @@ def _mean_ci95(samples: list) -> tuple[float, float | None]:
 class ExperimentReport:
     schema_version: int
     config: dict
+    # threads per OpenBLAS pool inside library calls ({"numpy": 1,
+    # "scipy": 1}), None when no pool was found; workers is in config
+    blas_threads: dict | None
     construct_error: float
     solve_error: float
     build_seconds: float
@@ -169,6 +174,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         schema_version=SCHEMA_VERSION,
         config=cfg.as_dict(),
+        blas_threads=blas_threads(),
         construct_error=cons_err,
         solve_error=solv_err,
         build_seconds=build_s,

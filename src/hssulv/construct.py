@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._threads import single_blas_thread
 from .geometry import PointSet
 from .kernels import KernelSpec, kernel_matrix
 from .linalg import dominant_basis_full
@@ -159,7 +160,8 @@ def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int):
 
     Kernel rows are materialized one block row at a time.  Couplings for
     pairs (i, j) with j < i are projected while row i is in memory, which
-    avoids a second kernel pass; (j, i) is the exact transpose.
+    avoids a second kernel pass; only those columns, left of the diagonal
+    block, are projected.  (j, i) is the exact transpose.
     """
     n = ps.n
     nb = n // nleaf
@@ -173,7 +175,7 @@ def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int):
         adm = np.hstack([row[:, :r0], row[:, r1:]])
         basis = build_shared_basis(adm.T, max_rank)
         bases.append(basis)
-        proj = basis.skeleton.T @ row
+        proj = basis.skeleton.T @ row[:, :r0]
         for j in range(i):
             c0, c1 = j * nleaf, (j + 1) * nleaf
             block = proj[:, c0:c1] @ bases[j].skeleton
@@ -181,6 +183,7 @@ def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int):
     return diags, bases, coupling
 
 
+@single_blas_thread
 def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssMatrix:
     """Compress a kernel matrix into the single-level shared-basis format.
 
@@ -257,6 +260,7 @@ def _sibling_couplings(level: int, table: np.ndarray, offs: np.ndarray, out: dic
         out[(level, right, left)] = _freeze(block.T)
 
 
+@single_blas_thread
 def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssMatrix:
     """Compress a kernel matrix into the multi-level nested-basis format.
 
@@ -281,6 +285,7 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssM
     return HssMatrix(nleaf, max_level, tuple(diags), bases, coupling)
 
 
+@single_blas_thread
 def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
     """Apply the compressed operator to a vector or a block of vectors."""
     x = np.asarray(x, dtype=np.float64)
@@ -325,6 +330,7 @@ def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
     return y[:, 0] if x.ndim == 1 else y
 
 
+@single_blas_thread
 def construct_error(m, spec: KernelSpec, ps: PointSet, seed: int) -> float:
     """Relative compression error measured with a random probe vector.
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._threads import single_blas_thread
 from .construct import BlockBasis, HssMatrix, matvec
 from .linalg import NotPositiveDefiniteError, cholesky, partial_cholesky
 
@@ -221,6 +222,7 @@ def _backward_node(nf: NodeFactor, y_r: np.ndarray, x_s: np.ndarray) -> np.ndarr
     return nf.basis.q @ np.concatenate([x_r, x_s])
 
 
+@single_blas_thread
 def ulv_solve(f: UlvFactors, b: np.ndarray) -> np.ndarray:
     """Solve the compressed system, sweeping leaf-to-root and back.
 
@@ -268,6 +270,7 @@ def solve_error(f: UlvFactors, m, seed: int) -> float:
     return float(np.linalg.norm(b - x) / np.linalg.norm(b))
 
 
+@single_blas_thread
 def reconstruct_check(f: UlvFactors, m) -> float:
     """Explicitly rebuild the operator from its stored factor chain.
 

@@ -26,6 +26,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ._threads import single_blas_thread
 from .construct import HssMatrix
 from .factor import (UlvFactors, assemble_factors, run_diag_product,
                      run_merge, run_partial_factor, run_root_factor)
@@ -74,10 +75,12 @@ class Task:
     deps: frozenset
 
     def priority(self) -> tuple:
-        # Merges feed the level above; rank them with it so the path
-        # toward the root drains first on ties.
+        # Depth first: a node's partial factor runs right after its own
+        # diagonal product, which it consumes.  Merges feed the level
+        # above; rank them with it so the path toward the root drains
+        # first on ties.
         level = self.level - 1 if self.kind == TaskKind.MERGE else self.level
-        return (level, _KIND_ORDER[self.kind], self.node)
+        return (level, self.node, _KIND_ORDER[self.kind])
 
 
 @dataclass
@@ -253,6 +256,7 @@ _RESULT_KEY = {
 }
 
 
+@single_blas_thread
 def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = None,
             shuffle_seed: int | None = None) -> tuple[UlvFactors, ExecutionStats]:
     """Run the task graph on the calling thread plus ``workers - 1`` threads.
@@ -260,7 +264,9 @@ def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = 
     Tasks start when and only when their dependencies completed; each
     writes a distinct result slot, so the assembled factors are bitwise
     identical for any worker count.  With ``workers=1`` no thread is
-    started.  ``shuffle_seed`` randomizes ready-queue pops (scheduling
+    started.  BLAS runs with one thread inside every task (the pools are
+    set before the workers start), so the workers are the only
+    parallelism.  ``shuffle_seed`` randomizes ready-queue pops (scheduling
     stress for tests) without affecting results.
     A failing task cancels its transitive dependents and surfaces the
     originating error as :class:`TaskFailure`.

@@ -54,6 +54,22 @@ def random_spd(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
+def indefinite_root_hss():
+    """A rank-1 laplace2d tree whose merged 2x2 root block is indefinite.
+
+    The one level-1 coupling is scaled until the root block
+    ``[[a, c], [c, b]]`` has ``c**2 > a * b``.
+    """
+    h = build_hss(KernelSpec("laplace2d"), generate_grid(1024), 128, 1)
+    low = ulv_factor_hss(h).root_chol
+    root = low @ low.T
+    scale = 2 * np.sqrt(root[0, 0] * root[1, 1]) / abs(root[0, 1])
+    coupling = dict(h.coupling)
+    coupling[(1, 0, 1)] = scale * h.coupling[(1, 0, 1)]
+    coupling[(1, 1, 0)] = scale * h.coupling[(1, 1, 0)]
+    return type(h)(h.nleaf, h.max_level, h.leaf_diag, h.bases, coupling)
+
+
 def factors_equal(a, b):
     """Bitwise equality of two factorizations' root and node factors."""
     if not np.array_equal(a.root_chol, b.root_chol):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from hssulv import ExperimentConfig, KernelSpec, run_single
+from hssulv._threads import _pools
 from hssulv.bench import (DEFAULT_RANK_GRID, RANK_SWEEP_COLUMNS, SCALING_COLUMNS,
                           fit_growth_exponent, rank_accuracy_sweep,
                           scaling_sweep, write_csv)
@@ -59,6 +60,14 @@ class TestRunSingle:
             {"level": 1, "min": 100, "mean": 100.0, "max": 100, "at_cap": 2},
             {"level": 2, "min": 100, "mean": 100.0, "max": 100, "at_cap": 4},
         ]
+
+    def test_blas_threads_one_per_pool_found(self):
+        # one thread inside library calls in every OpenBLAS pool loaded,
+        # None when there is none; the JSON report carries the same
+        report = run_single(small_config())
+        expected = {name: 1 for name, _, _ in _pools()} or None
+        assert report.blas_threads == expected
+        assert json.loads(json.dumps(report.as_dict()))["blas_threads"] == expected
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exceeds nleaf"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_spd
+from conftest import indefinite_root_hss, random_spd
 from hssulv import (BlockBasis, KernelSpec, NotPositiveDefiniteError,
                     build_blr2, build_hss, diagonal_product, generate_grid,
                     kernel_matrix, matvec, merge_children, reconstruct_check,
@@ -181,18 +181,8 @@ class TestHssUlv:
             ulv_factor_blr2(broken)
 
     def test_indefinite_root_names_root_order_and_ranks(self):
-        # Scale the one level-1 coupling until the 2x2 merged root block
-        # [[a, c], [c, b]] has c**2 > a * b, i.e. is indefinite.
-        h = build_hss(KernelSpec("laplace2d"), generate_grid(1024), 128, 1)
-        low = ulv_factor_hss(h).root_chol
-        root = low @ low.T
-        scale = 2 * np.sqrt(root[0, 0] * root[1, 1]) / abs(root[0, 1])
-        coupling = dict(h.coupling)
-        coupling[(1, 0, 1)] = scale * h.coupling[(1, 0, 1)]
-        coupling[(1, 1, 0)] = scale * h.coupling[(1, 1, 0)]
-        broken = type(h)(h.nleaf, h.max_level, h.leaf_diag, h.bases, coupling)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            ulv_factor_hss(broken)
+            ulv_factor_hss(indefinite_root_hss())
         assert "root block (order 2, level-1 skeleton ranks [1, 1])" in str(err.value)
 
     @pytest.mark.parametrize("n", [1024, 2048])
@@ -204,6 +194,12 @@ class TestHssUlv:
         # each skeleton remainder is dropped by the merge that reads it;
         # kept until assembly, the peak reaches 1.47x the factor bytes
         assert factor_peak_over_factor_bytes(2048) <= 1.42
+
+    def test_factor_peak_memory_depth_first(self):
+        # each partial factor runs right after its own diagonal product;
+        # with every leaf product first, all rotated leaf diagonals were
+        # alive at once and the peak was 1.37x (depth first: 1.23x)
+        assert factor_peak_over_factor_bytes(2048) <= 1.25
 
 
 def factor_peak_over_factor_bytes(n):
