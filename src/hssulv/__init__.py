@@ -3,15 +3,18 @@
 Builds weak-admissibility shared-basis compressions of Green's-function
 matrices as one tree type, :class:`HssMatrix`, in two fan-outs (binary
 multi-level HSS, and single-level BLR2 with every block under the root),
-and factorizes them in O(N) with a ULV scheme run as an asynchronous task
-graph, with a simulated process distribution and communication
-accounting.  :func:`ulv_factor_hss` is that executor with one worker.
+and factorizes them in O(N) with a ULV scheme, with a simulated process
+distribution and communication accounting.  Construction and
+factorization are both task graphs run asynchronously by one runtime
+(:func:`hssulv.taskdag.run_graph`); :func:`ulv_factor_hss` is the
+factorization run with one worker.
 """
 
 from .bench import (ExperimentConfig, ExperimentReport, rank_accuracy_sweep,
                     run_single, scaling_sweep)
-from .construct import (BlockBasis, HssMatrix, build_blr2, build_hss,
-                        build_shared_basis, construct_error, matvec)
+from .construct import (BlockBasis, HssMatrix, InsufficientMemoryError,
+                        build_blr2, build_hss, build_shared_basis,
+                        construct_error, matvec)
 from .factor import (NodeFactor, UlvFactors, diagonal_product, merge_children,
                      reconstruct_check, solve_error, ulv_factor_blr2,
                      ulv_factor_hss, ulv_solve)
@@ -19,7 +22,6 @@ from .geometry import PointSet, generate_grid
 from .kernels import KERNEL_KINDS, KernelEvaluationError, KernelSpec, kernel_matrix
 from .linalg import (NotPositiveDefiniteError, PartialFactorResult, cholesky,
                      partial_cholesky)
-from .storage import load_hss, save_hss
 from .taskdag import (CommTrace, ExecutionStats, OwnerMap, Task, TaskFailure,
                       TaskGraph, TaskKind, assign_owners, build_dag, execute,
                       export_comm_csv, export_schedule_jsonl, simulate_comm)
@@ -27,7 +29,7 @@ from .taskdag import (CommTrace, ExecutionStats, OwnerMap, Task, TaskFailure,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockBasis", "HssMatrix", "build_blr2", "build_hss",
+    "BlockBasis", "HssMatrix", "InsufficientMemoryError", "build_blr2", "build_hss",
     "build_shared_basis", "construct_error", "matvec",
     "NodeFactor", "UlvFactors", "diagonal_product", "merge_children",
     "reconstruct_check", "solve_error", "ulv_factor_blr2", "ulv_factor_hss",
@@ -36,7 +38,6 @@ __all__ = [
     "KERNEL_KINDS", "KernelEvaluationError", "KernelSpec", "kernel_matrix",
     "NotPositiveDefiniteError", "PartialFactorResult", "cholesky",
     "partial_cholesky",
-    "load_hss", "save_hss",
     "CommTrace", "ExecutionStats", "OwnerMap", "Task", "TaskFailure",
     "TaskGraph", "TaskKind", "assign_owners", "build_dag", "execute",
     "export_comm_csv", "export_schedule_jsonl", "simulate_comm",

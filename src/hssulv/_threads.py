@@ -1,11 +1,13 @@
-"""BLAS thread policy: one OpenBLAS thread inside every library call.
+"""Thread policy: the runtime's workers, one OpenBLAS thread inside them.
 
 Parallelism in this library comes only from the workers of
-:func:`hssulv.taskdag.execute`, as in a runtime system that owns the cores
-and runs each task as a sequential kernel.  numpy and scipy each load
-their own OpenBLAS (numpy's serves matmul, scipy's serves LAPACK), and
-each would otherwise start threads of its own that compete with the
-workers and with each other.
+:func:`hssulv.taskdag.run_graph`, the one runtime that both construction
+and factorization run on, as in a runtime system that owns the cores and
+runs each task as a sequential kernel.  :func:`worker_count` gives the
+default worker count: the cores this process may use.  numpy and scipy
+each load their own OpenBLAS (numpy's serves matmul, scipy's serves
+LAPACK), and each would otherwise start threads of its own that compete
+with the workers and with each other.
 
 Every public compute entry point runs under :func:`single_blas_thread`.
 On entry both pools are set to one thread; on exit the caller's counts
@@ -93,6 +95,15 @@ def single_blas_thread(fn):
             _exit()
 
     return wrapper
+
+
+def worker_count(workers: int | None) -> int:
+    """``workers``, or the number of cores this process may use if ``None``."""
+    if workers is None:
+        return len(os.sched_getaffinity(0))
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return workers
 
 
 @single_blas_thread

@@ -4,13 +4,14 @@
 task-graph factorization, solve) and returns an :class:`ExperimentReport`
 with both error metrics, wall times with 95% confidence intervals, the
 BLAS thread count in effect inside library calls, the
-skeleton ranks reached at each tree level, and the executor's breakdown
-of the last factorization: makespan, scheduler and idle overhead,
-per-kind and per-worker task seconds, and simulated communication.
-Construction is timed separately from factorization; repetitions re-run
-factorization and solve on the already built operator, so the build time
-carries no interval.  Each sweep row is one such report
-cut down to the sweep's pinned columns.
+skeleton ranks reached at each tree level, the runtime's makespan and
+per-kind task seconds of the build, and its breakdown of the last
+factorization: makespan, scheduler and idle overhead, per-kind and
+per-worker task seconds, and simulated communication.  Build and
+factorization both run at ``workers``.  Construction is timed separately
+from factorization; repetitions re-run factorization and solve on the
+already built operator, so the build time carries no interval.  Each
+sweep row is one such report cut down to the sweep's pinned columns.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._threads import blas_threads
-from .construct import build_hss, construct_error
+from .construct import _build_tree, construct_error
 from .factor import solve_error, ulv_solve
 from .geometry import generate_grid
 from .kernels import KernelSpec
@@ -115,6 +116,8 @@ class ExperimentReport:
     construct_error: float
     solve_error: float
     build_seconds: float
+    build_makespan_seconds: float
+    build_per_kind_seconds: dict
     factor_seconds_mean: float
     factor_seconds_ci95: float | None
     solve_seconds_mean: float
@@ -144,10 +147,12 @@ def _rank_stats(h, max_rank: int) -> list:
 
 
 def run_single(cfg: ExperimentConfig) -> ExperimentReport:
-    """Build, factorize through the executor, solve, and measure errors."""
+    """Build and factorize at ``cfg.workers``, solve, and measure errors."""
     ps = generate_grid(cfg.n)
     t0 = time.perf_counter()
-    h = build_hss(cfg.kernel, ps, cfg.nleaf, cfg.max_rank)
+    # build_hss, keeping the runtime's record of the build
+    h, build_stats = _build_tree(cfg.kernel, ps, cfg.nleaf, cfg.max_rank,
+                                 one_level=False, workers=cfg.workers, shuffle_seed=None)
     build_s = time.perf_counter() - t0
 
     graph = build_dag(h)
@@ -178,6 +183,8 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         construct_error=cons_err,
         solve_error=solv_err,
         build_seconds=build_s,
+        build_makespan_seconds=build_stats.makespan_seconds,
+        build_per_kind_seconds=build_stats.per_kind_seconds,
         factor_seconds_mean=factor_mean,
         factor_seconds_ci95=factor_ci,
         solve_seconds_mean=solve_mean,

@@ -41,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="problem size; comma separated list for --sweep scaling")
     p.add_argument("--nleaf", type=int, default=256, help="leaf block size")
     p.add_argument("--max-rank", type=int, default=100, help="skeleton rank cap")
-    p.add_argument("--workers", type=int, default=1, help="executor worker threads")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker threads of the one runtime that runs both the "
+                        "build and the factorization")
     p.add_argument("--procs", type=int, default=1,
                    help="simulated process count for communication accounting")
     p.add_argument("--seed", type=int, default=0, help="probe-vector seed")

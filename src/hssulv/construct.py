@@ -18,6 +18,18 @@ The two formats differ only in fan-out:
   construction memory at O(N * nleaf) plus the skeleton interaction table.
 * BLR2 (:func:`build_blr2`) is a one-level tree: the root has every leaf
   block as a child, and every pair of leaves is coupled.
+
+Both builders are task graphs run by :func:`hssulv.taskdag.run_graph`,
+the runtime the factorization runs on.  A ``LeafBasis`` task per leaf
+evaluates the leaf's exact diagonal block and its admissible row
+separately, compresses the row into the leaf basis and projects the
+columns left of the diagonal onto the skeleton.  A ``LeafCoupling`` task
+per leaf waits for the bases of its own and every earlier leaf, forms
+the couplings with those leaves and frees the projection; leaf ``i``
+ranks before leaf ``i + 1`` so each projection is consumed early.  HSS
+then chains one ``Transfer`` task per level over the packed skeleton
+interaction table.  Every task writes its own result, so the operator is
+bitwise independent of the worker count and the schedule.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._threads import single_blas_thread
+from ._threads import single_blas_thread, worker_count
 from .geometry import PointSet
 from .kernels import KernelSpec, kernel_matrix
 from .linalg import dominant_basis_full
@@ -35,6 +47,7 @@ from .linalg import dominant_basis_full
 __all__ = [
     "BlockBasis",
     "HssMatrix",
+    "InsufficientMemoryError",
     "build_shared_basis",
     "build_blr2",
     "build_hss",
@@ -155,40 +168,178 @@ class HssMatrix:
         return self.bases[(level, node)].size
 
 
-def _leaf_pass(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int):
-    """Exact diagonals, leaf bases and all skeleton couplings at the leaf cut.
+class InsufficientMemoryError(MemoryError):
+    """A build would need more memory than the system has available."""
 
-    Kernel rows are materialized one block row at a time.  Couplings for
-    pairs (i, j) with j < i are projected while row i is in memory, which
-    avoids a second kernel pass; only those columns, left of the diagonal
-    block, are projected.  (j, i) is the exact transpose.
+    def __init__(self, what: str, estimate: int, available: int):
+        self.estimate = estimate
+        self.available = available
+        super().__init__(
+            f"{what} needs an estimated {estimate / 2**20:.0f} MiB at its peak, "
+            f"but only {available / 2**20:.0f} MiB are available")
+
+
+def _available_bytes() -> int | None:
+    """``MemAvailable`` of ``/proc/meminfo``, or ``None`` where it is unknown."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
+    """Upper estimate of a build's peak working set, in bytes.
+
+    Each running leaf task holds its admissible row, the QR's copy of it
+    and its projection.  HSS packs the leaf couplings into a table of side
+    ``(n / nleaf) * max_rank``; a transfer pass holds the table, its
+    projected rows (half of it) and the next table (a quarter).  The
+    output is the diagonals and leaf bases, at most one transfer basis of
+    side ``2 * max_rank`` per leaf, and the couplings: every ordered pair
+    of leaves in BLR2, at most two per leaf in HSS.
     """
-    n = ps.n
     nb = n // nleaf
-    pts = ps.points
-    diags, bases = [], []
-    coupling = {}
+    leaf_task = 2 * nleaf * n + max_rank * n
+    table = 0 if one_level else 1.75 * (nb * max_rank) ** 2
+    couplings = nb * nb if one_level else 2 * nb
+    output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2) + couplings * max_rank**2
+    return int(8 * (workers * leaf_task + table + output))
+
+
+@dataclass(frozen=True)
+class _BuildContext:
+    spec: KernelSpec
+    points: np.ndarray
+    nleaf: int
+    max_rank: int
+    max_level: int
+    num_leaves: int
+
+
+# Task bodies of the build graph, run by hssulv.taskdag.run_graph.
+# Results are keyed ("leaf", i) -> (diagonal, basis), ("coupling", i) ->
+# couplings of leaf i with leaves j < i, and ("transfer", level) ->
+# (bases, sibling couplings) of a level.  The intermediates ("proj", i)
+# and ("table", level) are written by their producer and popped by their
+# one consumer.
+
+
+def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
+    i = task.node
+    r0, r1 = i * b.nleaf, (i + 1) * b.nleaf
+    x = b.points[r0:r1]
+    diag = kernel_matrix(b.spec, x, x)
+    adm = kernel_matrix(b.spec, x, np.concatenate([b.points[:r0], b.points[r1:]]))
+    basis = build_shared_basis(adm.T, b.max_rank)
+    if i:
+        # The first r0 admissible columns are the leaves left of this one.
+        results[("proj", i)] = basis.skeleton.T @ adm[:, :r0]
+    return _freeze(diag), basis
+
+
+def _leaf_coupling(b: _BuildContext, results: dict, task) -> tuple:
+    proj = results.pop(("proj", task.node))
+    return tuple(
+        _freeze(proj[:, j * b.nleaf:(j + 1) * b.nleaf] @ results[("leaf", j)][1].skeleton)
+        for j in range(task.node))
+
+
+def _transfer(b: _BuildContext, results: dict, task) -> tuple:
+    level = task.level
+    if level == b.max_level:
+        # Pack the leaf couplings; each pair is given once, (i, j) with j < i.
+        leaf_bases = [results[("leaf", i)][1] for i in range(b.num_leaves)]
+        lower = {(i, j): block for i in range(1, b.num_leaves)
+                 for j, block in enumerate(results.pop(("coupling", i)))}
+        table, offs = _coupling_table(leaf_bases, lower)
+        bases = []
+    else:
+        bases, table, offs = _transfer_pass(*results.pop(("table", level + 1)),
+                                            b.max_rank)
+    coupling: dict = {}
+    _sibling_couplings(level, table, offs, coupling)
+    if level > 1:
+        results[("table", level)] = (table, offs)
+    return bases, coupling
+
+
+def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
+                one_level: bool, workers: int | None, shuffle_seed: int | None):
+    """Run the build graph of either format; returns the tree and the
+    runtime's :class:`~hssulv.taskdag.ExecutionStats`.
+
+    A failing task raises its own error, such as a
+    :class:`~hssulv.kernels.KernelEvaluationError` naming the distance.
+    """
+    from . import taskdag  # taskdag imports this module
+
+    kind = taskdag.TaskKind
+    nb = ps.n // nleaf
+    max_level = 1 if one_level else ps.tree_depth(nleaf)
+    workers = worker_count(workers)
+    available = _available_bytes()
+    estimate = _peak_bytes(ps.n, nleaf, max_rank, workers, one_level)
+    if available is not None and estimate > available:
+        raise InsufficientMemoryError(
+            f"{'build_blr2' if one_level else 'build_hss'}(n={ps.n}, nleaf={nleaf}, "
+            f"max_rank={max_rank}, workers={workers})", estimate, available)
+    tasks = {}
     for i in range(nb):
-        r0, r1 = i * nleaf, (i + 1) * nleaf
-        row = kernel_matrix(spec, pts[r0:r1], pts)
-        diags.append(_freeze(row[:, r0:r1]))
-        adm = np.hstack([row[:, :r0], row[:, r1:]])
-        basis = build_shared_basis(adm.T, max_rank)
-        bases.append(basis)
-        proj = basis.skeleton.T @ row[:, :r0]
-        for j in range(i):
-            c0, c1 = j * nleaf, (j + 1) * nleaf
-            block = proj[:, c0:c1] @ bases[j].skeleton
-            coupling[(i, j)] = _freeze(block)
-    return diags, bases, coupling
+        tasks[f"lb:{i}"] = taskdag.Task(f"lb:{i}", kind.LEAF_BASIS, max_level, i,
+                                        frozenset())
+        if i:
+            tasks[f"lc:{i}"] = taskdag.Task(f"lc:{i}", kind.LEAF_COUPLING, max_level, i,
+                                            frozenset(f"lb:{j}" for j in range(i + 1)))
+    if not one_level:
+        deps = frozenset(f"lc:{i}" for i in range(1, nb))
+        for level in range(max_level, 0, -1):
+            tasks[f"tr:{level}"] = taskdag.Task(f"tr:{level}", kind.TRANSFER, level, 0, deps)
+            deps = frozenset({f"tr:{level}"})
+    kinds = {
+        kind.LEAF_BASIS: (_leaf_basis, lambda t: ("leaf", t.node)),
+        kind.LEAF_COUPLING: (_leaf_coupling, lambda t: ("coupling", t.node)),
+        kind.TRANSFER: (_transfer, lambda t: ("transfer", t.level)),
+    }
+    ctx = _BuildContext(spec, ps.points, nleaf, max_rank, max_level, nb)
+    try:
+        results, stats = taskdag.run_graph(taskdag.TaskGraph(max_level, tasks), kinds,
+                                           ctx, workers, shuffle_seed=shuffle_seed)
+    except taskdag.TaskFailure as failure:
+        raise failure.cause from None
+
+    leaves = [results[("leaf", i)] for i in range(nb)]
+    bases = {(max_level, i): basis for i, (_, basis) in enumerate(leaves)}
+    coupling: dict = {}
+    if one_level:
+        for i in range(1, nb):
+            for j, block in enumerate(results[("coupling", i)]):
+                coupling[(1, i, j)] = block
+                coupling[(1, j, i)] = _freeze(block.T)
+    else:
+        for level in range(max_level, 0, -1):
+            lvl_bases, siblings = results[("transfer", level)]
+            bases.update(((level, i), basis) for i, basis in enumerate(lvl_bases))
+            coupling.update(siblings)
+    h = HssMatrix(nleaf, max_level, tuple(d for d, _ in leaves), bases, coupling)
+    return h, stats
 
 
 @single_blas_thread
-def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssMatrix:
+def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
+               workers: int | None = None, shuffle_seed: int | None = None) -> HssMatrix:
     """Compress a kernel matrix into the single-level shared-basis format.
 
     The result is a one-level tree whose root has all ``n / nleaf`` blocks
-    as children, with every pair of blocks coupled.
+    as children, with every pair of blocks coupled.  ``workers`` and
+    ``shuffle_seed`` mean what they mean for
+    :func:`hssulv.taskdag.run_graph` (``None`` workers: the cores this
+    process may use); the result is bitwise the same for any of them.
+    Raises :class:`InsufficientMemoryError` before any kernel evaluation
+    when the estimated peak working set exceeds the available memory.
     """
     n = ps.n
     if nleaf <= 0 or n % nleaf:
@@ -198,13 +349,7 @@ def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> Hss
     if n == nleaf:
         block = kernel_matrix(spec, ps.points, ps.points)
         return HssMatrix(nleaf, 1, (_freeze(block),), {(1, 0): _identity_basis(n)}, {})
-    diags, bases, lower = _leaf_pass(spec, ps, nleaf, max_rank)
-    coupling = {}
-    for (i, j), block in lower.items():
-        coupling[(1, i, j)] = block
-        coupling[(1, j, i)] = _freeze(block.T)
-    return HssMatrix(nleaf, 1, tuple(diags), {(1, i): b for i, b in enumerate(bases)},
-                     coupling)
+    return _build_tree(spec, ps, nleaf, max_rank, True, workers, shuffle_seed)[0]
 
 
 def _coupling_table(bases: list, coupling: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -261,28 +406,19 @@ def _sibling_couplings(level: int, table: np.ndarray, offs: np.ndarray, out: dic
 
 
 @single_blas_thread
-def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int) -> HssMatrix:
+def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
+              workers: int | None = None, shuffle_seed: int | None = None) -> HssMatrix:
     """Compress a kernel matrix into the multi-level nested-basis format.
 
     Requires ``n == nleaf * 2**L`` with ``L >= 1``.  The same rank cap is
     applied at every level; with ``max_rank == nleaf`` (and caps never
     binding above) the representation is exact up to rounding.
+    ``workers``, ``shuffle_seed`` and the memory refusal are as in
+    :func:`build_blr2`.
     """
     if max_rank > nleaf:
         raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
-    max_level = ps.tree_depth(nleaf)
-    diags, leaf_bases, leaf_coupling = _leaf_pass(spec, ps, nleaf, max_rank)
-    bases = {(max_level, i): b for i, b in enumerate(leaf_bases)}
-    coupling: dict = {}
-    table, offs = _coupling_table(leaf_bases, leaf_coupling)
-    del leaf_coupling
-    _sibling_couplings(max_level, table, offs, coupling)
-    for level in range(max_level - 1, 0, -1):
-        lvl_bases, table, offs = _transfer_pass(table, offs, max_rank)
-        for i, b in enumerate(lvl_bases):
-            bases[(level, i)] = b
-        _sibling_couplings(level, table, offs, coupling)
-    return HssMatrix(nleaf, max_level, tuple(diags), bases, coupling)
+    return _build_tree(spec, ps, nleaf, max_rank, False, workers, shuffle_seed)[0]
 
 
 @single_blas_thread

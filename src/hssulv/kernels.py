@@ -14,7 +14,9 @@ second kind, while ``rho`` only enters the normalizing prefactor.  Callers
 wanting the textbook Matern covariance must remap parameters themselves.
 
 All evaluations are pure functions of immutable inputs and safe to call
-concurrently.
+concurrently.  :func:`kernel_matrix` evaluates the kernel over the
+distance block it computes, in place, so the result is its only
+full-size array.
 """
 
 from __future__ import annotations
@@ -59,14 +61,33 @@ class KernelSpec:
                 raise ValueError(f"kernel constant {name} must be strictly positive")
 
 
+# Entries of the distance buffer evaluated at a time by the yukawa and
+# matern kernels, which bounds their temporaries to a few such chunks
+# however large the block.
+_CHUNK_ENTRIES = 1 << 15
+
+
 def _eval_distances(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
+    """Kernel values of the 2-D distance block ``d``, written over ``d``."""
     if spec.kind == "laplace2d":
-        return -np.log(spec.epsilon + d)
-    if spec.kind == "yukawa":
-        shifted = spec.theta + d
-        return np.exp(-spec.alpha * shifted) / shifted
-    # matern, with the zero-distance branch handled exactly
-    out = np.full(d.shape, spec.sigma**2)
+        np.add(d, spec.epsilon, out=d)
+        np.log(d, out=d)
+        return np.negative(d, out=d)
+    rows = max(1, _CHUNK_ENTRIES // max(d.shape[1], 1))
+    chunk = _yukawa if spec.kind == "yukawa" else _matern
+    for start in range(0, d.shape[0], rows):
+        chunk(spec, d[start:start + rows])
+    return d
+
+
+def _yukawa(spec: KernelSpec, d: np.ndarray):
+    shifted = np.add(d, spec.theta, out=d)
+    vals = -spec.alpha * shifted
+    np.divide(np.exp(vals, out=vals), shifted, out=d)
+
+
+def _matern(spec: KernelSpec, d: np.ndarray):
+    # the zero-distance branch is handled exactly
     pos = d > 0
     if np.any(pos):
         t = d[pos] / spec.mu
@@ -85,8 +106,8 @@ def _eval_distances(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
                 f"modified Bessel evaluation is non-finite at distance {offending!r} "
                 f"(sigma={spec.sigma}, mu={spec.mu})"
             )
-        out[pos] = vals
-    return out
+        d[pos] = vals
+    d[~pos] = spec.sigma**2
 
 
 def kernel_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

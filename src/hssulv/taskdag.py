@@ -1,17 +1,24 @@
-"""Typed task DAG of the ULV factorization, the executor that runs it,
-and a simulated multi-process distribution with communication accounting.
+"""The one task-graph runtime, the ULV factorization's graph on it, and a
+simulated multi-process distribution with communication accounting.
 
-The graph is built from the tree of either format: per level there is one
-diagonal-product and one partial-factor task per node and one merge per
-parent; a single root task closes the graph.  The only cross-task edges
-are produced by the merge step, so a merge can fire as soon as its
-children finish (two in HSS, every block in BLR2), independent of the
-rest of its level.
+:func:`run_graph` runs any task graph: each task kind maps to a body and
+a result key, tasks start when their dependencies have finished, and the
+ready task with the smallest priority goes first.  Execution is shared
+memory: the calling thread is worker 0 and ``workers - 1`` threads join
+it, so one worker runs the graph inline.  Construction
+(:func:`hssulv.construct.build_hss`, :func:`hssulv.construct.build_blr2`)
+and factorization (:func:`execute`) are both graphs on this one loop,
+with one schedule record and one determinism guarantee.
 
-Execution is shared memory: the calling thread is worker 0 and
-``workers - 1`` threads join it, so ``execute(g, h, workers=1)`` runs
-inline and is what :func:`hssulv.factor.ulv_factor_hss` calls.  The
-simulated "process" distribution is pure accounting: block rows are
+The factorization graph is built from the tree of either format: per
+level there is one diagonal-product and one partial-factor task per node
+and one merge per parent; a single root task closes the graph.  The only
+cross-task edges are produced by the merge step, so a merge can fire as
+soon as its children finish (two in HSS, every block in BLR2),
+independent of the rest of its level.  ``execute(g, h, workers=1)`` is
+what :func:`hssulv.factor.ulv_factor_hss` calls.
+
+The simulated "process" distribution is pure accounting: block rows are
 owned round-robin at the leaf level, every merged parent inherits its
 first child's owner, and a transfer event is recorded for every
 dependency edge whose endpoints resolve to different owners.
@@ -26,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ._threads import single_blas_thread
+from ._threads import single_blas_thread, worker_count
 from .construct import HssMatrix
 from .factor import (UlvFactors, assemble_factors, run_diag_product,
                      run_merge, run_partial_factor, run_root_factor)
@@ -43,6 +50,7 @@ __all__ = [
     "build_dag",
     "assign_owners",
     "execute",
+    "run_graph",
     "simulate_comm",
     "export_schedule_jsonl",
     "export_comm_csv",
@@ -50,6 +58,11 @@ __all__ = [
 
 
 class TaskKind:
+    # construction (hssulv.construct)
+    LEAF_BASIS = "LeafBasis"
+    LEAF_COUPLING = "LeafCoupling"
+    TRANSFER = "Transfer"
+    # factorization
     DIAG_PRODUCT = "DiagProduct"
     PARTIAL_FACTOR = "PartialFactor"
     MERGE = "Merge"
@@ -57,6 +70,9 @@ class TaskKind:
 
 
 _KIND_ORDER = {
+    TaskKind.LEAF_BASIS: 0,
+    TaskKind.LEAF_COUPLING: 1,
+    TaskKind.TRANSFER: 2,
     TaskKind.DIAG_PRODUCT: 0,
     TaskKind.PARTIAL_FACTOR: 1,
     TaskKind.MERGE: 2,
@@ -66,7 +82,10 @@ _KIND_ORDER = {
 
 @dataclass(frozen=True)
 class Task:
-    """One factorization step; ``deps`` are ids that must finish first."""
+    """One step of a task graph; ``deps`` are ids that must finish first.
+
+    Among ready tasks, the one with the smallest :meth:`priority` runs first.
+    """
 
     id: str
     kind: str
@@ -78,7 +97,8 @@ class Task:
         # Depth first: a node's partial factor runs right after its own
         # diagonal product, which it consumes.  Merges feed the level
         # above; rank them with it so the path toward the root drains
-        # first on ties.
+        # first on ties.  In the build, a leaf's coupling ranks right after
+        # its basis, so each projection is consumed as soon as it can be.
         level = self.level - 1 if self.kind == TaskKind.MERGE else self.level
         return (level, self.node, _KIND_ORDER[self.kind])
 
@@ -241,38 +261,39 @@ class TaskFailure(RuntimeError):
         )
 
 
-_TASK_BODY = {
-    TaskKind.DIAG_PRODUCT: lambda h, res, t: run_diag_product(h, res, t.level, t.node),
-    TaskKind.PARTIAL_FACTOR: lambda h, res, t: run_partial_factor(h, res, t.level, t.node),
-    TaskKind.MERGE: lambda h, res, t: run_merge(h, res, t.level, t.node),
-    TaskKind.ROOT_FACTOR: lambda h, res, t: run_root_factor(h, res),
-}
-
-_RESULT_KEY = {
-    TaskKind.DIAG_PRODUCT: lambda t: ("dp", t.level, t.node),
-    TaskKind.PARTIAL_FACTOR: lambda t: ("pf", t.level, t.node),
-    TaskKind.MERGE: lambda t: ("mg", t.level, t.node),
-    TaskKind.ROOT_FACTOR: lambda t: ("root",),
+# Each factorization kind's body and the key its result is stored under.
+_FACTOR_KINDS = {
+    TaskKind.DIAG_PRODUCT: (lambda h, res, t: run_diag_product(h, res, t.level, t.node),
+                            lambda t: ("dp", t.level, t.node)),
+    TaskKind.PARTIAL_FACTOR: (lambda h, res, t: run_partial_factor(h, res, t.level, t.node),
+                              lambda t: ("pf", t.level, t.node)),
+    TaskKind.MERGE: (lambda h, res, t: run_merge(h, res, t.level, t.node),
+                     lambda t: ("mg", t.level, t.node)),
+    TaskKind.ROOT_FACTOR: (lambda h, res, t: run_root_factor(h, res),
+                           lambda t: ("root",)),
 }
 
 
 @single_blas_thread
-def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = None,
-            shuffle_seed: int | None = None) -> tuple[UlvFactors, ExecutionStats]:
-    """Run the task graph on the calling thread plus ``workers - 1`` threads.
+def run_graph(g: TaskGraph, kinds: dict, ctx, workers: int | None,
+              owners: OwnerMap | None = None,
+              shuffle_seed: int | None = None) -> tuple[dict, ExecutionStats]:
+    """Run a task graph on the calling thread plus ``workers - 1`` threads.
 
-    Tasks start when and only when their dependencies completed; each
-    writes a distinct result slot, so the assembled factors are bitwise
-    identical for any worker count.  With ``workers=1`` no thread is
-    started.  BLAS runs with one thread inside every task (the pools are
-    set before the workers start), so the workers are the only
-    parallelism.  ``shuffle_seed`` randomizes ready-queue pops (scheduling
-    stress for tests) without affecting results.
-    A failing task cancels its transitive dependents and surfaces the
-    originating error as :class:`TaskFailure`.
+    ``kinds`` maps each task kind to ``(body, key)``: ``body(ctx, results,
+    task)`` runs the task and its return value is stored in ``results``
+    under ``key(task)``.  A body may also pop the results it consumes.
+    Tasks start when and only when their dependencies completed, so when
+    every task writes its own slot the results are bitwise identical for
+    any worker count.  ``workers=None`` means the cores this process may
+    use; with one worker no thread is started.  BLAS runs with one thread
+    inside every task (the pools are set before the workers start), so
+    the workers are the only parallelism.  ``shuffle_seed`` randomizes
+    ready-queue pops (scheduling stress for tests) without affecting
+    results.  A failing task cancels its transitive dependents and
+    surfaces the originating error as :class:`TaskFailure`.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = worker_count(workers)
     dependents = g.dependents()
     remaining = {tid: len(t.deps) for tid, t in g.tasks.items()}
     results: dict = {}
@@ -318,9 +339,10 @@ def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = 
                     return
                 tid = pop_ready()
             task = g.tasks[tid]
+            body, key = kinds[task.kind]
             start = time.perf_counter_ns()
             try:
-                out = _TASK_BODY[task.kind](h, results, task)
+                out = body(ctx, results, task)
             except Exception as exc:
                 with cond:
                     state["pending"] -= 1
@@ -332,7 +354,7 @@ def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = 
             end = time.perf_counter_ns()
             owner = owners.owner_of(task.level, task.node) if owners is not None else 0
             with cond:
-                results[_RESULT_KEY[task.kind](task)] = out
+                results[key(task)] = out
                 records.append(TaskRecord(task.id, task.kind, task.level, task.node,
                                           owner, worker_id, start, end))
                 state["pending"] -= 1
@@ -351,8 +373,22 @@ def execute(g: TaskGraph, h: HssMatrix, workers: int, owners: OwnerMap | None = 
         t.join()
     if state["failure"] is not None:
         raise state["failure"] from state["failure"].cause
-    factors = assemble_factors(h, results)
-    return factors, _stats_from_records(records, workers)
+    return results, _stats_from_records(records, workers)
+
+
+@single_blas_thread
+def execute(g: TaskGraph, h: HssMatrix, workers: int | None,
+            owners: OwnerMap | None = None,
+            shuffle_seed: int | None = None) -> tuple[UlvFactors, ExecutionStats]:
+    """Factor ``h`` by running its task graph ``g`` through :func:`run_graph`.
+
+    Every task writes a distinct result slot, so the assembled factors
+    are bitwise identical for any worker count and scheduling order.
+    ``workers``, ``shuffle_seed`` and failures (:class:`TaskFailure`)
+    behave as in :func:`run_graph`.
+    """
+    results, stats = run_graph(g, _FACTOR_KINDS, h, workers, owners, shuffle_seed)
+    return assemble_factors(h, results), stats
 
 
 @dataclass

@@ -150,6 +150,25 @@ class TestBreakdown:
         assert max(totals, key=totals.get) != "Merge"
 
 
+class TestBuildTimings:
+    """The runtime's record of the build, next to the factorization's."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_kinds_within_build_seconds(self, workers):
+        report = run_single(small_config(n=1024, max_rank=64, workers=workers))
+        assert set(report.build_per_kind_seconds) == {
+            "LeafBasis", "LeafCoupling", "Transfer"}
+        assert 0 < report.build_makespan_seconds <= report.build_seconds
+        # task seconds overlap on several workers, never beyond workers x makespan
+        assert sum(report.build_per_kind_seconds.values()) <= \
+            workers * report.build_makespan_seconds + 1e-9
+
+    def test_build_fields_in_json_report(self):
+        report = json.loads(json.dumps(run_single(small_config()).as_dict()))
+        assert report["build_makespan_seconds"] > 0
+        assert report["build_per_kind_seconds"]["LeafBasis"] > 0
+
+
 class TestCsvSchemas:
     def test_rank_sweep_golden_header(self, tmp_path):
         rows = rank_accuracy_sweep(["laplace2d"], [(128, 256)], small_config())

@@ -1,11 +1,23 @@
-import struct
+import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from hssulv import (KernelSpec, build_blr2, build_hss, build_shared_basis,
-                    construct_error, generate_grid, kernel_matrix, load_hss,
-                    matvec, save_hss)
+from hssulv import (KERNEL_KINDS, InsufficientMemoryError, KernelSpec,
+                    build_blr2, build_hss, build_shared_basis, construct,
+                    construct_error, generate_grid, kernel_matrix, matvec)
+
+
+def operator_digest(h) -> str:
+    """SHA-256 over every diagonal, basis and coupling, in key order."""
+    digest = hashlib.sha256()
+    arrays = [*h.leaf_diag, *(h.bases[k].q for k in sorted(h.bases)),
+              *(h.coupling[k] for k in sorted(h.coupling))]
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    digest.update(repr([(k, h.bases[k].redundant_dim) for k in sorted(h.bases)]).encode())
+    return digest.hexdigest()
 
 
 def stacked_admissible_row(dense, nleaf, i):
@@ -61,6 +73,14 @@ class TestSharedBasis:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
             build_shared_basis(np.zeros((0, 8)), 4)
+
+
+    def test_input_unchanged(self):
+        row = np.random.default_rng(1).standard_normal((300, 40))
+        before = row.copy()
+        build_shared_basis(row, 10)
+        build_shared_basis(row.T, 10)
+        assert np.array_equal(row, before)
 
 
 class TestBlr2:
@@ -246,71 +266,52 @@ class TestInvariants:
             assert np.array_equal(block, dense[lo:lo + 128, lo:lo + 128])
 
 
-class TestStorage:
-    def test_round_trip_bitwise(self, tmp_path):
-        spec = KernelSpec("matern")
-        ps = generate_grid(512)
-        h = build_hss(spec, ps, nleaf=128, max_rank=40)
-        path = tmp_path / "m.hss"
-        save_hss(h, path)
-        back = load_hss(path)
-        assert back.nleaf == h.nleaf and back.max_level == h.max_level
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(512)
-        assert np.array_equal(matvec(back, x), matvec(h, x))
+class TestParallelBuild:
+    """Both builders run as task graphs on the runtime's workers."""
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.hss"
-        path.write_bytes(b"nope" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_hss(path)
+    @pytest.mark.parametrize("build", [build_hss, build_blr2])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_operator_independent_of_workers(self, kind, build):
+        spec, ps = KernelSpec(kind), generate_grid(4096)
+        digests = {workers: operator_digest(build(spec, ps, 256, 100, workers=workers))
+                   for workers in (1, 2, 4)}
+        assert len(set(digests.values())) == 1, digests
 
-    def test_blr2_round_trip_bitwise(self, tmp_path):
-        spec = KernelSpec("yukawa")
-        ps = generate_grid(512)
-        m = build_blr2(spec, ps, nleaf=128, max_rank=40)
-        path = tmp_path / "m.hss"
-        save_hss(m, path)
-        back = load_hss(path)
-        assert back.max_level == 1 and back.coupling.keys() == m.coupling.keys()
-        for key, block in m.coupling.items():
-            assert np.array_equal(back.coupling[key], block)
-        x = np.random.default_rng(6).standard_normal(512)
-        assert np.array_equal(matvec(back, x), matvec(m, x))
+    def test_default_workers_are_the_usable_cores(self):
+        spec, ps = KernelSpec("yukawa"), generate_grid(1024)
+        _, stats = construct._build_tree(spec, ps, 256, 100, False, None, None)
+        assert stats.workers == len(os.sched_getaffinity(0))
+        assert set(stats.per_kind_seconds) == {"LeafBasis", "LeafCoupling", "Transfer"}
+
+    def test_invalid_worker_count(self):
+        with pytest.raises(ValueError, match="workers"):
+            build_hss(KernelSpec("yukawa"), generate_grid(512), 256, 100, workers=0)
 
 
-class TestStorageFaults:
-    @pytest.fixture(scope="class")
-    def blob(self, tmp_path_factory):
-        h = build_hss(KernelSpec("laplace2d"), generate_grid(256), nleaf=64, max_rank=20)
-        path = tmp_path_factory.mktemp("hss") / "ok.hss"
-        save_hss(h, path)
-        return path.read_bytes()
+class TestMemoryRefusal:
+    @pytest.mark.parametrize("build", [build_hss, build_blr2])
+    def test_refused_before_kernel_evaluation(self, build, monkeypatch):
+        calls = []
+        monkeypatch.setattr(construct, "_available_bytes", lambda: 2**20)
+        monkeypatch.setattr(construct, "kernel_matrix",
+                            lambda *args: calls.append(args))
+        with pytest.raises(InsufficientMemoryError, match="MiB are available") as err:
+            build(KernelSpec("laplace2d"), generate_grid(4096), 256, 100, workers=2)
+        assert isinstance(err.value, MemoryError)
+        assert err.value.available == 2**20
+        assert err.value.estimate > err.value.available
+        assert build.__name__ in str(err.value) and "workers=2" in str(err.value)
+        assert calls == []
 
-    def load_bytes(self, tmp_path, data):
-        path = tmp_path / "bad.hss"
-        path.write_bytes(data)
-        return load_hss(path)
+    def test_estimate_grows_with_workers_and_table(self):
+        one = construct._peak_bytes(4096, 256, 100, 1, False)
+        assert construct._peak_bytes(4096, 256, 100, 2, False) > one
+        # at N = 32768 the packed coupling table alone takes 1.3 GB
+        assert construct._peak_bytes(32768, 256, 100, 1, False) > 8 * (128 * 100) ** 2
+        # BLR2 has no table, but keeps a coupling for every pair of leaves
+        assert construct._peak_bytes(32768, 256, 100, 1, True) > 8 * (128 * 100) ** 2
 
-    def test_truncated_header_named(self, tmp_path, blob):
-        with pytest.raises(ValueError, match="truncated header"):
-            self.load_bytes(tmp_path, blob[:20])
-
-    def test_truncated_payload_named(self, tmp_path, blob):
-        with pytest.raises(ValueError, match="truncated payload"):
-            self.load_bytes(tmp_path, blob[:len(blob) // 2])
-
-    def test_implausible_size_named(self, tmp_path, blob):
-        # first leaf block's (rows, cols) field, right after the 32-byte header
-        bad = blob[:32] + struct.pack("<QQ", 2**40, 2**20) + blob[48:]
-        with pytest.raises(ValueError, match="implausible size"):
-            self.load_bytes(tmp_path, bad)
-
-    def test_trailing_bytes_named(self, tmp_path, blob):
-        with pytest.raises(ValueError, match="trailing bytes"):
-            self.load_bytes(tmp_path, blob + b"junk")
-
-    def test_loaded_arrays_frozen(self, tmp_path, blob):
-        h = self.load_bytes(tmp_path, blob)
-        arrays = [*h.leaf_diag, *(b.q for b in h.bases.values()), *h.coupling.values()]
-        assert not any(a.flags.writeable for a in arrays)
+    def test_normal_build_unaffected(self):
+        available = construct._available_bytes()
+        assert available is None or (
+            construct._peak_bytes(4096, 256, 100, 4, False) < available)

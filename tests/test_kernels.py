@@ -3,7 +3,8 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import gamma, kv
 
-from hssulv import KernelEvaluationError, KernelSpec, generate_grid, kernel_matrix
+from hssulv import (KernelEvaluationError, KernelSpec, generate_grid,
+                    kernel_matrix, kernels)
 
 # Arbitrary-precision reference for the matern formula at d = mu = 0.03
 # (mpmath, 40 digits); recomputed live below when mpmath is available.
@@ -128,3 +129,21 @@ def test_spec_validation():
         KernelSpec("matern", mu=0.0)
     with pytest.raises(ValueError, match="positive"):
         KernelSpec("laplace2d", epsilon=-1e-9)
+
+
+@pytest.mark.parametrize("kind", ["laplace2d", "yukawa", "matern"])
+def test_kernel_matrix_leaves_inputs_unchanged(kind):
+    pts = generate_grid(256).points
+    x, y = pts[:64].copy(), pts.copy()
+    kernel_matrix(KernelSpec(kind), x, y)
+    assert np.array_equal(x, pts[:64]) and np.array_equal(y, pts)
+
+
+@pytest.mark.parametrize("kind", ["yukawa", "matern"])
+def test_chunked_evaluation_matches_one_pass(kind, monkeypatch):
+    # the in-place evaluation works through the block a few rows at a time
+    spec = KernelSpec(kind)
+    pts = generate_grid(1024).points
+    whole = kernel_matrix(spec, pts[:256], pts)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1000)
+    assert np.array_equal(kernel_matrix(spec, pts[:256], pts), whole)

@@ -1,7 +1,9 @@
-"""Properties of the one factorization path over random trees of both formats.
+"""Properties of the build and the one factorization path over random
+trees of both formats.
 
 For a random kernel, leaf size, depth and rank cap, the compressed
-operator is symmetric, the factors of ``ulv_factor_hss`` rebuild it
+operator is symmetric and bitwise independent of the build's worker
+count and scheduling order, the factors of ``ulv_factor_hss`` rebuild it
 exactly, and the executor reproduces them bitwise for any worker count
 and scheduling order.
 """
@@ -50,6 +52,23 @@ def test_one_path_exact_and_schedule_independent(tree, workers, seed):
     assert reconstruct_check(f, op) <= 1e-10
     shuffled, _ = execute(graph, op, workers=workers, shuffle_seed=seed)
     assert factors_equal(f, shuffled)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=trees(), workers=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+def test_build_schedule_independent(tree, workers, seed):
+    build, spec, n, nleaf, max_rank = tree
+    ps = generate_grid(n)
+    ref = build(spec, ps, nleaf, max_rank, workers=1)
+    op = build(spec, ps, nleaf, max_rank, workers=workers, shuffle_seed=seed)
+    assert op.max_level == ref.max_level
+    assert all(np.array_equal(a, b) for a, b in zip(op.leaf_diag, ref.leaf_diag))
+    assert op.bases.keys() == ref.bases.keys()
+    for key, basis in ref.bases.items():
+        assert op.bases[key].redundant_dim == basis.redundant_dim
+        assert np.array_equal(op.bases[key].q, basis.q)
+    assert op.coupling.keys() == ref.coupling.keys()
+    assert all(np.array_equal(op.coupling[k], c) for k, c in ref.coupling.items())
 
 
 @settings(max_examples=30, deadline=None)
