@@ -34,7 +34,7 @@ leaf_owner = [owners.owner_of(h.max_level, i) for i in range(h.num_nodes(h.max_l
 print(f"leaf owners (round robin over {PROCS} ranks): {leaf_owner}")
 
 # --- executor: dependency-driven, deterministic results -------------------
-factors, stats = execute(graph, h, workers=WORKERS, owners=owners)
+factors, stats = execute(graph, h, workers=WORKERS)
 inline = ulv_factor_hss(h)  # the same executor with workers=1
 same = np.array_equal(factors.root_chol, inline.root_chol)
 print(f"factors with {WORKERS} workers match workers=1 bitwise: {same}")
@@ -58,6 +58,6 @@ print(f"cross-owner transfers: {len(trace.events)} events, "
 for (src, dst), (events, entries) in sorted(trace.totals_by_pair().items()):
     print(f"  rank {src} -> rank {dst}: {events} transfers, {entries} entries")
 
-export_schedule_jsonl(stats, OUT / "schedule_trace.jsonl")
+export_schedule_jsonl(stats, owners, OUT / "schedule_trace.jsonl")
 export_comm_csv(trace, OUT / "comm_trace.csv")
 print(f"wrote {OUT / 'schedule_trace.jsonl'} and {OUT / 'comm_trace.csv'}")

@@ -6,8 +6,9 @@ multi-level HSS, and single-level BLR2 with every block under the root),
 and factorizes them in O(N) with a ULV scheme, with a simulated process
 distribution and communication accounting.  Construction and
 factorization are both task graphs run asynchronously by one runtime
-(:func:`hssulv.taskdag.run_graph`); :func:`ulv_factor_hss` is the
-factorization run with one worker.
+(:func:`hssulv.taskdag.run_graph`), in which a failing task raises its
+own error; :func:`ulv_factor_hss` is the factorization run with one
+worker.
 """
 
 from .bench import (ExperimentConfig, ExperimentReport, rank_accuracy_sweep,
@@ -22,8 +23,8 @@ from .geometry import PointSet, generate_grid
 from .kernels import KERNEL_KINDS, KernelEvaluationError, KernelSpec, kernel_matrix
 from .linalg import (NotPositiveDefiniteError, PartialFactorResult, cholesky,
                      partial_cholesky)
-from .taskdag import (CommTrace, ExecutionStats, OwnerMap, Task, TaskFailure,
-                      TaskGraph, TaskKind, assign_owners, build_dag, execute,
+from .taskdag import (CommTrace, ExecutionStats, OwnerMap, Task, TaskGraph,
+                      TaskKind, assign_owners, build_dag, execute,
                       export_comm_csv, export_schedule_jsonl, simulate_comm)
 
 __version__ = "0.1.0"
@@ -38,8 +39,8 @@ __all__ = [
     "KERNEL_KINDS", "KernelEvaluationError", "KernelSpec", "kernel_matrix",
     "NotPositiveDefiniteError", "PartialFactorResult", "cholesky",
     "partial_cholesky",
-    "CommTrace", "ExecutionStats", "OwnerMap", "Task", "TaskFailure",
-    "TaskGraph", "TaskKind", "assign_owners", "build_dag", "execute",
+    "CommTrace", "ExecutionStats", "OwnerMap", "Task", "TaskGraph", "TaskKind",
+    "assign_owners", "build_dag", "execute",
     "export_comm_csv", "export_schedule_jsonl", "simulate_comm",
     "ExperimentConfig", "ExperimentReport", "rank_accuracy_sweep",
     "run_single", "scaling_sweep",

@@ -156,7 +156,6 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
     build_s = time.perf_counter() - t0
 
     graph = build_dag(h)
-    owners = assign_owners(graph, cfg.nprocs_simulated)
 
     rng = np.random.default_rng(cfg.seed)
     b = rng.standard_normal(cfg.n)
@@ -164,7 +163,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
     factors = stats = None
     for _ in range(cfg.repetitions):
         t0 = time.perf_counter()
-        factors, stats = execute(graph, h, cfg.workers, owners)
+        factors, stats = execute(graph, h, cfg.workers)
         factor_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         ulv_solve(factors, b)
@@ -172,7 +171,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
 
     cons_err = construct_error(h, cfg.kernel, ps, cfg.seed)
     solv_err = solve_error(factors, h, cfg.seed)
-    trace = simulate_comm(graph, owners, h)
+    trace = simulate_comm(graph, assign_owners(graph, cfg.nprocs_simulated), h)
 
     factor_mean, factor_ci = _mean_ci95(factor_times)
     solve_mean, solve_ci = _mean_ci95(solve_times)

@@ -28,8 +28,11 @@ per leaf waits for the bases of its own and every earlier leaf, forms
 the couplings with those leaves and frees the projection; leaf ``i``
 ranks before leaf ``i + 1`` so each projection is consumed early.  HSS
 then chains one ``Transfer`` task per level over the packed skeleton
-interaction table.  Every task writes its own result, so the operator is
-bitwise independent of the worker count and the schedule.
+interaction table.  Every task writes its own result, stored under its
+id (``("leaf", i)``, ``("coupling", i)``, ``("transfer", level)``), so
+the operator is bitwise independent of the worker count and the
+schedule, and a failing task raises its own error.  Both formats need at
+least two blocks.
 """
 
 from __future__ import annotations
@@ -111,11 +114,6 @@ def build_shared_basis(row_block: np.ndarray, max_rank: int) -> BlockBasis:
     # Reorder to [redundant | skeleton].
     ordered = np.hstack([q[:, rank:], q[:, :rank]])
     return BlockBasis(ordered, size - rank, rank)
-
-
-def _identity_basis(n: int) -> BlockBasis:
-    # Degenerate single-block case: everything is skeleton, nothing to compress.
-    return BlockBasis(np.eye(n), 0, n)
 
 
 @dataclass(frozen=True)
@@ -220,12 +218,12 @@ class _BuildContext:
     num_leaves: int
 
 
-# Task bodies of the build graph, run by hssulv.taskdag.run_graph.
-# Results are keyed ("leaf", i) -> (diagonal, basis), ("coupling", i) ->
-# couplings of leaf i with leaves j < i, and ("transfer", level) ->
-# (bases, sibling couplings) of a level.  The intermediates ("proj", i)
-# and ("table", level) are written by their producer and popped by their
-# one consumer.
+# Task bodies of the build graph, run by hssulv.taskdag.run_graph.  A
+# task's id is its result key: ("leaf", i) -> (diagonal, basis),
+# ("coupling", i) -> couplings of leaf i with leaves j < i, and
+# ("transfer", level) -> (bases, sibling couplings) of a level.  The side
+# entries ("proj", i) and ("table", level) are written by their producer
+# and popped by their one consumer.
 
 
 def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
@@ -272,14 +270,24 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     """Run the build graph of either format; returns the tree and the
     runtime's :class:`~hssulv.taskdag.ExecutionStats`.
 
-    A failing task raises its own error, such as a
-    :class:`~hssulv.kernels.KernelEvaluationError` naming the distance.
+    Both formats need ``n`` split into two or more blocks of ``nleaf``
+    points and ``max_rank <= nleaf``.  A failing task raises its own
+    error, such as a :class:`~hssulv.kernels.KernelEvaluationError`
+    naming the distance.
     """
-    from . import taskdag  # taskdag imports this module
+    from .taskdag import Task, TaskGraph, TaskKind, run_graph  # taskdag imports this module
 
-    kind = taskdag.TaskKind
-    nb = ps.n // nleaf
+    # HSS also needs a power-of-two block count; its error names the
+    # nearest valid sizes.
     max_level = 1 if one_level else ps.tree_depth(nleaf)
+    if nleaf <= 0 or ps.n % nleaf:
+        raise ValueError(f"n={ps.n} is not divisible by nleaf={nleaf}")
+    nb = ps.n // nleaf
+    if nb < 2:
+        raise ValueError(f"n={ps.n} with nleaf={nleaf} is a single block; "
+                         "a shared-basis tree needs at least two blocks")
+    if max_rank > nleaf:
+        raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
     workers = worker_count(workers)
     available = _available_bytes()
     estimate = _peak_bytes(ps.n, nleaf, max_rank, workers, one_level)
@@ -289,27 +297,22 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
             f"max_rank={max_rank}, workers={workers})", estimate, available)
     tasks = {}
     for i in range(nb):
-        tasks[f"lb:{i}"] = taskdag.Task(f"lb:{i}", kind.LEAF_BASIS, max_level, i,
-                                        frozenset())
+        lb, lc = ("leaf", i), ("coupling", i)
+        tasks[lb] = Task(lb, TaskKind.LEAF_BASIS, max_level, i, frozenset())
         if i:
-            tasks[f"lc:{i}"] = taskdag.Task(f"lc:{i}", kind.LEAF_COUPLING, max_level, i,
-                                            frozenset(f"lb:{j}" for j in range(i + 1)))
+            tasks[lc] = Task(lc, TaskKind.LEAF_COUPLING, max_level, i,
+                             frozenset(("leaf", j) for j in range(i + 1)))
     if not one_level:
-        deps = frozenset(f"lc:{i}" for i in range(1, nb))
+        deps = frozenset(("coupling", i) for i in range(1, nb))
         for level in range(max_level, 0, -1):
-            tasks[f"tr:{level}"] = taskdag.Task(f"tr:{level}", kind.TRANSFER, level, 0, deps)
-            deps = frozenset({f"tr:{level}"})
-    kinds = {
-        kind.LEAF_BASIS: (_leaf_basis, lambda t: ("leaf", t.node)),
-        kind.LEAF_COUPLING: (_leaf_coupling, lambda t: ("coupling", t.node)),
-        kind.TRANSFER: (_transfer, lambda t: ("transfer", t.level)),
-    }
+            tr = ("transfer", level)
+            tasks[tr] = Task(tr, TaskKind.TRANSFER, level, 0, deps)
+            deps = frozenset({tr})
+    bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
+              TaskKind.TRANSFER: _transfer}
     ctx = _BuildContext(spec, ps.points, nleaf, max_rank, max_level, nb)
-    try:
-        results, stats = taskdag.run_graph(taskdag.TaskGraph(max_level, tasks), kinds,
-                                           ctx, workers, shuffle_seed=shuffle_seed)
-    except taskdag.TaskFailure as failure:
-        raise failure.cause from None
+    results, stats = run_graph(TaskGraph(max_level, tasks), bodies, ctx, workers,
+                               shuffle_seed=shuffle_seed)
 
     leaves = [results[("leaf", i)] for i in range(nb)]
     bases = {(max_level, i): basis for i, (_, basis) in enumerate(leaves)}
@@ -338,17 +341,11 @@ def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
     ``shuffle_seed`` mean what they mean for
     :func:`hssulv.taskdag.run_graph` (``None`` workers: the cores this
     process may use); the result is bitwise the same for any of them.
-    Raises :class:`InsufficientMemoryError` before any kernel evaluation
-    when the estimated peak working set exceeds the available memory.
+    Requires ``n`` to be two or more blocks of ``nleaf`` and
+    ``max_rank <= nleaf``.  Raises :class:`InsufficientMemoryError`
+    before any kernel evaluation when the estimated peak working set
+    exceeds the available memory.
     """
-    n = ps.n
-    if nleaf <= 0 or n % nleaf:
-        raise ValueError(f"n={n} is not divisible by nleaf={nleaf}")
-    if max_rank > nleaf:
-        raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
-    if n == nleaf:
-        block = kernel_matrix(spec, ps.points, ps.points)
-        return HssMatrix(nleaf, 1, (_freeze(block),), {(1, 0): _identity_basis(n)}, {})
     return _build_tree(spec, ps, nleaf, max_rank, True, workers, shuffle_seed)[0]
 
 
@@ -416,8 +413,6 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
     ``workers``, ``shuffle_seed`` and the memory refusal are as in
     :func:`build_blr2`.
     """
-    if max_rank > nleaf:
-        raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
     return _build_tree(spec, ps, nleaf, max_rank, False, workers, shuffle_seed)[0]
 
 

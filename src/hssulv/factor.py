@@ -12,7 +12,8 @@ root in BLR2.
 This module holds the task bodies; :func:`hssulv.taskdag.execute` runs
 them.  :func:`ulv_factor_hss` (alias :func:`ulv_factor_blr2`) is that
 executor with one worker, inline on the calling thread, so there is a
-single factorization path for both formats.
+single factorization path for both formats, and a failing task raises
+its own error naming the level and node from either entry point.
 
 The factored form is a product, per level, of a block-diagonal basis
 rotation, a block unit-lower elimination and a gather permutation,
@@ -121,12 +122,12 @@ class UlvFactors:
         return self.root_chol.shape[0]
 
 
-# Task bodies run by the task-graph executor.  Results are keyed
-# ("dp"|"pf"|"mg", level, node) plus ("root",).  A rotated diagonal or a
-# merged block has one consumer, which pops it.  A partial factor's
-# skeleton remainder is read only by its parent's merge, which pops the
-# partial factor and leaves the node's factors under ("nf", level, node)
-# for assemble_factors.
+# Task bodies run by the task-graph executor.  Results are stored under
+# the task ids ("dp"|"pf"|"mg", level, node) and ("root",).  A rotated
+# diagonal or a merged block has one consumer, which pops it.  A partial
+# factor's skeleton remainder is read only by its parent's merge, which
+# pops the partial factor and leaves the node's factors under
+# ("nf", level, node) for assemble_factors.
 
 
 def run_diag_product(h: HssMatrix, results: dict, level: int, node: int):
@@ -188,15 +189,11 @@ def ulv_factor_hss(h: HssMatrix) -> UlvFactors:
     thread.
 
     A failing task raises its own error, such as a
-    :class:`NotPositiveDefiniteError` naming the level and node, rather
-    than the executor's :class:`~hssulv.taskdag.TaskFailure`.
+    :class:`NotPositiveDefiniteError` naming the level and node.
     """
     from . import taskdag  # taskdag imports this module
 
-    try:
-        return taskdag.execute(taskdag.build_dag(h), h, workers=1)[0]
-    except taskdag.TaskFailure as failure:
-        raise failure.cause from None
+    return taskdag.execute(taskdag.build_dag(h), h, workers=1)[0]
 
 
 # BLR2 is the one-level tree, factored by the same path.

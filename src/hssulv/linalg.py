@@ -45,7 +45,7 @@ def _require_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _require_symmetric(a: np.ndarray, name: str):
+def _require_symmetric(a: np.ndarray, name: str, context: str = ""):
     # inputs symmetric to 1e-12 relative must pass; allow slack above that
     if a.size == 0:
         return
@@ -53,7 +53,9 @@ def _require_symmetric(a: np.ndarray, name: str):
     if scale == 0:
         return
     if np.abs(a - a.T).max() > 10 * SYMMETRY_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric (beyond {SYMMETRY_RTOL:g} relative)")
+        where = f" in {context}" if context else ""
+        raise ValueError(
+            f"{name} is not symmetric (beyond {SYMMETRY_RTOL:g} relative){where}")
 
 
 def _failed_pivot_value(a: np.ndarray, k: int) -> float:
@@ -72,7 +74,7 @@ def cholesky(a: np.ndarray, context: str = "") -> np.ndarray:
     failure; there is no automatic diagonal shift.
     """
     a = _require_square(a, "a")
-    _require_symmetric(a, "a")
+    _require_symmetric(a, "a", context)
     if a.shape[0] == 0:
         return np.zeros((0, 0))
     c, info = dpotrf(a, lower=1, clean=1)
@@ -145,7 +147,7 @@ def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
     skeleton Schur complement ``A^SS - l_sr l_sr^T``.
     """
     a_hat = _require_square(a_hat, "a_hat")
-    _require_symmetric(a_hat, "a_hat")
+    _require_symmetric(a_hat, "a_hat", context)
     n = a_hat.shape[0]
     if not 0 <= redundant_dim <= n:
         raise ValueError(f"redundant_dim {redundant_dim} outside [0, {n}]")

@@ -1,11 +1,13 @@
 """The one task-graph runtime, the ULV factorization's graph on it, and a
 simulated multi-process distribution with communication accounting.
 
-:func:`run_graph` runs any task graph: each task kind maps to a body and
-a result key, tasks start when their dependencies have finished, and the
-ready task with the smallest priority goes first.  Execution is shared
-memory: the calling thread is worker 0 and ``workers - 1`` threads join
-it, so one worker runs the graph inline.  Construction
+:func:`run_graph` runs any task graph from three things: the tasks'
+dependencies, a body per task kind, and the workers.  A task's id is the
+key its result is stored under; tasks start when their dependencies have
+finished, and the ready task with the smallest priority goes first.  A
+failing task raises its own error.  Execution is shared memory: the
+calling thread is worker 0 and ``workers - 1`` threads join it, so one
+worker runs the graph inline.  Construction
 (:func:`hssulv.construct.build_hss`, :func:`hssulv.construct.build_blr2`)
 and factorization (:func:`execute`) are both graphs on this one loop,
 with one schedule record and one determinism guarantee.
@@ -18,10 +20,12 @@ soon as its children finish (two in HSS, every block in BLR2),
 independent of the rest of its level.  ``execute(g, h, workers=1)`` is
 what :func:`hssulv.factor.ulv_factor_hss` calls.
 
-The simulated "process" distribution is pure accounting: block rows are
-owned round-robin at the leaf level, every merged parent inherits its
-first child's owner, and a transfer event is recorded for every
-dependency edge whose endpoints resolve to different owners.
+The simulated "process" distribution is pure accounting, kept out of the
+runtime: block rows are owned round-robin at the leaf level, every
+merged parent inherits its first child's owner, and a transfer event is
+recorded for every dependency edge whose endpoints resolve to different
+owners.  The owner is a function of (level, node), so the schedule
+export computes it when writing.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "CommTrace",
     "TaskRecord",
     "ExecutionStats",
-    "TaskFailure",
     "build_dag",
     "assign_owners",
     "execute",
@@ -84,10 +87,12 @@ _KIND_ORDER = {
 class Task:
     """One step of a task graph; ``deps`` are ids that must finish first.
 
-    Among ready tasks, the one with the smallest :meth:`priority` runs first.
+    ``id`` is also the key the task's result is stored under, such as
+    ``("pf", level, node)``.  Among ready tasks, the one with the smallest
+    :meth:`priority` runs first.
     """
 
-    id: str
+    id: tuple
     kind: str
     level: int
     node: int
@@ -125,21 +130,6 @@ class TaskGraph:
         return counts
 
 
-def _dp_id(level, node):
-    return f"dp:{level}:{node}"
-
-
-def _pf_id(level, node):
-    return f"pf:{level}:{node}"
-
-
-def _mg_id(level, parent):
-    return f"mg:{level}:{parent}"
-
-
-ROOT_ID = "root"
-
-
 def build_dag(h: HssMatrix) -> TaskGraph:
     """Task graph of the ULV factorization of ``h``.
 
@@ -152,19 +142,17 @@ def build_dag(h: HssMatrix) -> TaskGraph:
     tasks = {}
     for level in range(L, 0, -1):
         for node in range(h.num_nodes(level)):
-            deps = frozenset() if level == L else frozenset({_mg_id(level + 1, node)})
-            tid = _dp_id(level, node)
-            tasks[tid] = Task(tid, TaskKind.DIAG_PRODUCT, level, node, deps)
-            pid = _pf_id(level, node)
-            tasks[pid] = Task(pid, TaskKind.PARTIAL_FACTOR, level, node,
-                              frozenset({tid}))
+            deps = frozenset() if level == L else frozenset({("mg", level + 1, node)})
+            dp, pf = ("dp", level, node), ("pf", level, node)
+            tasks[dp] = Task(dp, TaskKind.DIAG_PRODUCT, level, node, deps)
+            tasks[pf] = Task(pf, TaskKind.PARTIAL_FACTOR, level, node, frozenset({dp}))
         for parent in range(h.num_nodes(level - 1)):
-            mid = _mg_id(level, parent)
-            tasks[mid] = Task(mid, TaskKind.MERGE, level, parent,
-                              frozenset(_pf_id(level, c)
-                                        for c in h.children(level - 1, parent)))
-    tasks[ROOT_ID] = Task(ROOT_ID, TaskKind.ROOT_FACTOR, 0, 0,
-                          frozenset({_mg_id(1, 0)}))
+            mg = ("mg", level, parent)
+            tasks[mg] = Task(mg, TaskKind.MERGE, level, parent,
+                             frozenset(("pf", level, c)
+                                       for c in h.children(level - 1, parent)))
+    tasks[("root",)] = Task(("root",), TaskKind.ROOT_FACTOR, 0, 0,
+                            frozenset({("mg", 1, 0)}))
     return TaskGraph(L, tasks)
 
 
@@ -200,11 +188,10 @@ def assign_owners(g: TaskGraph, nprocs: int) -> OwnerMap:
 
 @dataclass
 class TaskRecord:
-    task_id: str
+    task_id: tuple
     kind: str
     level: int
     node: int
-    owner: int
     worker: int
     start_ns: int
     end_ns: int
@@ -248,50 +235,34 @@ def _stats_from_records(records: list, workers: int) -> ExecutionStats:
     return ExecutionStats(workers, records, (t1 - t0) / 1e9, per_kind, busy, peak)
 
 
-class TaskFailure(RuntimeError):
-    """A task failed; transitively dependent tasks were cancelled."""
-
-    def __init__(self, task: Task, cancelled: list, cause: BaseException):
-        self.task = task
-        self.cancelled = sorted(cancelled)
-        self.cause = cause
-        super().__init__(
-            f"task {task.id} ({task.kind}, level {task.level}, node {task.node}) "
-            f"failed: {cause}; cancelled {len(self.cancelled)} dependent task(s)"
-        )
-
-
-# Each factorization kind's body and the key its result is stored under.
-_FACTOR_KINDS = {
-    TaskKind.DIAG_PRODUCT: (lambda h, res, t: run_diag_product(h, res, t.level, t.node),
-                            lambda t: ("dp", t.level, t.node)),
-    TaskKind.PARTIAL_FACTOR: (lambda h, res, t: run_partial_factor(h, res, t.level, t.node),
-                              lambda t: ("pf", t.level, t.node)),
-    TaskKind.MERGE: (lambda h, res, t: run_merge(h, res, t.level, t.node),
-                     lambda t: ("mg", t.level, t.node)),
-    TaskKind.ROOT_FACTOR: (lambda h, res, t: run_root_factor(h, res),
-                           lambda t: ("root",)),
+# Each factorization kind's body; its result is stored under the task id.
+_FACTOR_BODIES = {
+    TaskKind.DIAG_PRODUCT: lambda h, res, t: run_diag_product(h, res, t.level, t.node),
+    TaskKind.PARTIAL_FACTOR: lambda h, res, t: run_partial_factor(h, res, t.level, t.node),
+    TaskKind.MERGE: lambda h, res, t: run_merge(h, res, t.level, t.node),
+    TaskKind.ROOT_FACTOR: lambda h, res, t: run_root_factor(h, res),
 }
 
 
 @single_blas_thread
-def run_graph(g: TaskGraph, kinds: dict, ctx, workers: int | None,
-              owners: OwnerMap | None = None,
+def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
               shuffle_seed: int | None = None) -> tuple[dict, ExecutionStats]:
     """Run a task graph on the calling thread plus ``workers - 1`` threads.
 
-    ``kinds`` maps each task kind to ``(body, key)``: ``body(ctx, results,
-    task)`` runs the task and its return value is stored in ``results``
-    under ``key(task)``.  A body may also pop the results it consumes.
-    Tasks start when and only when their dependencies completed, so when
-    every task writes its own slot the results are bitwise identical for
-    any worker count.  ``workers=None`` means the cores this process may
-    use; with one worker no thread is started.  BLAS runs with one thread
-    inside every task (the pools are set before the workers start), so
-    the workers are the only parallelism.  ``shuffle_seed`` randomizes
-    ready-queue pops (scheduling stress for tests) without affecting
-    results.  A failing task cancels its transitive dependents and
-    surfaces the originating error as :class:`TaskFailure`.
+    ``bodies`` maps each task kind to ``body(ctx, results, task)``, whose
+    return value is stored in ``results`` under ``task.id``.  A body may
+    also pop the results it consumes and write side entries under keys
+    that are no task's id.  Tasks start when and only when their
+    dependencies completed, so when every task writes its own slot the
+    results are bitwise identical for any worker count.  ``workers=None``
+    means the cores this process may use; with one worker no thread is
+    started.  BLAS runs with one thread inside every task (the pools are
+    set before the workers start), so the workers are the only
+    parallelism.  ``shuffle_seed`` randomizes ready-queue pops
+    (scheduling stress for tests) without affecting results.
+
+    When a body raises, no further task starts, the running tasks finish,
+    the workers are joined and the first exception is re-raised as is.
     """
     workers = worker_count(workers)
     dependents = g.dependents()
@@ -300,23 +271,12 @@ def run_graph(g: TaskGraph, kinds: dict, ctx, workers: int | None,
     records: list = []
     ready: list = []
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    lock = threading.Lock()
-    cond = threading.Condition(lock)
-    state = {"pending": len(g.tasks), "failure": None}
-    cancelled: set = set()
+    cond = threading.Condition(threading.Lock())
+    failure = None
 
     for tid, count in remaining.items():
         if count == 0:
             heapq.heappush(ready, (g.tasks[tid].priority(), tid))
-
-    def cancel_downstream(tid):
-        stack = [tid]
-        while stack:
-            for nxt in dependents[stack.pop()]:
-                if nxt not in cancelled:
-                    cancelled.add(nxt)
-                    state["pending"] -= 1
-                    stack.append(nxt)
 
     def pop_ready():
         if rng is None:
@@ -330,37 +290,33 @@ def run_graph(g: TaskGraph, kinds: dict, ctx, workers: int | None,
         return item[1]
 
     def worker_loop(worker_id: int):
+        nonlocal failure
         while True:
             with cond:
-                while not ready and state["pending"] > 0 and state["failure"] is None:
+                while not ready and len(records) < len(g.tasks) and failure is None:
                     cond.wait()
-                if state["failure"] is not None or (not ready and state["pending"] == 0):
+                if failure is not None or not ready:
                     cond.notify_all()
                     return
                 tid = pop_ready()
             task = g.tasks[tid]
-            body, key = kinds[task.kind]
             start = time.perf_counter_ns()
             try:
-                out = body(ctx, results, task)
+                out = bodies[task.kind](ctx, results, task)
             except Exception as exc:
                 with cond:
-                    state["pending"] -= 1
-                    cancel_downstream(tid)
-                    if state["failure"] is None:
-                        state["failure"] = TaskFailure(task, list(cancelled), exc)
+                    if failure is None:
+                        failure = exc
                     cond.notify_all()
                 return
             end = time.perf_counter_ns()
-            owner = owners.owner_of(task.level, task.node) if owners is not None else 0
             with cond:
-                results[key(task)] = out
-                records.append(TaskRecord(task.id, task.kind, task.level, task.node,
-                                          owner, worker_id, start, end))
-                state["pending"] -= 1
+                results[tid] = out
+                records.append(TaskRecord(tid, task.kind, task.level, task.node,
+                                          worker_id, start, end))
                 for nxt in dependents[tid]:
                     remaining[nxt] -= 1
-                    if remaining[nxt] == 0 and nxt not in cancelled:
+                    if remaining[nxt] == 0:
                         heapq.heappush(ready, (g.tasks[nxt].priority(), nxt))
                 cond.notify_all()
 
@@ -371,23 +327,24 @@ def run_graph(g: TaskGraph, kinds: dict, ctx, workers: int | None,
     worker_loop(0)
     for t in threads:
         t.join()
-    if state["failure"] is not None:
-        raise state["failure"] from state["failure"].cause
+    if failure is not None:
+        raise failure
     return results, _stats_from_records(records, workers)
 
 
 @single_blas_thread
 def execute(g: TaskGraph, h: HssMatrix, workers: int | None,
-            owners: OwnerMap | None = None,
             shuffle_seed: int | None = None) -> tuple[UlvFactors, ExecutionStats]:
     """Factor ``h`` by running its task graph ``g`` through :func:`run_graph`.
 
     Every task writes a distinct result slot, so the assembled factors
     are bitwise identical for any worker count and scheduling order.
-    ``workers``, ``shuffle_seed`` and failures (:class:`TaskFailure`)
-    behave as in :func:`run_graph`.
+    ``workers``, ``shuffle_seed`` and failures behave as in
+    :func:`run_graph`: a failing task raises its own error, such as a
+    :class:`~hssulv.linalg.NotPositiveDefiniteError` naming the level and
+    node.
     """
-    results, stats = run_graph(g, _FACTOR_KINDS, h, workers, owners, shuffle_seed)
+    results, stats = run_graph(g, _FACTOR_BODIES, h, workers, shuffle_seed)
     return assemble_factors(h, results), stats
 
 
@@ -443,13 +400,14 @@ def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
     return CommTrace(owners.nprocs, events)
 
 
-def export_schedule_jsonl(stats: ExecutionStats, path):
-    """One JSON record per executed task."""
+def export_schedule_jsonl(stats: ExecutionStats, owners: OwnerMap, path):
+    """One JSON record per executed task, with its simulated owner."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in sorted(stats.records, key=lambda r: r.start_ns):
             fh.write(json.dumps({
                 "id": r.task_id, "kind": r.kind, "level": r.level, "node": r.node,
-                "owner": r.owner, "start_ns": r.start_ns, "end_ns": r.end_ns,
+                "owner": owners.owner_of(r.level, r.node),
+                "start_ns": r.start_ns, "end_ns": r.end_ns,
                 "worker": r.worker,
             }) + "\n")
 

@@ -102,11 +102,10 @@ def test_criterion_6_scheduler_determinism_and_asynchrony(cache):
     budget = Budget(120)
     h = cache.hss("laplace2d", 4096, 256, 100)
     graph = build_dag(h)
-    owners = assign_owners(graph, 4)
     reference = cache.factors("laplace2d", 4096, 256, 100)
     witness_stats = None
     for workers in (1, 2, 4, 8):
-        factors, stats = execute(graph, h, workers, owners)
+        factors, stats = execute(graph, h, workers)
         assert factors_equal(reference, factors), f"workers={workers} diverged"
         if workers == 4:
             witness_stats = stats

@@ -94,13 +94,9 @@ class TestBlr2:
         ref = dense @ x
         assert np.linalg.norm(matvec(m, x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_single_block_degenerates_to_dense(self):
-        spec = KernelSpec("laplace2d")
-        ps = generate_grid(64)
-        m = build_blr2(spec, ps, nleaf=64, max_rank=64)
-        assert len(m.leaf_diag) == 1 and not m.coupling
-        dense = kernel_matrix(spec, ps.points, ps.points)
-        assert np.array_equal(m.leaf_diag[0], dense)
+    def test_single_block_rejected(self):
+        with pytest.raises(ValueError, match="single block"):
+            build_blr2(KernelSpec("laplace2d"), generate_grid(64), nleaf=64, max_rank=64)
 
     def test_compressed_error_small(self):
         spec = KernelSpec("yukawa")

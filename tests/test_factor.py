@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import indefinite_root_hss, random_spd
-from hssulv import (BlockBasis, KernelSpec, NotPositiveDefiniteError,
-                    build_blr2, build_hss, diagonal_product, generate_grid,
-                    kernel_matrix, matvec, merge_children, reconstruct_check,
-                    solve_error, ulv_factor_blr2, ulv_factor_hss, ulv_solve)
+from hssulv import (BlockBasis, HssMatrix, KernelSpec,
+                    NotPositiveDefiniteError, build_blr2, build_hss,
+                    diagonal_product, generate_grid, kernel_matrix, matvec,
+                    merge_children, reconstruct_check, solve_error,
+                    ulv_factor_blr2, ulv_factor_hss, ulv_solve)
 
 
 def random_orthonormal_basis(rng, n, skeleton):
@@ -97,12 +98,14 @@ class TestMergeChildren:
 
 class TestBlr2Ulv:
     def test_single_block_is_plain_cholesky(self):
-        spec = KernelSpec("yukawa")
-        ps = generate_grid(64)
-        m = build_blr2(spec, ps, nleaf=64, max_rank=64)
+        # The builders need two blocks; a one-block tree whose basis is
+        # all skeleton is made by hand.
+        pts = generate_grid(64).points
+        block = kernel_matrix(KernelSpec("yukawa"), pts, pts)
+        m = HssMatrix(64, 1, (block,), {(1, 0): BlockBasis(np.eye(64), 0, 64)}, {})
         f = ulv_factor_blr2(m)
         from hssulv import cholesky
-        assert np.array_equal(f.root_chol, cholesky(np.asarray(m.leaf_diag[0])))
+        assert np.array_equal(f.root_chol, cholesky(block))
 
     def test_two_block_lossless_vs_dense_solve(self):
         spec = KernelSpec("laplace2d")

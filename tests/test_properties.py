@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import factors_equal
 from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
-                    TaskFailure, build_blr2, build_dag, build_hss, execute,
-                    generate_grid, matvec, reconstruct_check, ulv_factor_hss)
+                    build_blr2, build_dag, build_hss, execute, generate_grid,
+                    matvec, reconstruct_check, ulv_factor_hss)
 
 
 @st.composite
@@ -46,7 +46,7 @@ def test_one_path_exact_and_schedule_independent(tree, workers, seed):
         event("not positive definite")
         assert "node" in str(err) or "root block" in str(err)
         assert "skeleton rank" in str(err)
-        with pytest.raises(TaskFailure):
+        with pytest.raises(NotPositiveDefiniteError):
             execute(graph, op, workers=workers, shuffle_seed=seed)
         return
     assert reconstruct_check(f, op) <= 1e-10

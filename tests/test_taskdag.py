@@ -1,14 +1,17 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import factors_equal
-from hssulv import (KernelSpec, NotPositiveDefiniteError, TaskFailure,
+from hssulv import (KernelSpec, NotPositiveDefiniteError, Task, TaskGraph,
                     TaskKind, assign_owners, build_blr2, build_dag, build_hss,
                     execute, export_comm_csv, export_schedule_jsonl,
                     generate_grid, simulate_comm, ulv_factor_blr2,
                     ulv_factor_hss)
+from hssulv.taskdag import run_graph
 
 # smallest square-or-2:1 grid for each level count
 TINY_N = {1: 4, 2: 16, 3: 16, 4: 64, 5: 64, 6: 256, 7: 256, 8: 1024}
@@ -104,7 +107,7 @@ class TestBlr2Graph:
     def test_one_merge_over_all_blocks(self, blr2):
         graph = build_dag(blr2)
         assert graph.max_level == 1 and len(graph) == 2 * 8 + 2
-        merge = graph.tasks["mg:1:0"]
+        merge = graph.tasks[("mg", 1, 0)]
         assert {graph.tasks[d].node for d in merge.deps} == set(range(8))
 
     def test_executor_matches_inline_run(self, blr2):
@@ -120,7 +123,7 @@ class TestBlr2Graph:
         assert owners.owner_of(0, 0) == 0
         trace = simulate_comm(graph, owners, blr2)
         off_rank = [i for i in range(8) if i % 4]
-        assert [e[0] for e in trace.events] == ["mg:1:0"] * len(off_rank)
+        assert [e[0] for e in trace.events] == [("mg", 1, 0)] * len(off_rank)
         assert trace.total_entries == sum(blr2.skeleton_dim(1, i) ** 2 for i in off_rank)
 
 
@@ -199,14 +202,19 @@ class TestExecute:
         bad_diag[5] = -np.asarray(bad_diag[5])
         broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases,
                          h.coupling)
-        graph = build_dag(broken)
-        with pytest.raises(TaskFailure) as err:
-            execute(graph, broken, workers=2)
-        assert isinstance(err.value.cause, NotPositiveDefiniteError)
-        assert "level 3" in str(err.value.cause)
-        # everything downstream of pf:3:5 must have been cancelled
-        assert "mg:3:2" in err.value.cancelled
-        assert "root" in err.value.cancelled
+        with pytest.raises(NotPositiveDefiniteError, match="level 3 node 5"):
+            execute(build_dag(broken), broken, workers=2)
+
+    def test_non_symmetric_block_named(self):
+        h = tiny_hss(3)
+        bad_diag = list(h.leaf_diag)
+        skewed = np.array(bad_diag[2])
+        skewed[0, -1] += 1.0
+        bad_diag[2] = skewed
+        broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases,
+                         h.coupling)
+        with pytest.raises(ValueError, match="not symmetric .* level 3 node 2"):
+            execute(build_dag(broken), broken, workers=2)
 
     def test_stats_accounting(self, cache):
         h = cache.hss("laplace2d", 1024, 256, 64)
@@ -217,6 +225,65 @@ class TestExecute:
             2 * stats.makespan_seconds + 1e-9
         assert sum(stats.per_worker_busy_seconds) == \
             pytest.approx(stats.total_task_seconds, rel=1e-9)
+
+
+def layered_graph(width, depth):
+    """Tasks ("t", layer, i), each depending on two tasks of the layer above."""
+    tasks = {}
+    for layer in range(depth):
+        for i in range(width):
+            deps = frozenset() if layer == 0 else frozenset(
+                {("t", layer - 1, i), ("t", layer - 1, (i + 1) % width)})
+            tid = ("t", layer, i)
+            tasks[tid] = Task(tid, TaskKind.DIAG_PRODUCT, depth - layer, i, deps)
+    return TaskGraph(depth, tasks)
+
+
+def transitive_dependents(graph, tid):
+    dependents, out, stack = graph.dependents(), set(), [tid]
+    while stack:
+        for nxt in dependents[stack.pop()]:
+            if nxt not in out:
+                out.add(nxt)
+                stack.append(nxt)
+    return out
+
+
+class TestRunGraph:
+    def test_results_stored_under_task_ids(self):
+        graph = layered_graph(4, 3)
+        results, stats = run_graph(graph, {TaskKind.DIAG_PRODUCT: lambda c, r, t: t.node},
+                                   None, 2)
+        assert results == {tid: tid[2] for tid in graph.tasks}
+        assert {r.task_id for r in stats.records} == set(graph.tasks)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_failure_raises_body_error_and_stops(self, workers, seed):
+        graph = layered_graph(4, 4)
+        failing = ("t", 1, 2)
+        error = RuntimeError("body failed")
+        ran = []
+
+        def body(ctx, results, task):
+            ran.append(task.id)
+            if task.id == failing:
+                raise error
+
+        before = set(threading.enumerate())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(RuntimeError) as err:
+                run_graph(graph, {TaskKind.DIAG_PRODUCT: body}, None, workers,
+                          shuffle_seed=seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert err.value is error
+        assert not transitive_dependents(graph, failing) & set(ran)
+        assert set(threading.enumerate()) <= before
+        if workers == 1:
+            assert ran[-1] == failing
 
 
 class TestSimulateComm:
@@ -261,14 +328,16 @@ class TestTraceExports:
     def test_schedule_jsonl(self, cache, tmp_path):
         h = cache.hss("laplace2d", 1024, 256, 64)
         graph = build_dag(h)
-        _, stats = execute(graph, h, workers=2,
-                           owners=assign_owners(graph, 2))
+        _, stats = execute(graph, h, workers=2)
+        owners = assign_owners(graph, 2)
         path = tmp_path / "schedule.jsonl"
-        export_schedule_jsonl(stats, path)
+        export_schedule_jsonl(stats, owners, path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == len(graph)
         assert {"id", "kind", "level", "node", "owner", "start_ns", "end_ns",
                 "worker"} <= set(lines[0])
+        assert all(rec["owner"] == owners.owner_of(rec["level"], rec["node"])
+                   for rec in lines)
         starts = [rec["start_ns"] for rec in lines]
         assert starts == sorted(starts)
 

@@ -13,10 +13,9 @@ import pytest
 
 from conftest import indefinite_root_hss
 from hssulv import (KernelEvaluationError, KernelSpec, NotPositiveDefiniteError,
-                    TaskFailure, build_blr2, build_dag, build_hss,
-                    construct_error, execute, generate_grid, matvec,
-                    reconstruct_check, run_single, ulv_factor_blr2,
-                    ulv_factor_hss, ulv_solve)
+                    build_blr2, build_dag, build_hss, construct_error, execute,
+                    generate_grid, matvec, reconstruct_check, run_single,
+                    ulv_factor_blr2, ulv_factor_hss, ulv_solve)
 from hssulv import _threads
 from hssulv._threads import _pools, blas_threads, single_blas_thread
 from hssulv.bench import ExperimentConfig
@@ -122,7 +121,7 @@ def test_caller_count_restored_after_raise(caller_threads):
     with pytest.raises(NotPositiveDefiniteError, match="root block"):
         ulv_factor_hss(broken)
     assert _counts() == caller_threads
-    with pytest.raises(TaskFailure):
+    with pytest.raises(NotPositiveDefiniteError, match="root block"):
         execute(build_dag(broken), broken, workers=2)
     assert _counts() == caller_threads
 
@@ -130,7 +129,7 @@ def test_caller_count_restored_after_raise(caller_threads):
 @pytest.mark.parametrize("build", [build_hss, build_blr2])
 def test_build_task_failure_raised_as_is(build, caller_threads):
     # sigma = 600 overflows the Bessel evaluation inside a leaf task; the
-    # task's own error names the distance, not the runtime's TaskFailure
+    # task's own error names the distance
     before = set(threading.enumerate())
     with pytest.raises(KernelEvaluationError, match="at distance"):
         build(KernelSpec("matern", sigma=600.0), generate_grid(1024), 256, 100, workers=2)
