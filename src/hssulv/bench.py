@@ -89,14 +89,6 @@ class ExperimentConfig:
         out["kernel"] = asdict(self.kernel)
         return out
 
-    @staticmethod
-    def from_dict(data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        kernel = data.pop("kernel")
-        if isinstance(kernel, dict):
-            kernel = KernelSpec(**kernel)
-        return ExperimentConfig(kernel=kernel, **data)
-
 
 def _mean_ci95(samples: list) -> tuple[float, float | None]:
     mean = float(np.mean(samples))

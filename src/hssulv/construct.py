@@ -4,7 +4,8 @@ Both formats are an :class:`HssMatrix` tree that keeps exact dense leaf
 diagonal blocks and compresses everything off the block diagonal (weak
 admissibility).  Each node shares one orthonormal basis, split into
 redundant and skeleton columns; blocks between sibling nodes are stored
-only through their small skeleton coupling ``S_ij = Us_i^T A_ij Us_j``.
+only through their small skeleton coupling ``S_ij = Us_i^T A_ij Us_j``,
+once per pair, as ``i < j``.
 A node's skeleton is the span of the leading left singular vectors of its
 stacked admissible blocks (a QR squeezes the wide row down to a square
 triangle first), the best column space of that rank.
@@ -25,8 +26,9 @@ evaluates the leaf's exact diagonal block and its admissible row
 separately, compresses the row into the leaf basis and projects the
 columns left of the diagonal onto the skeleton.  A ``LeafCoupling`` task
 per leaf waits for the bases of its own and every earlier leaf, forms
-the couplings with those leaves and frees the projection; leaf ``i``
-ranks before leaf ``i + 1`` so each projection is consumed early.  HSS
+the couplings with those leaves as stored (rows of the earlier leaf) and
+frees the projection; leaf ``i`` ranks before leaf ``i + 1`` so each
+projection is consumed early.  HSS
 then chains one ``Transfer`` task per level over the packed skeleton
 interaction table.  Every task writes its own result, stored under its
 id (``("leaf", i)``, ``("coupling", i)``, ``("transfer", level)``), so
@@ -125,8 +127,10 @@ class HssMatrix:
     none).  Leaf bases act on raw coordinates; upper bases are transfer
     matrices on the stacked skeleton coefficients of the node's children.
     ``coupling[(level, i, j)]`` couples node ``i`` (rows) to its sibling
-    ``j`` for every ordered pair of children of one parent, with
-    ``(level, j, i)`` the exact transpose.
+    ``j`` (columns); it holds exactly the keys with ``i < j`` where ``i``
+    and ``j`` are children of one parent, and the ``(j, i)`` block is its
+    transpose.  That is ``nb - 1`` blocks for an HSS tree with ``nb``
+    leaves and ``nb * (nb - 1) / 2`` for BLR2.
 
     A level's node count is the number of its bases, and each parent owns
     an equal contiguous run of the level below: two children per parent
@@ -162,9 +166,6 @@ class HssMatrix:
     def skeleton_dim(self, level: int, node: int) -> int:
         return self.bases[(level, node)].skeleton_dim
 
-    def node_width(self, level: int, node: int) -> int:
-        return self.bases[(level, node)].size
-
 
 class InsufficientMemoryError(MemoryError):
     """A build would need more memory than the system has available."""
@@ -192,18 +193,18 @@ def _available_bytes() -> int | None:
 def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
     """Upper estimate of a build's peak working set, in bytes.
 
-    Each running leaf task holds its admissible row, the QR's copy of it
-    and its projection.  HSS packs the leaf couplings into a table of side
-    ``(n / nleaf) * max_rank``; a transfer pass holds the table, its
-    projected rows (half of it) and the next table (a quarter).  The
-    output is the diagonals and leaf bases, at most one transfer basis of
-    side ``2 * max_rank`` per leaf, and the couplings: every ordered pair
-    of leaves in BLR2, at most two per leaf in HSS.
+    Each running leaf task holds its admissible row, the QR's copy of it,
+    the full-height triangle the QR returns and its projection.  HSS packs
+    the leaf couplings into a table of side ``(n / nleaf) * max_rank``; a
+    transfer pass holds the table, its projected rows (half of it) and the
+    next table (a quarter).  The output is the diagonals and leaf bases,
+    at most one transfer basis of side ``2 * max_rank`` per leaf, and the
+    couplings: one per pair of leaves in BLR2, one per parent in HSS.
     """
     nb = n // nleaf
-    leaf_task = 2 * nleaf * n + max_rank * n
+    leaf_task = 3 * nleaf * n + max_rank * n
     table = 0 if one_level else 1.75 * (nb * max_rank) ** 2
-    couplings = nb * nb if one_level else 2 * nb
+    couplings = nb * (nb - 1) // 2 if one_level else nb - 1
     output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2) + couplings * max_rank**2
     return int(8 * (workers * leaf_task + table + output))
 
@@ -220,7 +221,7 @@ class _BuildContext:
 
 # Task bodies of the build graph, run by hssulv.taskdag.run_graph.  A
 # task's id is its result key: ("leaf", i) -> (diagonal, basis),
-# ("coupling", i) -> couplings of leaf i with leaves j < i, and
+# ("coupling", i) -> couplings (j, i) of leaves j < i with leaf i, and
 # ("transfer", level) -> (bases, sibling couplings) of a level.  The side
 # entries ("proj", i) and ("table", level) are written by their producer
 # and popped by their one consumer.
@@ -242,18 +243,19 @@ def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
 def _leaf_coupling(b: _BuildContext, results: dict, task) -> tuple:
     proj = results.pop(("proj", task.node))
     return tuple(
-        _freeze(proj[:, j * b.nleaf:(j + 1) * b.nleaf] @ results[("leaf", j)][1].skeleton)
+        _freeze((proj[:, j * b.nleaf:(j + 1) * b.nleaf]
+                 @ results[("leaf", j)][1].skeleton).T)
         for j in range(task.node))
 
 
 def _transfer(b: _BuildContext, results: dict, task) -> tuple:
     level = task.level
     if level == b.max_level:
-        # Pack the leaf couplings; each pair is given once, (i, j) with j < i.
+        # Pack the leaf couplings; each pair is given once, (j, i) with j < i.
         leaf_bases = [results[("leaf", i)][1] for i in range(b.num_leaves)]
-        lower = {(i, j): block for i in range(1, b.num_leaves)
+        upper = {(j, i): block for i in range(1, b.num_leaves)
                  for j, block in enumerate(results.pop(("coupling", i)))}
-        table, offs = _coupling_table(leaf_bases, lower)
+        table, offs = _coupling_table(leaf_bases, upper)
         bases = []
     else:
         bases, table, offs = _transfer_pass(*results.pop(("table", level + 1)),
@@ -319,9 +321,8 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     coupling: dict = {}
     if one_level:
         for i in range(1, nb):
-            for j, block in enumerate(results[("coupling", i)]):
-                coupling[(1, i, j)] = block
-                coupling[(1, j, i)] = _freeze(block.T)
+            coupling.update(((1, j, i), block)
+                            for j, block in enumerate(results[("coupling", i)]))
     else:
         for level in range(max_level, 0, -1):
             lvl_bases, siblings = results[("transfer", level)]
@@ -399,7 +400,6 @@ def _sibling_couplings(level: int, table: np.ndarray, offs: np.ndarray, out: dic
         left, right = 2 * p, 2 * p + 1
         block = table[offs[left]:offs[left + 1], offs[right]:offs[right + 1]]
         out[(level, left, right)] = _freeze(block)
-        out[(level, right, left)] = _freeze(block.T)
 
 
 @single_blas_thread
@@ -434,17 +434,17 @@ def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
         for i in range(m.num_nodes(level)):
             stacked = np.concatenate([coeffs[(level + 1, c)] for c in m.children(level, i)])
             coeffs[(level, i)] = m.bases[(level, i)].skeleton.T @ stacked
-    # Sibling couplings at every level.
-    partial = {}
+    # Sibling couplings, each stored block applied both ways; in pair
+    # order every node sums its terms in increasing sibling index.
+    partial = {key: np.zeros_like(c) for key, c in coeffs.items()}
     for level in range(1, L + 1):
         for p in range(m.num_nodes(level - 1)):
             siblings = m.children(level - 1, p)
             for i in siblings:
-                acc = np.zeros_like(coeffs[(level, i)])
-                for j in siblings:
-                    if j != i:
-                        acc += m.coupling[(level, i, j)] @ coeffs[(level, j)]
-                partial[(level, i)] = acc
+                for j in range(i + 1, siblings.stop):
+                    s = m.coupling[(level, i, j)]
+                    partial[(level, i)] += s @ coeffs[(level, j)]
+                    partial[(level, j)] += s.T @ coeffs[(level, i)]
     # Downward sweep: push accumulated skeleton results to the children.
     for level in range(1, L):
         for i in range(m.num_nodes(level)):

@@ -22,10 +22,12 @@ what :func:`hssulv.factor.ulv_factor_hss` calls.
 
 The simulated "process" distribution is pure accounting, kept out of the
 runtime: block rows are owned round-robin at the leaf level, every
-merged parent inherits its first child's owner, and a transfer event is
-recorded for every dependency edge whose endpoints resolve to different
-owners.  The owner is a function of (level, node), so the schedule
-export computes it when writing.
+merged parent inherits its first child's owner, and a task runs on the
+owner of the node it builds (the merge ``("mg", l, p)`` builds node
+``(l - 1, p)``).  A transfer event is recorded for every dependency edge
+whose endpoints resolve to different owners: a child's skeleton
+remainder read by its parent's merge.  The schedule export computes the
+owners when writing.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class TaskGraph:
         out = {tid: [] for tid in self.tasks}
         for task in self.tasks.values():
             for dep in task.deps:
+                if dep not in out:
+                    raise ValueError(f"task {task.id} depends on unknown id {dep}")
                 out[dep].append(task.id)
         return out
 
@@ -184,6 +188,11 @@ def assign_owners(g: TaskGraph, nprocs: int) -> OwnerMap:
         first = min(g.tasks[d].node for d in task.deps)
         assignment[(task.level - 1, task.node)] = assignment[(task.level, first)]
     return OwnerMap(nprocs, assignment)
+
+
+def _task_owner(owners: OwnerMap, t) -> int:
+    """Owner of the node a task (or its record) builds: a merge builds the parent."""
+    return owners.owner_of(t.level - (t.kind == TaskKind.MERGE), t.node)
 
 
 @dataclass
@@ -263,6 +272,9 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
 
     When a body raises, no further task starts, the running tasks finish,
     the workers are joined and the first exception is re-raised as is.
+    A graph that cannot finish raises :class:`ValueError` naming the
+    unknown dependency, or, after the workers are joined, the tasks that
+    never became ready (a dependency cycle).
     """
     workers = worker_count(workers)
     dependents = g.dependents()
@@ -273,6 +285,7 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     cond = threading.Condition(threading.Lock())
     failure = None
+    running = 0
 
     for tid, count in remaining.items():
         if count == 0:
@@ -290,15 +303,17 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
         return item[1]
 
     def worker_loop(worker_id: int):
-        nonlocal failure
+        nonlocal failure, running
         while True:
             with cond:
-                while not ready and len(records) < len(g.tasks) and failure is None:
+                # Nothing ready and nothing running: done, or a cycle.
+                while not ready and running and failure is None:
                     cond.wait()
                 if failure is not None or not ready:
                     cond.notify_all()
                     return
                 tid = pop_ready()
+                running += 1
             task = g.tasks[tid]
             start = time.perf_counter_ns()
             try:
@@ -311,6 +326,7 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
                 return
             end = time.perf_counter_ns()
             with cond:
+                running -= 1
                 results[tid] = out
                 records.append(TaskRecord(tid, task.kind, task.level, task.node,
                                           worker_id, start, end))
@@ -329,6 +345,10 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
         t.join()
     if failure is not None:
         raise failure
+    if len(records) < len(g.tasks):
+        done = {r.task_id for r in records}
+        raise ValueError("task graph cannot finish, a dependency cycle: tasks "
+                         f"{[tid for tid in g.tasks if tid not in done]} never became ready")
     return results, _stats_from_records(records, workers)
 
 
@@ -367,46 +387,33 @@ class CommTrace:
         return out
 
 
-def _edge_payload(h: HssMatrix, dep: Task) -> tuple[str, int]:
-    """Label and entry count of the block a dependency edge transfers."""
-    if dep.kind == TaskKind.DIAG_PRODUCT:
-        w = h.node_width(dep.level, dep.node)
-        return f"rotated_diag[{dep.level},{dep.node}]", w * w
-    if dep.kind == TaskKind.PARTIAL_FACTOR:
-        sk = h.skeleton_dim(dep.level, dep.node)
-        return f"ss_remainder[{dep.level},{dep.node}]", sk * sk
-    if dep.kind == TaskKind.MERGE:
-        sk = sum(h.skeleton_dim(dep.level, c) for c in h.children(dep.level - 1, dep.node))
-        return f"merged_block[{dep.level - 1},{dep.node}]", sk * sk
-    raise ValueError(f"unexpected dependency kind {dep.kind}")
-
-
 def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
     """Record one transfer per dependency edge crossing an owner boundary.
 
-    The payload is the block that flows along the edge, sized in matrix
-    entries; with the first-child-owner rule the dominant transfers are the
-    other children's skeleton remainders feeding each merge.
+    A task runs on the owner of the node it builds, so the only edges that
+    cross owners carry a child's skeleton remainder to its parent's merge;
+    the payload is that remainder, sized in matrix entries.
     """
     events = []
     for task in g.tasks.values():
-        dst = owners.owner_of(task.level, task.node)
+        dst = _task_owner(owners, task)
         for dep_id in sorted(task.deps):
             dep = g.tasks[dep_id]
-            src = owners.owner_of(dep.level, dep.node)
+            src = _task_owner(owners, dep)
             if src != dst:
-                label, entries = _edge_payload(h, dep)
-                events.append((task.id, label, src, dst, entries))
+                sk = h.skeleton_dim(dep.level, dep.node)
+                events.append((task.id, f"ss_remainder[{dep.level},{dep.node}]",
+                               src, dst, sk * sk))
     return CommTrace(owners.nprocs, events)
 
 
 def export_schedule_jsonl(stats: ExecutionStats, owners: OwnerMap, path):
-    """One JSON record per executed task, with its simulated owner."""
+    """One JSON record per executed task, with the owner of the node it builds."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in sorted(stats.records, key=lambda r: r.start_ns):
             fh.write(json.dumps({
                 "id": r.task_id, "kind": r.kind, "level": r.level, "node": r.node,
-                "owner": owners.owner_of(r.level, r.node),
+                "owner": _task_owner(owners, r),
                 "start_ns": r.start_ns, "end_ns": r.end_ns,
                 "worker": r.worker,
             }) + "\n")

