@@ -2,8 +2,9 @@
 
 :func:`run_single` drives the full pipeline (grid, kernel compression,
 task-graph factorization, solve) and returns an :class:`ExperimentReport`
-with both error metrics, wall times with 95% confidence intervals, the
-BLAS thread count in effect inside library calls, the
+with both error metrics, wall times with 95% confidence intervals (of
+factorization, of a solve and of a 16-column block solve), the BLAS
+thread count in effect inside library calls, the
 skeleton ranks reached at each tree level, the runtime's makespan and
 per-kind task seconds of the build, and its breakdown of the last
 factorization: makespan, scheduler and idle overhead, per-kind and
@@ -57,6 +58,9 @@ SCALING_COLUMNS = [
     "factor_seconds_ci95", "solve_seconds_mean", "solve_seconds_ci95",
     "task_count", "status", "message",
 ]
+
+# Columns of the block right-hand side timed beside the single solve.
+BLOCK_RHS = 16
 
 # Default (max_rank, nleaf) grid for the accuracy sweep.
 DEFAULT_RANK_GRID = ((100, 256), (200, 256), (200, 512), (400, 512))
@@ -114,6 +118,9 @@ class ExperimentReport:
     factor_seconds_ci95: float | None
     solve_seconds_mean: float
     solve_seconds_ci95: float | None
+    # one ulv_solve of a (n, BLOCK_RHS) block
+    solve_block16_seconds_mean: float
+    solve_block16_seconds_ci95: float | None
     task_count: int
     makespan_seconds: float
     overhead_seconds: float
@@ -151,7 +158,8 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
 
     rng = np.random.default_rng(cfg.seed)
     b = rng.standard_normal(cfg.n)
-    factor_times, solve_times = [], []
+    block = rng.standard_normal((cfg.n, BLOCK_RHS))
+    factor_times, solve_times, block_times = [], [], []
     factors = stats = None
     for _ in range(cfg.repetitions):
         t0 = time.perf_counter()
@@ -160,6 +168,9 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         t0 = time.perf_counter()
         ulv_solve(factors, b)
         solve_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        ulv_solve(factors, block)
+        block_times.append(time.perf_counter() - t0)
 
     cons_err = construct_error(h, cfg.kernel, ps, cfg.seed)
     solv_err = solve_error(factors, h, cfg.seed)
@@ -167,6 +178,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
 
     factor_mean, factor_ci = _mean_ci95(factor_times)
     solve_mean, solve_ci = _mean_ci95(solve_times)
+    block_mean, block_ci = _mean_ci95(block_times)
     return ExperimentReport(
         schema_version=SCHEMA_VERSION,
         config=cfg.as_dict(),
@@ -180,6 +192,8 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         factor_seconds_ci95=factor_ci,
         solve_seconds_mean=solve_mean,
         solve_seconds_ci95=solve_ci,
+        solve_block16_seconds_mean=block_mean,
+        solve_block16_seconds_ci95=block_ci,
         task_count=len(graph),
         makespan_seconds=stats.makespan_seconds,
         # worker time inside the makespan not spent in tasks: scheduling and idle

@@ -14,7 +14,11 @@ A JSON config file may preset any option, including kernel constants:
 
 Config-file values replace the option defaults, so explicit command-line
 flags override them.  Exit status is zero only if every requested row
-succeeded.
+succeeded.  A failure writes a JSON object to stderr with ``status``,
+``error`` (the exception's class name) and ``message``; a
+:class:`~hssulv.linalg.NotPositiveDefiniteError` adds its ``pivot_index``,
+``pivot_value`` and ``context`` (the level, node and skeleton rank, or the
+root block).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .bench import (DEFAULT_RANK_GRID, RANK_SWEEP_COLUMNS, SCALING_COLUMNS,
                     ExperimentConfig, rank_accuracy_sweep, run_single,
                     scaling_sweep, write_csv, write_json)
 from .kernels import KERNEL_KINDS, KernelSpec
+from .linalg import NotPositiveDefiniteError
 
 __all__ = ["main", "build_parser"]
 
@@ -89,6 +94,16 @@ def _emit(payload, out, fmt, columns=None):
         sys.stdout.write("\n")
 
 
+def _error(exc: Exception, **extra) -> None:
+    """Write the JSON error object of ``exc`` to stderr."""
+    payload = {"status": "error", "error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, NotPositiveDefiniteError):
+        payload.update(pivot_index=exc.pivot_index, pivot_value=exc.pivot_value,
+                       context=exc.context)
+    json.dump({**payload, **extra}, sys.stderr, indent=2)
+    sys.stderr.write("\n")
+
+
 def main(argv=None) -> int:
     try:
         args, constants = _parse(argv)
@@ -99,8 +114,7 @@ def main(argv=None) -> int:
             workers=args.workers, nprocs_simulated=args.procs, seed=args.seed,
             repetitions=args.reps)
     except Exception as exc:
-        json.dump({"status": "error", "message": str(exc)}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        _error(exc)
         return 2
 
     sweep, fmt, out = args.sweep, args.format, args.out
@@ -126,9 +140,7 @@ def main(argv=None) -> int:
             _emit(report.as_dict(), out, "json")
         return 0
     except Exception as exc:
-        json.dump({"status": "error", "message": str(exc),
-                   "config": base.as_dict()}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        _error(exc, config=base.as_dict())
         return 1
 
 

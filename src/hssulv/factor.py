@@ -20,6 +20,13 @@ rotation, a block unit-lower elimination and a gather permutation,
 closed by a dense Cholesky of the small root block.  The factorization
 is exact on the compressed operator: compression error lives entirely in
 construction.
+
+:func:`ulv_solve` reads that product twice, leaves to root and back,
+each node's basis and factors once per sweep and the root factor once
+per direction.  The right-hand side is checked once, at entry, and the
+triangular solves call LAPACK directly, so no factor is scanned again
+per call.  A block of ``k`` right-hand sides makes the same two passes,
+so the factors are read once for all ``k`` columns.
 """
 
 from __future__ import annotations
@@ -27,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._threads import single_blas_thread
 from .construct import BlockBasis, HssMatrix, matvec
-from .linalg import NotPositiveDefiniteError, cholesky, partial_cholesky
+from .linalg import (NotPositiveDefiniteError, cholesky, partial_cholesky,
+                     solve_lower)
 
 __all__ = [
     "NodeFactor",
@@ -205,7 +212,7 @@ def _forward_node(nf: NodeFactor, seg: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rd = nf.redundant_dim
     if rd == 0:
         return rotated[:0], rotated
-    y_r = scipy.linalg.solve_triangular(nf.l_rr, rotated[:rd], lower=True)
+    y_r = solve_lower(nf.l_rr, rotated[:rd])
     y_s = rotated[rd:] - nf.l_sr @ y_r
     return y_r, y_s
 
@@ -215,21 +222,30 @@ def _backward_node(nf: NodeFactor, y_r: np.ndarray, x_s: np.ndarray) -> np.ndarr
     if rd == 0:
         return nf.basis.q @ x_s
     rhs = y_r - nf.l_sr.T @ x_s
-    x_r = scipy.linalg.solve_triangular(nf.l_rr, rhs, lower=True, trans="T")
+    x_r = solve_lower(nf.l_rr, rhs, trans=True)
     return nf.basis.q @ np.concatenate([x_r, x_s])
 
 
 @single_blas_thread
 def ulv_solve(f: UlvFactors, b: np.ndarray) -> np.ndarray:
-    """Solve the compressed system, sweeping leaf-to-root and back.
+    """Solve the compressed system for ``b`` of shape ``(n,)`` or ``(n, k)``,
+    sweeping leaf-to-root and back.
 
     Upward: rotate each block, eliminate its redundant part by forward
     substitution and keep only skeleton entries.  The root block is solved
     densely, then the mirrored downward sweep reconstructs the solution.
+    A non-finite ``b`` is refused.  A 1-D ``b`` stays 1-D throughout, in
+    matrix-vector products; the columns of a block go through
+    matrix-matrix products and agree with their single solves to
+    rounding.
     """
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (f.n,):
-        raise ValueError(f"right-hand side must have shape ({f.n},), got {b.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != f.n:
+        raise ValueError(f"right-hand side must have shape ({f.n},) or ({f.n}, k), "
+                         f"got {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"right-hand side is non-finite: {b.size - np.isfinite(b).sum()} "
+                         f"NaN or infinite entries")
     parked: dict = {}
     active = b
     for level in range(f.max_level, 0, -1):
@@ -242,8 +258,8 @@ def ulv_solve(f: UlvFactors, b: np.ndarray) -> np.ndarray:
             off += nf.width
         parked[level] = reds
         active = np.concatenate(skels)
-    w = scipy.linalg.solve_triangular(f.root_chol, active, lower=True)
-    w = scipy.linalg.solve_triangular(f.root_chol, w, lower=True, trans="T")
+    w = solve_lower(f.root_chol, active)
+    w = solve_lower(f.root_chol, w, trans=True)
     for level in range(1, f.max_level + 1):
         segs = []
         off = 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -19,6 +19,7 @@ __all__ = [
     "cholesky",
     "dominant_basis_full",
     "partial_cholesky",
+    "solve_lower",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -84,6 +85,28 @@ def cholesky(a: np.ndarray, context: str = "") -> np.ndarray:
     if info < 0:
         raise ValueError(f"invalid input to Cholesky (lapack info={info})")
     return c
+
+
+def solve_lower(low: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """``x`` with ``low @ x = b``, or ``low.T @ x = b`` if ``trans``, for a
+    lower-triangular float64 ``low`` and ``b`` of shape ``(n,)`` or ``(n, k)``.
+
+    This is LAPACK ``dtrtrs``, the routine and the layout choice of
+    ``scipy.linalg.solve_triangular``, so the bits are the same.  It skips
+    that function's validation and its finiteness scan of both operands,
+    which reads the whole factor on every call: callers check their
+    right-hand side once.
+    """
+    if b.size == 0:
+        return np.empty_like(b, dtype=np.float64)
+    if low.flags.f_contiguous:
+        x, info = dtrtrs(low, b, lower=1, trans=int(trans))
+    else:
+        # dtrtrs reads Fortran order, where a C-ordered lower factor is upper
+        x, info = dtrtrs(low.T, b, lower=0, trans=int(not trans))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (lapack info={info})")
+    return x
 
 
 def _numerical_rank(s: np.ndarray) -> int:

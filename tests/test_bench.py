@@ -44,6 +44,12 @@ class TestRunSingle:
         assert report.factor_seconds_ci95 is not None
         assert report.factor_seconds_ci95 >= 0
 
+    def test_block_solve_timed_beside_single(self):
+        report = json.loads(json.dumps(run_single(small_config(repetitions=2)).as_dict()))
+        assert report["solve_block16_seconds_mean"] > 0
+        assert report["solve_block16_seconds_ci95"] >= 0
+        assert run_single(small_config()).solve_block16_seconds_ci95 is None
+
     def test_yukawa_desk_scale_accuracy(self):
         report = run_single(small_config(kernel=KernelSpec("yukawa"),
                                          n=4096, max_rank=100))
@@ -251,6 +257,24 @@ class TestCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["status"] == "error"
+        assert err["error"] == "ValueError"
+
+    def test_not_positive_definite_fields(self, capsys, tmp_path):
+        # epsilon = 2 makes every laplace2d entry -log(2 + d) negative
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": "laplace2d",
+                                   "constants": {"epsilon": 2.0},
+                                   "N": 512, "nleaf": 256, "max_rank": 64,
+                                   "reps": 1}))
+        code = main(["--config", str(cfg)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["status"] == "error"
+        assert err["error"] == "NotPositiveDefiniteError"
+        assert isinstance(err["pivot_index"], int)
+        assert err["pivot_value"] <= 0
+        assert "skeleton rank" in err["context"]
+        assert err["context"] in err["message"]
 
     def test_failing_run_nonzero_exit(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -262,3 +286,5 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["status"] == "error"
+        assert err["error"] == "KernelEvaluationError"
+        assert "pivot_index" not in err

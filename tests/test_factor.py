@@ -256,8 +256,78 @@ class TestUlvSolve:
         spec = KernelSpec("laplace2d")
         ps = generate_grid(256)
         f = ulv_factor_hss(build_hss(spec, ps, nleaf=64, max_rank=30))
-        with pytest.raises(ValueError, match="right-hand side"):
-            ulv_solve(f, np.zeros(100))
+        for shape in [(100,), (100, 3), (256, 2, 2), (), (3, 256)]:
+            with pytest.raises(ValueError, match="right-hand side must have shape"):
+                ulv_solve(f, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_non_finite_rhs_named(self, bad, columns):
+        spec = KernelSpec("laplace2d")
+        ps = generate_grid(256)
+        f = ulv_factor_hss(build_hss(spec, ps, nleaf=64, max_rank=30))
+        b = np.ones(256 if columns is None else (256, columns))
+        b[17] = bad
+        with pytest.raises(ValueError, match="right-hand side is non-finite"):
+            ulv_solve(f, b)
+
+    def test_block_keeps_its_shape(self):
+        spec = KernelSpec("yukawa")
+        ps = generate_grid(256)
+        f = ulv_factor_hss(build_hss(spec, ps, nleaf=64, max_rank=30))
+        assert ulv_solve(f, np.ones(256)).shape == (256,)
+        assert ulv_solve(f, np.ones((256, 1))).shape == (256, 1)
+        assert ulv_solve(f, np.zeros((256, 0))).shape == (256, 0)
+
+
+def reference_solve(f, b):
+    """The two sweeps as first written, with ``scipy.linalg.solve_triangular``
+    (finiteness scans and all), for a right-hand side of shape ``(n,)``."""
+    def forward(nf, seg):
+        rotated = nf.basis.q.T @ seg
+        rd = nf.redundant_dim
+        if rd == 0:
+            return rotated[:0], rotated
+        y_r = sla.solve_triangular(nf.l_rr, rotated[:rd], lower=True)
+        return y_r, rotated[rd:] - nf.l_sr @ y_r
+
+    def backward(nf, y_r, x_s):
+        rd = nf.redundant_dim
+        if rd == 0:
+            return nf.basis.q @ x_s
+        x_r = sla.solve_triangular(nf.l_rr, y_r - nf.l_sr.T @ x_s, lower=True, trans="T")
+        return nf.basis.q @ np.concatenate([x_r, x_s])
+
+    parked, active = {}, b
+    for level in range(f.max_level, 0, -1):
+        reds, skels, off = [], [], 0
+        for nf in f.levels[level]:
+            y_r, y_s = forward(nf, active[off:off + nf.width])
+            reds.append(y_r)
+            skels.append(y_s)
+            off += nf.width
+        parked[level] = reds
+        active = np.concatenate(skels)
+    w = sla.solve_triangular(f.root_chol, active, lower=True)
+    w = sla.solve_triangular(f.root_chol, w, lower=True, trans="T")
+    for level in range(1, f.max_level + 1):
+        segs, off = [], 0
+        for nf, y_r in zip(f.levels[level], parked[level]):
+            segs.append(backward(nf, y_r, w[off:off + nf.skeleton_dim]))
+            off += nf.skeleton_dim
+        w = np.concatenate(segs)
+    return w
+
+
+@pytest.mark.parametrize("build", [build_hss, build_blr2])
+@pytest.mark.parametrize("kind", ["laplace2d", "yukawa", "matern"])
+def test_single_solve_bitwise_equal_to_reference(kind, build):
+    # the direct LAPACK calls skip only scans and validation, never arithmetic
+    f = ulv_factor_hss(build(KernelSpec(kind), generate_grid(1024), 128, 50))
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        b = rng.standard_normal(1024)
+        assert np.array_equal(ulv_solve(f, b), reference_solve(f, b))
 
 
 class TestReconstructCheck:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import random_spd
 from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
                     build_shared_basis, generate_grid, kernel_matrix,
                     partial_cholesky)
-from hssulv.linalg import dominant_basis_full
+from hssulv.linalg import dominant_basis_full, solve_lower
 
 
 def capped_basis(a, max_rank):
@@ -53,6 +54,31 @@ class TestCholesky:
         rng = np.random.default_rng(3)
         a = random_spd(rng, 64)
         assert np.array_equal(cholesky(a), cholesky(a.copy()))
+
+
+class TestSolveLower:
+    @pytest.mark.parametrize("order", ["F", "C", "strided"])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    def test_bitwise_equal_to_solve_triangular(self, order, trans, shape):
+        rng = np.random.default_rng(3)
+        low = cholesky(random_spd(rng, 80))[:40, :40] if order == "strided" \
+            else np.asarray(cholesky(random_spd(rng, 40)), order=order)
+        b = rng.standard_normal(shape)
+        want = sla.solve_triangular(low, b, lower=True, trans=int(trans))
+        got = solve_lower(low, b, trans=trans)
+        assert got.shape == shape
+        assert np.array_equal(got, want)
+
+    def test_empty_right_hand_side(self):
+        assert solve_lower(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert solve_lower(np.eye(3), np.zeros((3, 0))).shape == (3, 0)
+
+    def test_singular_factor_raises(self):
+        low = np.tril(np.ones((4, 4)))
+        low[2, 2] = 0
+        with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+            solve_lower(low, np.ones(4))
 
 
 class TestDominantBasis:

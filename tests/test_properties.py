@@ -5,7 +5,9 @@ For a random kernel, leaf size, depth and rank cap, the compressed
 operator is symmetric, stores each sibling coupling once (``i < j``) and
 is bitwise independent of the build's worker count and scheduling order,
 the factors of ``ulv_factor_hss`` rebuild it exactly, and the executor
-reproduces them bitwise for any worker count and scheduling order.
+reproduces them bitwise for any worker count and scheduling order.  A
+block solve agrees column by column with single solves and inverts the
+operator's ``matvec``.
 """
 
 import numpy as np
@@ -16,7 +18,10 @@ from hypothesis import strategies as st
 from conftest import factors_equal
 from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
                     build_blr2, build_dag, build_hss, execute, generate_grid,
-                    matvec, reconstruct_check, ulv_factor_hss)
+                    matvec, reconstruct_check, ulv_factor_hss, ulv_solve)
+
+# Criterion 2's solve bounds at N = 4096, nleaf 256, max_rank 100.
+SOLVE_BOUNDS = {"laplace2d": 1e-8, "yukawa": 1e-11, "matern": 1e-9}
 
 
 @st.composite
@@ -86,3 +91,19 @@ def test_compressed_operator_symmetric(tree):
     build, spec, n, nleaf, max_rank = tree
     dense = matvec(build(spec, generate_grid(n), nleaf, max_rank), np.eye(n))
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(KERNEL_KINDS), k=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_block_solve_matches_single_solves(cache, kind, k, seed):
+    h = cache.hss(kind, 4096, 256, 100)
+    f = cache.factors(kind, 4096, 256, 100)
+    b = np.random.default_rng(seed).standard_normal((4096, k))
+    x = ulv_solve(f, b)
+    assert x.shape == (4096, k)
+    for j in range(k):
+        single = ulv_solve(f, b[:, j])
+        assert np.linalg.norm(x[:, j] - single) <= 1e-14 * np.linalg.norm(single)
+    recovered = ulv_solve(f, matvec(h, b))
+    err = np.linalg.norm(recovered - b, axis=0) / np.linalg.norm(b, axis=0)
+    assert err.max() <= SOLVE_BOUNDS[kind]

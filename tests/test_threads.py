@@ -22,7 +22,8 @@ from hssulv.bench import ExperimentConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Operator, factors and solution of both builders, hashed in one stream.
+# Operator, factors, a solution and a block solution of both builders,
+# hashed in one stream.
 DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -31,6 +32,7 @@ from hssulv import (KernelSpec, build_blr2, build_dag, build_hss, execute,
 
 spec, ps = KernelSpec("matern"), generate_grid(1024)
 b = np.random.default_rng(0).standard_normal(1024)
+block = np.random.default_rng(1).standard_normal((1024, 4))
 digest = hashlib.sha256()
 for build in (build_hss, build_blr2):
     h = build(spec, ps, 256, 100)
@@ -39,7 +41,7 @@ for build in (build_hss, build_blr2):
               *(h.coupling[k] for k in sorted(h.coupling)), f.root_chol,
               *(a for level in sorted(f.levels) for nf in f.levels[level]
                 for a in (nf.l_rr, nf.l_sr)),
-              ulv_solve(f, b)]
+              ulv_solve(f, b), ulv_solve(f, block)]
     for a in arrays:
         digest.update(np.ascontiguousarray(a).tobytes())
 print(digest.hexdigest())
@@ -80,7 +82,8 @@ def small():
     spec, ps = KernelSpec("yukawa"), generate_grid(512)
     h = build_hss(spec, ps, 128, 30)
     return {"spec": spec, "ps": ps, "h": h, "m": build_blr2(spec, ps, 128, 30),
-            "f": ulv_factor_hss(h), "b": np.ones(512)}
+            "f": ulv_factor_hss(h), "b": np.ones(512),
+            "block": np.ones((512, 4))}
 
 
 ENTRY_POINTS = {
@@ -90,6 +93,7 @@ ENTRY_POINTS = {
     "ulv_factor_hss": lambda s: ulv_factor_hss(s["h"]),
     "ulv_factor_blr2": lambda s: ulv_factor_blr2(s["m"]),
     "ulv_solve": lambda s: ulv_solve(s["f"], s["b"]),
+    "ulv_solve_block": lambda s: ulv_solve(s["f"], s["block"]),
     "matvec": lambda s: matvec(s["h"], s["b"]),
     "construct_error": lambda s: construct_error(s["h"], s["spec"], s["ps"], 0),
     "reconstruct_check": lambda s: reconstruct_check(s["f"], s["h"]),
