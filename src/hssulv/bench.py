@@ -4,11 +4,11 @@
 task-graph factorization, solve) and returns an :class:`ExperimentReport`
 with both error metrics, wall times with 95% confidence intervals (of
 factorization, of a solve and of a 16-column block solve), the BLAS
-thread count in effect inside library calls, the
-skeleton ranks reached at each tree level, the runtime's makespan and
-per-kind task seconds of the build, and its breakdown of the last
-factorization: makespan, scheduler and idle overhead, per-kind and
-per-worker task seconds, and simulated communication.  Build and
+thread count in effect inside library calls, the skeleton ranks and
+truncation tails reached at each tree level, the runtime's makespan,
+per-kind task seconds and busy ratio of the build, and its breakdown of
+the last factorization: makespan, scheduler and idle overhead, per-kind
+and per-worker task seconds, and simulated communication.  Build and
 factorization both run at ``workers``.  Construction is timed separately
 from factorization; repetitions re-run factorization and solve on the
 already built operator, so the build time carries no interval.  Each
@@ -114,6 +114,8 @@ class ExperimentReport:
     build_seconds: float
     build_makespan_seconds: float
     build_per_kind_seconds: dict
+    # build task seconds / (workers x build makespan): 1.0 when no worker idles
+    build_busy_ratio: float
     factor_seconds_mean: float
     factor_seconds_ci95: float | None
     solve_seconds_mean: float
@@ -130,6 +132,7 @@ class ExperimentReport:
     comm_events: int
     comm_entries: int
     # per level: {"level", "min", "mean", "max", "at_cap"} skeleton ranks
+    # and "tail_max", the largest relative truncation tail of its nodes
     rank_stats: list
 
     def as_dict(self) -> dict:
@@ -140,8 +143,10 @@ def _rank_stats(h, max_rank: int) -> list:
     out = []
     for level in range(1, h.max_level + 1):
         ranks = [h.skeleton_dim(level, i) for i in range(h.num_nodes(level))]
+        tails = [h.bases[(level, i)].tail for i in range(h.num_nodes(level))]
         out.append({"level": level, "min": min(ranks), "mean": float(np.mean(ranks)),
-                    "max": max(ranks), "at_cap": ranks.count(max_rank)})
+                    "max": max(ranks), "at_cap": ranks.count(max_rank),
+                    "tail_max": max(tails)})
     return out
 
 
@@ -188,6 +193,8 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         build_seconds=build_s,
         build_makespan_seconds=build_stats.makespan_seconds,
         build_per_kind_seconds=build_stats.per_kind_seconds,
+        build_busy_ratio=build_stats.total_task_seconds
+        / (cfg.workers * build_stats.makespan_seconds),
         factor_seconds_mean=factor_mean,
         factor_seconds_ci95=factor_ci,
         solve_seconds_mean=solve_mean,

@@ -18,7 +18,8 @@ succeeded.  A failure writes a JSON object to stderr with ``status``,
 ``error`` (the exception's class name) and ``message``; a
 :class:`~hssulv.linalg.NotPositiveDefiniteError` adds its ``pivot_index``,
 ``pivot_value`` and ``context`` (the level, node and skeleton rank, or the
-root block).
+root block), and the failing node's ``level``, ``node`` and skeleton
+``rank`` as numbers (``null`` at the root).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def _error(exc: Exception, **extra) -> None:
     payload = {"status": "error", "error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, NotPositiveDefiniteError):
         payload.update(pivot_index=exc.pivot_index, pivot_value=exc.pivot_value,
-                       context=exc.context)
+                       context=exc.context, level=exc.level, node=exc.node,
+                       rank=exc.rank)
     json.dump({**payload, **extra}, sys.stderr, indent=2)
     sys.stderr.write("\n")
 

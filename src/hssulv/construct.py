@@ -8,7 +8,10 @@ only through their small skeleton coupling ``S_ij = Us_i^T A_ij Us_j``,
 once per pair, as ``i < j``.
 A node's skeleton is the span of the leading left singular vectors of its
 stacked admissible blocks (a QR squeezes the wide row down to a square
-triangle first), the best column space of that rank.
+triangle first), the best column space of that rank.  That QR and SVD
+are LAPACK ``dgeqrt`` and ``dgesdd`` called with the GIL released
+(:func:`hssulv.linalg.dominant_basis_full`), so the build's workers
+compress in parallel.
 The two formats differ only in fan-out:
 
 * HSS (:func:`build_hss`) is a binary tree of depth L.  An upper-level
@@ -71,11 +74,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockBasis:
-    """Orthonormal square basis of one block row, columns ``[redundant | skeleton]``."""
+    """Orthonormal square basis of one block row, columns ``[redundant | skeleton]``.
+
+    ``tail`` is the relative truncation error ``||s[r:]|| / ||s||`` of the
+    compressed row at the kept rank ``r``, read from the singular values
+    the basis came from (0.0 when nothing was discarded or it is unknown).
+    """
 
     q: np.ndarray
     redundant_dim: int
     skeleton_dim: int
+    tail: float = 0.0
 
     def __post_init__(self):
         q = _freeze(self.q)
@@ -103,19 +112,25 @@ def build_shared_basis(row_block: np.ndarray, max_rank: int) -> BlockBasis:
     left singular vectors of ``row_block.T``, taken from an SVD of the
     small triangular factor of an unpivoted QR of ``row_block``, so each
     basis is the truncated-SVD optimum for its row at the given rank; the
-    remaining singular vectors complete the square orthonormal basis.
+    remaining singular vectors complete the square orthonormal basis.  The
+    singular values left out give the basis its ``tail``.  The QR and the
+    SVD run with the GIL released
+    (:func:`~hssulv.linalg.dominant_basis_full`), so leaf tasks on
+    different workers compress at the same time.
     """
     row_block = np.asarray(row_block, dtype=np.float64)
     if row_block.ndim != 2 or row_block.size == 0:
         raise ValueError("row_block is empty: no admissible blocks to compress")
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
-    q, rank = dominant_basis_full(row_block.T)
+    q, rank, s = dominant_basis_full(row_block.T)
     size = q.shape[0]
     rank = min(rank, max_rank, size)
+    total = np.linalg.norm(s)
+    tail = float(np.linalg.norm(s[rank:]) / total) if total else 0.0
     # Reorder to [redundant | skeleton].
     ordered = np.hstack([q[:, rank:], q[:, :rank]])
-    return BlockBasis(ordered, size - rank, rank)
+    return BlockBasis(ordered, size - rank, rank, tail)
 
 
 @dataclass(frozen=True)
@@ -193,8 +208,8 @@ def _available_bytes() -> int | None:
 def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
     """Upper estimate of a build's peak working set, in bytes.
 
-    Each running leaf task holds its admissible row, the QR's copy of it,
-    the full-height triangle the QR returns and its projection.  HSS packs
+    Each running leaf task holds its admissible row, the one working copy
+    of it that the QR factors in place, and its projection.  HSS packs
     the leaf couplings into a table of side ``(n / nleaf) * max_rank``; a
     transfer pass holds the table, its projected rows (half of it) and the
     next table (a quarter).  The output is the diagonals and leaf bases,
@@ -202,7 +217,7 @@ def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool
     couplings: one per pair of leaves in BLR2, one per parent in HSS.
     """
     nb = n // nleaf
-    leaf_task = 3 * nleaf * n + max_rank * n
+    leaf_task = 2 * nleaf * n + max_rank * n
     table = 0 if one_level else 1.75 * (nb * max_rank) ** 2
     couplings = nb * (nb - 1) // 2 if one_level else nb - 1
     output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2) + couplings * max_rank**2

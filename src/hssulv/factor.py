@@ -147,9 +147,13 @@ def run_diag_product(h: HssMatrix, results: dict, level: int, node: int):
 
 def run_partial_factor(h: HssMatrix, results: dict, level: int, node: int):
     basis = h.bases[(level, node)]
-    return partial_cholesky(
-        results.pop(("dp", level, node)), basis.redundant_dim,
-        context=f"level {level} node {node} (skeleton rank {basis.skeleton_dim})")
+    try:
+        return partial_cholesky(
+            results.pop(("dp", level, node)), basis.redundant_dim,
+            context=f"level {level} node {node} (skeleton rank {basis.skeleton_dim})")
+    except NotPositiveDefiniteError as err:
+        err.level, err.node, err.rank = level, node, basis.skeleton_dim
+        raise
 
 
 def run_merge(h: HssMatrix, results: dict, level: int, parent: int):

@@ -3,14 +3,27 @@
 Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
 truncation, block splits) that the factorization layers rely on.
+
+Two routes reach the same LAPACK library.  The Cholesky and triangular
+solves (``dpotrf``, ``dtrtrs``) go through scipy's f2py wrappers, which
+hold the GIL for the call.  :func:`dominant_basis_full`, the compression
+behind every shared basis of a build, calls ``dgeqrt`` and ``dgesdd``
+through :func:`_lapack`: ctypes function pointers to the routines that
+``scipy.linalg.cython_lapack`` exports, called with the GIL released, so
+the build's workers compress side by side.  It is the same library that
+``scipy.linalg`` calls, so the thread policy of :mod:`hssulv._threads`
+covers both.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 __all__ = [
@@ -27,7 +40,16 @@ RANK_RTOL = 1e-14
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Cholesky hit a non-positive pivot; the operator is not SPD."""
+    """Cholesky hit a non-positive pivot; the operator is not SPD.
+
+    A factorization task fills ``level``, ``node`` and ``rank`` (the
+    node's skeleton rank) for a failing node; they stay ``None`` at the
+    root and outside a factorization.
+    """
+
+    level: int | None = None
+    node: int | None = None
+    rank: int | None = None
 
     def __init__(self, pivot_index: int, pivot_value: float, context: str = ""):
         self.pivot_index = pivot_index
@@ -116,28 +138,109 @@ def _numerical_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
-def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int]:
+# Own prototypes of the two C-API calls, so that the shared
+# ctypes.pythonapi entries keep whatever types other code gave them.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+@functools.cache
+def _lapack(name: str):
+    """LAPACK routine ``name`` as a ctypes function that releases the GIL.
+
+    The pointer comes from the capsule ``scipy.linalg.cython_lapack``
+    exports for it; the capsule's name is the C signature, in which every
+    argument is a pointer (the Fortran convention).
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    nargs = signature.count(b",") + 1
+    proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
+    return proto(_capsule_pointer(capsule, signature))
+
+
+def _call(name: str, *args) -> None:
+    """Call LAPACK ``name``: ints go by reference, arrays by their data
+    pointer, bytes as they are; the trailing ``info`` is added and checked."""
+    info = ctypes.c_int(0)
+    _lapack(name)(*(ctypes.byref(ctypes.c_int(a)) if isinstance(a, int)
+                    else a.ctypes.data if isinstance(a, np.ndarray) else a
+                    for a in args), ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"{name} failed (lapack info={info.value})")
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors (all of them, ``jobz='A'``) and singular
+    values of a nonempty F-ordered ``a``, which ``dgesdd`` overwrites.
+
+    The same call as ``scipy.linalg.svd(a)``, so the same bits.
+    """
+    if a.dtype != np.float64 or not a.flags.f_contiguous:
+        raise ValueError("the SVD needs an F-ordered float64 array")
+    m, n = a.shape
+    k = min(m, n)
+    s = np.empty(k)
+    u = np.empty((m, m), order="F")
+    vt = np.empty((n, n), order="F")
+    iwork = np.empty(8 * k, dtype=np.intc)
+
+    def gesdd(work: np.ndarray, lwork: int):
+        _call("dgesdd", b"A", m, n, a, m, s, u, m, vt, n, work, lwork, iwork)
+
+    query = np.empty(1)
+    gesdd(query, -1)
+    lwork = int(query[0])
+    gesdd(np.empty(lwork), lwork)
+    return u, s
+
+
+# Block size of dgeqrt: the fastest of 16, 32, 64 and 128 on a 3840 x 256
+# leaf row at one BLAS thread.
+QR_BLOCK = 32
+
+
+def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Complete orthonormal basis ordered by the singular values of ``a``.
 
     Returns the full square Q (shape ``m x m``) whose leading columns span
-    the dominant column space of ``a``, plus the numerical rank read from
-    the singular values at relative tolerance ``RANK_RTOL``.  Truncating
-    to the leading ``k`` columns is the best rank-``k`` column space.  A
-    wide input is first compressed to the ``m x m`` triangle of an
-    unpivoted QR of its transpose, which has the same column space and
-    singular values, so the SVD only ever sees a small factor.
+    the dominant column space of ``a``, the numerical rank read from the
+    singular values at relative tolerance ``RANK_RTOL``, and the singular
+    values themselves (descending).  Truncating to the leading ``k``
+    columns is the best rank-``k`` column space.  A wide input is first
+    compressed to the ``m x m`` triangle of an unpivoted QR of its
+    transpose, which has the same column space and singular values, so
+    the SVD only ever sees a small factor.
+
+    The QR is LAPACK's level-3 recursive ``dgeqrt``, run in place on one
+    F-ordered working copy of ``a.T``, and the SVD is ``dgesdd``; both go
+    through :func:`_lapack`, so the GIL is released while they run.
+    ``a`` is not modified.  Raises ``ValueError`` if ``a`` holds an
+    infinite or NaN entry.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("a must be 2-D")
     m, n = a.shape
     if m == 0 or n == 0:
-        return np.eye(m), 0
+        return np.eye(m), 0, np.zeros(0)
     if n > m:
         # a = (Q R)^T = R^T Q^T, so R^T carries the column space of a
-        a = scipy.linalg.qr(a.T, mode="r")[0][:m].T
-    u, s, _ = scipy.linalg.svd(a, full_matrices=True)
-    return u, _numerical_rank(s)
+        work = np.array(a.T, order="F")
+        nb = min(QR_BLOCK, m)
+        _call("dgeqrt", n, m, nb, work, n, np.empty((nb, m), order="F"), nb,
+              np.empty(nb * m))
+        factor = np.asfortranarray(np.tril(work[:m].T))
+        del work  # free the row-sized copy before the SVD allocates
+    else:
+        factor = np.array(a, order="F")
+    # A non-finite entry of a reaches the small factor; checking there is cheap.
+    if not np.isfinite(factor).all():
+        raise ValueError("a must not contain infs or NaNs")
+    u, s = _svd(factor)
+    return u, _numerical_rank(s), s
 
 
 @dataclass(frozen=True)

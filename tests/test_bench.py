@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from hssulv import ExperimentConfig, KernelSpec, run_single
+from hssulv import (ExperimentConfig, KernelSpec, build_hss, construct_error,
+                    generate_grid, run_single)
 from hssulv._threads import _pools
 from hssulv.bench import (DEFAULT_RANK_GRID, RANK_SWEEP_COLUMNS, SCALING_COLUMNS,
-                          fit_growth_exponent, rank_accuracy_sweep,
+                          _rank_stats, fit_growth_exponent, rank_accuracy_sweep,
                           scaling_sweep, write_csv)
 from hssulv.cli import main
 
@@ -57,13 +58,29 @@ class TestRunSingle:
         assert report.solve_error <= 1e-12
 
     def test_rank_stats_per_level(self):
-        # every matern node reaches the cap at this size
+        # every matern node reaches the cap at this size, and what the cap
+        # leaves out of each level's rows is small but not zero
         report = run_single(small_config(kernel=KernelSpec("matern"), n=1024,
                                          max_rank=100))
+        tails = [stats.pop("tail_max") for stats in report.rank_stats]
         assert report.rank_stats == [
             {"level": 1, "min": 100, "mean": 100.0, "max": 100, "at_cap": 2},
             {"level": 2, "min": 100, "mean": 100.0, "max": 100, "at_cap": 4},
         ]
+        assert all(1e-13 < tail < 1e-8 for tail in tails)
+
+    def test_tail_names_binding_level(self):
+        # laplace2d at N = 8192: the level-2 nodes hold 2048 points each and
+        # need more than rank 100; their tail sets the construct error
+        spec, ps = KernelSpec("laplace2d"), generate_grid(8192)
+        h = build_hss(spec, ps, 256, 100, workers=2)
+        stats = _rank_stats(h, 100)
+        binding = max(stats, key=lambda level: level["tail_max"])
+        assert binding["level"] == 2
+        others = [level["tail_max"] for level in stats if level is not binding]
+        assert max(others) < binding["tail_max"] / 10
+        error = construct_error(h, spec, ps, 0)
+        assert binding["tail_max"] / 2 <= error <= 2 * binding["tail_max"]
 
     def test_blas_threads_one_per_pool_found(self):
         # one thread inside library calls in every OpenBLAS pool loaded,
@@ -167,6 +184,13 @@ class TestBuildTimings:
         assert sum(report.build_per_kind_seconds.values()) <= \
             workers * report.build_makespan_seconds + 1e-9
 
+    def test_build_busy_ratio_at_two_workers(self):
+        report = run_single(small_config(n=2048, max_rank=64, workers=2))
+        assert 0 < report.build_busy_ratio <= 1
+        assert report.build_busy_ratio == pytest.approx(
+            sum(report.build_per_kind_seconds.values())
+            / (2 * report.build_makespan_seconds))
+
     def test_build_fields_in_json_report(self):
         report = json.loads(json.dumps(run_single(small_config()).as_dict()))
         assert report["build_makespan_seconds"] > 0
@@ -260,7 +284,8 @@ class TestCli:
         assert err["error"] == "ValueError"
 
     def test_not_positive_definite_fields(self, capsys, tmp_path):
-        # epsilon = 2 makes every laplace2d entry -log(2 + d) negative
+        # epsilon = 2 makes every laplace2d entry -log(2 + d) negative; the
+        # constant mode sits in the skeletons and fails at the root
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kernel": "laplace2d",
                                    "constants": {"epsilon": 2.0},
@@ -275,6 +300,21 @@ class TestCli:
         assert err["pivot_value"] <= 0
         assert "skeleton rank" in err["context"]
         assert err["context"] in err["message"]
+        assert err["context"].startswith("root block")
+        assert (err["level"], err["node"], err["rank"]) == (None, None, None)
+
+    def test_not_positive_definite_node_fields(self, capsys, tmp_path):
+        # matern of order sigma = 3 loses definiteness below the skeleton
+        # of the first level-1 node; the row names it with numbers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": "matern", "constants": {"sigma": 3.0},
+                                   "N": 512, "nleaf": 256, "max_rank": 64,
+                                   "reps": 1}))
+        assert main(["--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NotPositiveDefiniteError"
+        assert (err["level"], err["node"], err["rank"]) == (1, 0, 64)
+        assert err["context"] == "level 1 node 0 (skeleton rank 64)"
 
     def test_failing_run_nonzero_exit(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

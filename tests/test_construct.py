@@ -71,6 +71,17 @@ class TestSharedBasis:
         tail = np.linalg.norm(np.linalg.svd(stacked, compute_uv=False)[100:])
         assert err <= tail + 1e-14 * np.linalg.norm(stacked)
 
+    def test_tail_is_the_discarded_singular_values(self):
+        rng = np.random.default_rng(2)
+        stacked = rng.standard_normal((300, 40)) * np.logspace(0, -6, 40)
+        s = np.linalg.svd(stacked, compute_uv=False)
+        basis = build_shared_basis(stacked, max_rank=10)
+        assert basis.tail == pytest.approx(np.linalg.norm(s[10:]) / np.linalg.norm(s),
+                                           rel=1e-10)
+        # nothing is cut from an exact rank-7 row
+        low_rank = rng.standard_normal((100, 7)) @ rng.standard_normal((7, 24))
+        assert build_shared_basis(low_rank, max_rank=20).tail < 1e-14
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
             build_shared_basis(np.zeros((0, 8)), 4)

@@ -170,8 +170,9 @@ class TestHssUlv:
         broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases, h.coupling)
         rank = h.skeleton_dim(2, 2)
         with pytest.raises(NotPositiveDefiniteError,
-                           match=f"level 2 node 2 \\(skeleton rank {rank}\\)"):
+                           match=f"level 2 node 2 \\(skeleton rank {rank}\\)") as err:
             ulv_factor_hss(broken)
+        assert (err.value.level, err.value.node, err.value.rank) == (2, 2, rank)
 
     def test_blr2_non_spd_names_level_and_node(self):
         spec = KernelSpec("yukawa")
@@ -187,6 +188,7 @@ class TestHssUlv:
         with pytest.raises(NotPositiveDefiniteError) as err:
             ulv_factor_hss(indefinite_root_hss())
         assert "root block (order 2, level-1 skeleton ranks [1, 1])" in str(err.value)
+        assert (err.value.level, err.value.node, err.value.rank) == (None, None, None)
 
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_factor_peak_memory_within_twice_factor_bytes(self, n):

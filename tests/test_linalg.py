@@ -1,3 +1,7 @@
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,7 +10,8 @@ from conftest import random_spd
 from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
                     build_shared_basis, generate_grid, kernel_matrix,
                     partial_cholesky)
-from hssulv.linalg import dominant_basis_full, solve_lower
+from hssulv._threads import single_blas_thread
+from hssulv.linalg import _svd, dominant_basis_full, solve_lower
 
 
 def capped_basis(a, max_rank):
@@ -83,7 +88,7 @@ class TestSolveLower:
 
 class TestDominantBasis:
     def test_identity_full_rank(self):
-        q, rank = dominant_basis_full(np.eye(4))
+        q, rank, _ = dominant_basis_full(np.eye(4))
         assert rank == 4 and q.shape == (4, 4)
         assert np.allclose(q.T @ q, np.eye(4), atol=1e-14)
 
@@ -119,14 +124,14 @@ class TestDominantBasis:
         rng = np.random.default_rng(6)
         m, n = shape
         a = rng.standard_normal((m, 4)) @ rng.standard_normal((4, n))
-        q, rank = dominant_basis_full(a)
+        q, rank, _ = dominant_basis_full(a)
         assert q.shape == (m, m) and rank == 4
         assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-13
         lead = q[:, :rank]
         assert np.linalg.norm(a - lead @ (lead.T @ a)) <= 1e-13 * np.linalg.norm(a)
 
     def test_zero_matrix_rank_zero(self):
-        q, rank = dominant_basis_full(np.zeros((5, 4)))
+        q, rank, _ = dominant_basis_full(np.zeros((5, 4)))
         assert rank == 0 and q.shape == (5, 5)
         q, rank = capped_basis(np.zeros((5, 4)), 3)
         assert rank == 0 and q.shape == (5, 0)
@@ -134,9 +139,84 @@ class TestDominantBasis:
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((20, 16))
-        q1, _ = dominant_basis_full(a)
-        q2, _ = dominant_basis_full(a.copy())
+        q1 = dominant_basis_full(a)[0]
+        q2 = dominant_basis_full(a.copy())[0]
         assert np.array_equal(q1, q2)
+
+    @pytest.mark.parametrize("shape", [(256, 256), (200, 200), (100, 37)])
+    def test_svd_bitwise_equal_to_scipy(self, shape):
+        # the triangles dominant_basis_full hands to its SVD
+        a = np.tril(np.random.default_rng(9).standard_normal(shape))
+        want_u, want_s, _ = sla.svd(a, full_matrices=True)
+        u, s = _svd(np.array(a, order="F"))
+        assert np.array_equal(u, want_u) and np.array_equal(s, want_s)
+
+    def test_singular_values_returned(self):
+        a = np.random.default_rng(10).standard_normal((30, 200))
+        _, _, s = dominant_basis_full(a)
+        want = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(s, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad, wide):
+        a = np.ones((6, 40) if wide else (6, 4))
+        a[2, 3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            dominant_basis_full(a)
+
+    @pytest.mark.parametrize("shape", [(512, 512), (256, 4096)],
+                             ids=["square-svd", "wide-qr-svd"])
+    def test_releases_the_gil(self, shape):
+        # A thread counts in a Python loop and notes every pause of more
+        # than 1 ms.  A LAPACK call that holds the GIL stops it for the
+        # whole call: 0.09-0.16 s for this SVD through scipy.linalg.svd.
+        # Released, the longest pause is a scheduler slice (at most 8 ms
+        # measured, also beside spinning OpenBLAS threads).  The count
+        # alone cannot tell: between bytecodes the interpreter's switch
+        # interval hands the GIL over anyway.  The wide case adds dgeqrt.
+        a = np.random.default_rng(11).standard_normal(shape)
+        state = {"count": 0, "stop": False, "pauses": []}
+
+        def count():
+            last = time.perf_counter()
+            while not state["stop"]:
+                state["count"] += 1
+                now = time.perf_counter()
+                if now - last > 1e-3:
+                    state["pauses"].append((last, now))
+                last = now
+
+        counter = threading.Thread(target=count, daemon=True)
+        counter.start()
+        try:
+            while state["count"] == 0:
+                time.sleep(1e-3)
+            before = state["count"]
+            t0 = time.perf_counter()
+            single_blas_thread(dominant_basis_full)(a)
+            t1 = time.perf_counter()
+            advanced = state["count"] - before
+        finally:
+            state["stop"] = True
+            counter.join(timeout=10)
+        assert not counter.is_alive()
+        assert advanced >= 10**4
+        longest = max([min(end, t1) - max(start, t0) for start, end in state["pauses"]],
+                      default=0)
+        assert longest < 0.03
+
+    def test_one_working_copy_of_a_wide_row(self):
+        # a leaf row at N = 8192: the QR works in one copy of the row
+        row = np.random.default_rng(12).standard_normal((256, 7936))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dominant_basis_full(row)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * row.nbytes
 
 
 class TestPartialCholesky:
