@@ -1,6 +1,7 @@
 import hashlib
 import os
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -285,6 +286,38 @@ class TestParallelBuild:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             build_hss(KernelSpec("yukawa"), generate_grid(512), 256, 100, workers=0)
+
+    def test_row_buffers_reused_then_dropped(self):
+        rows = construct._RowBuffers((2, 3), leases=3)
+        with rows.lease() as first:
+            with rows.lease() as second:
+                # a lease taken while another is out gets its own row
+                assert second is not first
+        with rows.lease() as third:
+            assert third is first or third is second
+        assert rows._free == []  # the last lease dropped the rows
+
+    @pytest.mark.parametrize("build", [build_hss, build_blr2])
+    def test_one_admissible_row_per_worker(self, build, monkeypatch):
+        # the leaf tasks of a build share one row array per worker, and
+        # the build holds none of them when it returns
+        pools, rows = [], set()
+
+        class Recorded(construct._RowBuffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                pools.append(self)
+
+            @contextmanager
+            def lease(self):
+                with super().lease() as row:
+                    rows.add(id(row))
+                    yield row
+
+        monkeypatch.setattr(construct, "_RowBuffers", Recorded)
+        build(KernelSpec("yukawa"), generate_grid(4096), 256, 100, workers=2)
+        assert len(pools) == 1 and pools[0]._free == []
+        assert 1 <= len(rows) <= 2
 
 
 class TestMemoryRefusal:
