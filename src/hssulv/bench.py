@@ -116,6 +116,8 @@ class ExperimentReport:
     build_per_kind_seconds: dict
     # build task seconds / (workers x build makespan): 1.0 when no worker idles
     build_busy_ratio: float
+    # the last factorization's task seconds / (workers x its makespan)
+    factor_busy_ratio: float
     factor_seconds_mean: float
     factor_seconds_ci95: float | None
     solve_seconds_mean: float
@@ -195,6 +197,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         build_per_kind_seconds=build_stats.per_kind_seconds,
         build_busy_ratio=build_stats.total_task_seconds
         / (cfg.workers * build_stats.makespan_seconds),
+        factor_busy_ratio=stats.total_task_seconds / (cfg.workers * stats.makespan_seconds),
         factor_seconds_mean=factor_mean,
         factor_seconds_ci95=factor_ci,
         solve_seconds_mean=solve_mean,

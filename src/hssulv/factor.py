@@ -70,12 +70,15 @@ def merge_children(remainders: list, couplings: dict) -> np.ndarray:
     order, and ``couplings[(a, b)]`` (child ``a`` rows, child ``b``
     columns, ``a < b``) fills off-diagonal block ``(a, b)`` and, transposed,
     ``(b, a)``, matching the gather permutation of the factored form.
+
+    The block is F-ordered, the layout LAPACK reads, so the root can be
+    factored in place in it.
     """
     dims = [ss.shape[0] for ss in remainders]
     if any(ss.shape != (d, d) for ss, d in zip(remainders, dims)):
         raise ValueError("skeleton remainders must be square")
     offs = np.concatenate([[0], np.cumsum(dims)])
-    out = np.empty((offs[-1], offs[-1]))
+    out = np.empty((offs[-1], offs[-1]), order="F")
     for a, ss in enumerate(remainders):
         rows = slice(offs[a], offs[a + 1])
         out[rows, rows] = ss
@@ -170,10 +173,11 @@ def run_merge(h: HssMatrix, results: dict, level: int, parent: int):
 
 
 def run_root_factor(h: HssMatrix, results: dict):
+    # the merged block is this task's own; it becomes the root factor
     block = results.pop(("mg", 1, 0))
     ranks = [h.skeleton_dim(1, i) for i in range(h.num_nodes(1))]
     return cholesky(block, context=f"root block (order {block.shape[0]}, "
-                                   f"level-1 skeleton ranks {ranks})")
+                                   f"level-1 skeleton ranks {ranks})", overwrite_a=True)
 
 
 def _perm_for_level(factors: list) -> np.ndarray:

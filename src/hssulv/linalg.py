@@ -4,15 +4,17 @@ Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
 truncation, block splits) that the factorization layers rely on.
 
-Two routes reach the same LAPACK library.  The Cholesky and triangular
-solves (``dpotrf``, ``dtrtrs``) go through scipy's f2py wrappers, which
-hold the GIL for the call.  :func:`dominant_basis_full`, the compression
-behind every shared basis of a build, calls ``dgeqrt`` and ``dgesdd``
-through :func:`_lapack`: ctypes function pointers to the routines that
-``scipy.linalg.cython_lapack`` exports, called with the GIL released, so
-the build's workers compress side by side.  It is the same library that
-``scipy.linalg`` calls, so the thread policy of :mod:`hssulv._threads`
-covers both.
+Two routes reach the same LAPACK library.  The factorization's Cholesky
+and triangular solves (``dpotrf``, ``dtrtrs``) and the compression behind
+every shared basis of a build (``dgeqrt``, ``dgesdd``) go through
+:func:`_lapack`: ctypes function pointers to the routines that
+``scipy.linalg.cython_lapack`` exports, called with the GIL released and
+in place on F-ordered arrays, so the workers of a build or a
+factorization run them side by side.  :func:`solve_lower`, called once
+per node and per sweep by the solve, stays on scipy's f2py ``dtrtrs``,
+which holds the GIL but costs less per call.  It is the same library
+that ``scipy.linalg`` calls, so the thread policy of
+:mod:`hssulv._threads` covers both.
 """
 
 from __future__ import annotations
@@ -68,17 +70,39 @@ def _require_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+# Side of the square tiles the symmetry check compares (a pair of them
+# stays in cache while one is read against the other's transpose) and
+# the Cholesky zeroes its upper triangle by.
+TILE = 128
+_STRICT_UPPER = ~np.tri(TILE, dtype=bool)
+
+
 def _require_symmetric(a: np.ndarray, name: str, context: str = ""):
-    # inputs symmetric to 1e-12 relative must pass; allow slack above that
+    """Refuse a square ``a`` that holds a NaN or an infinity, or that is not
+    symmetric: inputs symmetric to ``SYMMETRY_RTOL`` relative must pass,
+    with slack above that.
+
+    The test is ``|a - a.T|.max() > 10 * SYMMETRY_RTOL * |a|.max()``, taken
+    one pair of tiles ``(i, j)``, ``i <= j``, at a time, so that no
+    transposed copy of ``a`` is made.  ``|a|.max()`` comes from the same
+    ``max`` and ``min`` that show a non-finite entry.
+    """
     if a.size == 0:
         return
-    scale = np.abs(a).max()
-    if scale == 0:
-        return
-    if np.abs(a - a.T).max() > 10 * SYMMETRY_RTOL * scale:
-        where = f" in {context}" if context else ""
-        raise ValueError(
-            f"{name} is not symmetric (beyond {SYMMETRY_RTOL:g} relative){where}")
+    where = f" in {context}" if context else ""
+    hi, lo = a.max(), a.min()
+    # a NaN makes both NaN, which compares false; test explicitly
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise ValueError(f"{name} has NaN or infinite entries{where}")
+    limit = 10 * SYMMETRY_RTOL * max(hi, -lo)
+    n = a.shape[0]
+    for i in range(0, n, TILE):
+        rows = slice(i, i + TILE)
+        for j in range(i, n, TILE):
+            cols = slice(j, j + TILE)
+            if np.abs(a[rows, cols] - a[cols, rows].T).max() > limit:
+                raise ValueError(
+                    f"{name} is not symmetric (beyond {SYMMETRY_RTOL:g} relative){where}")
 
 
 def _failed_pivot_value(a: np.ndarray, k: int) -> float:
@@ -90,23 +114,55 @@ def _failed_pivot_value(a: np.ndarray, k: int) -> float:
     return float(a[k, k] - w @ w)
 
 
-def cholesky(a: np.ndarray, context: str = "") -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def _cholesky_in_place(a: np.ndarray, context: str = "") -> np.ndarray:
+    """Lower Cholesky factor of the square F-ordered float64 ``a``, which
+    LAPACK ``dpotrf`` writes over ``a`` with the GIL released; returns ``a``
+    with its strictly upper triangle zeroed.
 
-    Raises :class:`NotPositiveDefiniteError` with pivot index and value on
-    failure; there is no automatic diagonal shift.
+    Refuses a non-finite or non-symmetric ``a`` with a ``ValueError``.  On
+    a non-positive pivot raises :class:`NotPositiveDefiniteError` with the
+    value ``dpotrf`` left on the diagonal; ``a`` is then partly factored.
     """
+    if a.dtype != np.float64 or not a.flags.f_contiguous or not a.flags.writeable:
+        raise ValueError("the in-place Cholesky needs a writeable F-ordered float64 array")
     a = _require_square(a, "a")
     _require_symmetric(a, "a", context)
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    c, info = dpotrf(a, lower=1, clean=1)
-    if info > 0:
+    n = a.shape[0]
+    if n == 0:
+        return a
+    info = _info("dpotrf", b"L", n, a, n)
+    if info:
         k = info - 1
-        raise NotPositiveDefiniteError(k, _failed_pivot_value(a, k), context)
-    if info < 0:
-        raise ValueError(f"invalid input to Cholesky (lapack info={info})")
-    return c
+        raise NotPositiveDefiniteError(k, float(a[k, k]), context)
+    for j in range(0, n, TILE):
+        w = min(TILE, n - j)
+        a[:j, j:j + w] = 0
+        np.copyto(a[j:j + w, j:j + w], 0, where=_STRICT_UPPER[:w, :w])
+    return a
+
+
+def cholesky(a: np.ndarray, context: str = "", overwrite_a: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    ``a`` is not modified: LAPACK ``dpotrf`` factors one F-ordered copy of
+    it in place, with the GIL released, and that copy is returned with its
+    strictly upper triangle zeroed.  With ``overwrite_a``, an ``a`` that is
+    already a writeable F-ordered float64 array is factored in place and
+    returned instead, as by :func:`_cholesky_in_place`.
+
+    Raises ``ValueError`` naming ``context`` for a non-finite or
+    non-symmetric ``a``, and :class:`NotPositiveDefiniteError` with the
+    pivot index and value on failure; there is no automatic diagonal
+    shift.  The value is recomputed from ``a`` unless ``a`` was overwritten.
+    """
+    a = _require_square(a, "a")
+    if overwrite_a and a.flags.f_contiguous and a.flags.writeable:
+        return _cholesky_in_place(a, context)
+    try:
+        return _cholesky_in_place(np.array(a, order="F"), context)
+    except NotPositiveDefiniteError as err:
+        k = err.pivot_index
+        raise NotPositiveDefiniteError(k, _failed_pivot_value(a, k), context) from None
 
 
 def solve_lower(low: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -161,15 +217,24 @@ def _lapack(name: str):
     return proto(_capsule_pointer(capsule, signature))
 
 
-def _call(name: str, *args) -> None:
+def _info(name: str, *args) -> int:
     """Call LAPACK ``name``: ints go by reference, arrays by their data
-    pointer, bytes as they are; the trailing ``info`` is added and checked."""
+    pointer, bytes as they are.  The trailing ``info`` is added and
+    returned; a negative one, a bad argument, raises."""
     info = ctypes.c_int(0)
     _lapack(name)(*(ctypes.byref(ctypes.c_int(a)) if isinstance(a, int)
                     else a.ctypes.data if isinstance(a, np.ndarray) else a
                     for a in args), ctypes.byref(info))
-    if info.value:
+    if info.value < 0:
         raise np.linalg.LinAlgError(f"{name} failed (lapack info={info.value})")
+    return info.value
+
+
+def _call(name: str, *args) -> None:
+    """:func:`_info` for a routine whose every nonzero ``info`` is an error."""
+    info = _info(name, *args)
+    if info:
+        raise np.linalg.LinAlgError(f"{name} failed (lapack info={info})")
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +335,9 @@ def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
     """Eliminate the leading ``redundant_dim`` block of a symmetric matrix.
 
     Computes ``l_rr = chol(A^RR)``, ``l_sr = A^SR (l_rr^T)^-1`` and the
-    skeleton Schur complement ``A^SS - l_sr l_sr^T``.
+    skeleton Schur complement ``A^SS - l_sr l_sr^T``.  ``a_hat`` is not
+    modified; one with a NaN or an infinite entry raises a ``ValueError``
+    naming ``context``.
     """
     a_hat = _require_square(a_hat, "a_hat")
     _require_symmetric(a_hat, "a_hat", context)
@@ -283,8 +350,9 @@ def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
     l_rr = cholesky(a_hat[:rd, :rd], context)
     if rd == n:
         return PartialFactorResult(l_rr, np.zeros((0, rd)), np.zeros((0, 0)))
-    # l_sr l_rr^T = A^SR  <=>  l_rr l_sr^T = (A^SR)^T
-    l_sr = np.ascontiguousarray(scipy.linalg.solve_triangular(
-        l_rr, a_hat[rd:, :rd].T, lower=True).T)
+    # l_sr l_rr^T = A^SR  <=>  l_rr l_sr^T = (A^SR)^T, solved in place on a
+    # C-ordered copy of A^SR, whose memory is the F-ordered (A^SR)^T
+    l_sr = np.array(a_hat[rd:, :rd], order="C")
+    _call("dtrtrs", b"L", b"N", b"N", rd, n - rd, l_rr, rd, l_sr, rd)
     ss = a_hat[rd:, rd:] - l_sr @ l_sr.T
     return PartialFactorResult(l_rr, l_sr, ss)

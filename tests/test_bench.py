@@ -191,6 +191,12 @@ class TestBuildTimings:
             sum(report.build_per_kind_seconds.values())
             / (2 * report.build_makespan_seconds))
 
+    def test_factor_busy_ratio_at_two_workers(self):
+        report = run_single(small_config(n=2048, max_rank=64, workers=2))
+        assert 0 < report.factor_busy_ratio <= 1
+        assert report.factor_busy_ratio == pytest.approx(
+            sum(report.per_kind_seconds.values()) / (2 * report.makespan_seconds))
+
     def test_build_fields_in_json_report(self):
         report = json.loads(json.dumps(run_single(small_config()).as_dict()))
         assert report["build_makespan_seconds"] > 0

@@ -10,6 +10,8 @@ from hssulv import (BlockBasis, HssMatrix, KernelSpec,
                     diagonal_product, generate_grid, kernel_matrix, matvec,
                     merge_children, reconstruct_check, solve_error,
                     ulv_factor_blr2, ulv_factor_hss, ulv_solve)
+from hssulv.linalg import _failed_pivot_value
+from hssulv.taskdag import _FACTOR_BODIES, build_dag, run_graph
 
 
 def random_orthonormal_basis(rng, n, skeleton):
@@ -65,6 +67,11 @@ class TestMergeChildren:
                              {(0, 1): np.array([[4.0]]), (0, 2): np.array([[5.0]]),
                               (1, 2): np.array([[6.0]])})
         assert np.array_equal(out, [[1.0, 4.0, 5.0], [4.0, 2.0, 6.0], [5.0, 6.0, 3.0]])
+
+    def test_block_is_f_ordered(self):
+        # the root is factored in place in it
+        out = merge_children([np.eye(2), 2 * np.eye(3)], {(0, 1): np.ones((2, 3))})
+        assert out.flags.f_contiguous
 
     def test_lossless_parent_matches_dense_elimination(self):
         # Oracle: eliminate all redundant coordinates of the rotated dense
@@ -190,6 +197,30 @@ class TestHssUlv:
         assert "root block (order 2, level-1 skeleton ranks [1, 1])" in str(err.value)
         assert (err.value.level, err.value.node, err.value.rank) == (None, None, None)
 
+    def test_indefinite_root_pivot_is_the_recomputed_one(self):
+        # the root reports the pivot dpotrf left on the diagonal of the
+        # merged block it factors in place
+        h = indefinite_root_hss()
+        g = build_dag(h)
+        del g.tasks[("root",)]
+        block = run_graph(g, _FACTOR_BODIES, h, 1)[0][("mg", 1, 0)]
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            ulv_factor_hss(h)
+        k = err.value.pivot_index
+        assert err.value.pivot_value == pytest.approx(_failed_pivot_value(block, k),
+                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("build", [build_hss, build_blr2])
+    def test_poisoned_leaf_diagonal_named(self, build):
+        h = build(KernelSpec("laplace2d"), generate_grid(512), 128, 60)
+        bad_diag = list(h.leaf_diag)
+        bad_diag[1] = np.array(bad_diag[1])
+        bad_diag[1][5, 5] = np.nan
+        broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases, h.coupling)
+        with pytest.raises(ValueError, match=f"NaN or infinite entries in level "
+                                             f"{h.max_level} node 1 "):
+            ulv_factor_hss(broken)
+
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_factor_peak_memory_within_twice_factor_bytes(self, n):
         # rotated diagonals and merged blocks are dropped once consumed
@@ -206,10 +237,16 @@ class TestHssUlv:
         # alive at once and the peak was 1.37x (depth first: 1.23x)
         assert factor_peak_over_factor_bytes(2048) <= 1.25
 
+    def test_blr2_factor_peak_memory_root_in_place(self):
+        # the root is factored inside its merged block; with a copy of it
+        # for dpotrf, the peak was 2.34x the factor bytes
+        assert factor_peak_over_factor_bytes(2048, build_blr2) <= 1.2
 
-def factor_peak_over_factor_bytes(n):
-    """Traced peak of ``ulv_factor_hss`` over the bytes of its factors."""
-    h = build_hss(KernelSpec("yukawa"), generate_grid(n), 256, 100)
+
+def factor_peak_over_factor_bytes(n, build=build_hss):
+    """Traced peak of ``ulv_factor_hss`` (alias ``ulv_factor_blr2``) over
+    the bytes of its factors, for the yukawa operator ``build`` makes."""
+    h = build(KernelSpec("yukawa"), generate_grid(n), 256, 100)
     tracemalloc.start()
     try:
         f = ulv_factor_hss(h)

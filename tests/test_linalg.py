@@ -11,7 +11,58 @@ from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
                     build_shared_basis, generate_grid, kernel_matrix,
                     partial_cholesky)
 from hssulv._threads import single_blas_thread
-from hssulv.linalg import _svd, dominant_basis_full, solve_lower
+from hssulv.linalg import (_cholesky_in_place, _failed_pivot_value, _svd,
+                           dominant_basis_full, solve_lower)
+
+
+def longest_gil_pause(fn, *args):
+    """Run ``fn(*args)`` at one BLAS thread beside a thread that counts in
+    a Python loop; returns how far it counted and its longest pause inside
+    the call.
+
+    The counter notes every pause of more than 1 ms.  A LAPACK call that
+    holds the GIL stops it for the whole call; released, the longest pause
+    is a scheduler slice (at most 8 ms measured, also beside spinning
+    OpenBLAS threads).  The count alone cannot tell: between bytecodes the
+    interpreter's switch interval hands the GIL over anyway.
+    """
+    state = {"count": 0, "stop": False, "pauses": []}
+
+    def count():
+        last = time.perf_counter()
+        while not state["stop"]:
+            state["count"] += 1
+            now = time.perf_counter()
+            if now - last > 1e-3:
+                state["pauses"].append((last, now))
+            last = now
+
+    counter = threading.Thread(target=count, daemon=True)
+    counter.start()
+    try:
+        while state["count"] == 0:
+            time.sleep(1e-3)
+        before = state["count"]
+        t0 = time.perf_counter()
+        single_blas_thread(fn)(*args)
+        t1 = time.perf_counter()
+        advanced = state["count"] - before
+    finally:
+        state["stop"] = True
+        counter.join(timeout=10)
+    assert not counter.is_alive()
+    longest = max([min(end, t1) - max(start, t0) for start, end in state["pauses"]],
+                  default=0)
+    return advanced, longest
+
+
+def indefinite_at(rng, n, k):
+    """A symmetric matrix of order ``n`` whose Cholesky fails at pivot ``k``:
+    SPD but for ``a[k, k]``, lowered to make that pivot minus its value."""
+    a = random_spd(rng, n)
+    pivot = sla.cholesky(a[:k + 1, :k + 1], lower=True)[k, k] ** 2
+    a[k, k] -= 2 * pivot
+    return a
 
 
 def capped_basis(a, max_rank):
@@ -59,6 +110,66 @@ class TestCholesky:
         rng = np.random.default_rng(3)
         a = random_spd(rng, 64)
         assert np.array_equal(cholesky(a), cholesky(a.copy()))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged_and_factor_f_ordered(self, order):
+        a = np.asarray(random_spd(np.random.default_rng(4), 200), order=order)
+        before = a.copy()
+        low = cholesky(a)
+        assert np.array_equal(a, before)
+        assert low.flags.f_contiguous and not np.shares_memory(low, a)
+        assert np.array_equal(low, sla.cholesky(before, lower=True))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # dpotrf tests a pivot with "<= 0", which a NaN passes
+        a = np.eye(4)
+        a[2, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite entries in leaf 7"):
+            cholesky(a, context="leaf 7")
+
+    def test_in_place_pivot_matches_recomputed(self):
+        # order 400 fails past dpotrf's first diagonal block, where the
+        # pivot it leaves on the diagonal went through the blocked update
+        a = indefinite_at(np.random.default_rng(5), 400, 300)
+        want = _failed_pivot_value(a, 300)
+        assert want < 0
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            single_blas_thread(_cholesky_in_place)(np.array(a, order="F"), "root")
+        assert err.value.pivot_index == 300 and err.value.context == "root"
+        assert err.value.pivot_value == pytest.approx(want, rel=1e-9)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(a)
+        assert err.value.pivot_index == 300 and err.value.pivot_value == want
+
+    def test_in_place_needs_writeable_f_ordered_float64(self):
+        a = random_spd(np.random.default_rng(6), 8)
+        read_only = np.array(a, order="F")
+        read_only.flags.writeable = False
+        for bad in (a, a.astype(np.float32, order="F"), read_only):
+            with pytest.raises(ValueError, match="F-ordered float64"):
+                _cholesky_in_place(bad)
+
+    def test_overwrite_a_factors_f_ordered_input_in_place(self):
+        a = random_spd(np.random.default_rng(6), 8)
+        want = cholesky(a)
+        f = np.array(a, order="F")
+        assert cholesky(f, overwrite_a=True) is f
+        assert np.array_equal(f, want)
+        # a C-ordered a is copied, as without overwrite_a
+        c = a.copy()
+        low = cholesky(c, overwrite_a=True)
+        assert np.array_equal(c, a) and np.array_equal(low, want)
+
+    def test_releases_the_gil(self):
+        # about 0.1 s of dpotrf at one BLAS thread; through f2py the
+        # counter stopped for all of it
+        n = 2048
+        a = np.random.default_rng(13).standard_normal((n, n))
+        a = a + a.T + n * np.eye(n)
+        advanced, longest = longest_gil_pause(cholesky, a)
+        assert advanced >= 10**4
+        assert longest < 0.03
 
 
 class TestSolveLower:
@@ -168,42 +279,11 @@ class TestDominantBasis:
     @pytest.mark.parametrize("shape", [(512, 512), (256, 4096)],
                              ids=["square-svd", "wide-qr-svd"])
     def test_releases_the_gil(self, shape):
-        # A thread counts in a Python loop and notes every pause of more
-        # than 1 ms.  A LAPACK call that holds the GIL stops it for the
-        # whole call: 0.09-0.16 s for this SVD through scipy.linalg.svd.
-        # Released, the longest pause is a scheduler slice (at most 8 ms
-        # measured, also beside spinning OpenBLAS threads).  The count
-        # alone cannot tell: between bytecodes the interpreter's switch
-        # interval hands the GIL over anyway.  The wide case adds dgeqrt.
+        # 0.09-0.16 s for this SVD through scipy.linalg.svd held the GIL;
+        # the wide case adds dgeqrt
         a = np.random.default_rng(11).standard_normal(shape)
-        state = {"count": 0, "stop": False, "pauses": []}
-
-        def count():
-            last = time.perf_counter()
-            while not state["stop"]:
-                state["count"] += 1
-                now = time.perf_counter()
-                if now - last > 1e-3:
-                    state["pauses"].append((last, now))
-                last = now
-
-        counter = threading.Thread(target=count, daemon=True)
-        counter.start()
-        try:
-            while state["count"] == 0:
-                time.sleep(1e-3)
-            before = state["count"]
-            t0 = time.perf_counter()
-            single_blas_thread(dominant_basis_full)(a)
-            t1 = time.perf_counter()
-            advanced = state["count"] - before
-        finally:
-            state["stop"] = True
-            counter.join(timeout=10)
-        assert not counter.is_alive()
+        advanced, longest = longest_gil_pause(dominant_basis_full, a)
         assert advanced >= 10**4
-        longest = max([min(end, t1) - max(start, t0) for start, end in state["pauses"]],
-                      default=0)
         assert longest < 0.03
 
     def test_one_working_copy_of_a_wide_row(self):
@@ -264,3 +344,21 @@ class TestPartialCholesky:
         a = np.diag([-1.0, 2.0, 3.0])
         with pytest.raises(NotPositiveDefiniteError):
             partial_cholesky(a, 2)
+
+    @pytest.mark.parametrize("where", [(1, 1), (5, 4), (4, 5)],
+                             ids=["redundant", "skeleton", "coupling"])
+    def test_non_finite_rejected(self, where):
+        a = random_spd(np.random.default_rng(7), 6)
+        a[where] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite entries in leaf 7"):
+            partial_cholesky(a, 3, context="leaf 7")
+
+    @pytest.mark.parametrize("rd", [2, 7])
+    def test_input_unchanged(self, rd):
+        # with one skeleton row, A^SR is a contiguous view of a_hat
+        a = random_spd(np.random.default_rng(8), 8)
+        before = a.copy()
+        pf = partial_cholesky(a, rd)
+        assert np.array_equal(a, before)
+        want = sla.solve_triangular(pf.l_rr, a[rd:, :rd].T, lower=True).T
+        assert np.array_equal(pf.l_sr, want)

@@ -7,7 +7,8 @@ is bitwise independent of the build's worker count and scheduling order,
 the factors of ``ulv_factor_hss`` rebuild it exactly, and the executor
 reproduces them bitwise for any worker count and scheduling order.  A
 block solve agrees column by column with single solves and inverts the
-operator's ``matvec``.
+operator's ``matvec``.  The tiled symmetry check that guards every
+Cholesky decides as the dense formula does.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from conftest import factors_equal
 from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
                     build_blr2, build_dag, build_hss, execute, generate_grid,
                     matvec, reconstruct_check, ulv_factor_hss, ulv_solve)
+from hssulv.linalg import SYMMETRY_RTOL, TILE, _require_symmetric
 
 # Criterion 2's solve bounds at N = 4096, nleaf 256, max_rank 100.
 SOLVE_BOUNDS = {"laplace2d": 1e-8, "yukawa": 1e-11, "matern": 1e-9}
@@ -107,3 +109,24 @@ def test_block_solve_matches_single_solves(cache, kind, k, seed):
     recovered = ulv_solve(f, matvec(h, b))
     err = np.linalg.norm(recovered - b, axis=0) / np.linalg.norm(b, axis=0)
     assert err.max() <= SOLVE_BOUNDS[kind]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3 * TILE + 5), order=st.sampled_from("CF"),
+       ratio=st.floats(0.5, 2.0), data=st.data())
+def test_tiled_symmetry_check_decides_as_dense_formula(n, order, ratio, data):
+    # one entry pushed off symmetry by ratio x the threshold, so the
+    # examples fall on both sides of it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    a = rng.standard_normal((n, n))
+    a = np.asarray(a + a.T, order=order)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    a[i, j] += ratio * 10 * SYMMETRY_RTOL * np.abs(a).max()
+    dense = np.abs(a - a.T).max() > 10 * SYMMETRY_RTOL * np.abs(a).max()
+    event("asymmetric" if dense else "symmetric")
+    try:
+        _require_symmetric(a, "a")
+        tiled = False
+    except ValueError:
+        tiled = True
+    assert tiled == dense
