@@ -111,6 +111,8 @@ def main(argv=None) -> int:
         args, constants = _parse(argv)
         kernel = KernelSpec(args.kernel or "laplace2d", **constants)
         sizes = _parse_sizes(args.N)
+        if len(sizes) != 1 and args.sweep != "scaling":
+            raise ValueError(f"--N takes one size unless --sweep scaling, got {args.N!r}")
         base = ExperimentConfig(
             kernel=kernel, n=sizes[0], nleaf=args.nleaf, max_rank=args.max_rank,
             workers=args.workers, nprocs_simulated=args.procs, seed=args.seed,

@@ -140,7 +140,8 @@ class UlvFactors:
 # ("nf", level, node) for assemble_factors.
 
 
-def run_diag_product(h: HssMatrix, results: dict, level: int, node: int):
+def run_diag_product(h: HssMatrix, results: dict, task):
+    level, node = task.level, task.node
     if level == h.max_level:
         block = h.leaf_diag[node]
     else:
@@ -148,7 +149,8 @@ def run_diag_product(h: HssMatrix, results: dict, level: int, node: int):
     return diagonal_product(block, h.bases[(level, node)])
 
 
-def run_partial_factor(h: HssMatrix, results: dict, level: int, node: int):
+def run_partial_factor(h: HssMatrix, results: dict, task):
+    level, node = task.level, task.node
     basis = h.bases[(level, node)]
     try:
         return partial_cholesky(
@@ -159,7 +161,8 @@ def run_partial_factor(h: HssMatrix, results: dict, level: int, node: int):
         raise
 
 
-def run_merge(h: HssMatrix, results: dict, level: int, parent: int):
+def run_merge(h: HssMatrix, results: dict, task):
+    level, parent = task.level, task.node
     kids = h.children(level - 1, parent)
     remainders = []
     for c in kids:
@@ -172,7 +175,7 @@ def run_merge(h: HssMatrix, results: dict, level: int, parent: int):
          for a in range(len(kids)) for b in range(a + 1, len(kids))})
 
 
-def run_root_factor(h: HssMatrix, results: dict):
+def run_root_factor(h: HssMatrix, results: dict, task):
     # the merged block is this task's own; it becomes the root factor
     block = results.pop(("mg", 1, 0))
     ranks = [h.skeleton_dim(1, i) for i in range(h.num_nodes(1))]
@@ -218,17 +221,12 @@ ulv_factor_blr2 = ulv_factor_hss
 def _forward_node(nf: NodeFactor, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotated = nf.basis.q.T @ seg
     rd = nf.redundant_dim
-    if rd == 0:
-        return rotated[:0], rotated
     y_r = solve_lower(nf.l_rr, rotated[:rd])
     y_s = rotated[rd:] - nf.l_sr @ y_r
     return y_r, y_s
 
 
 def _backward_node(nf: NodeFactor, y_r: np.ndarray, x_s: np.ndarray) -> np.ndarray:
-    rd = nf.redundant_dim
-    if rd == 0:
-        return nf.basis.q @ x_s
     rhs = y_r - nf.l_sr.T @ x_s
     x_r = solve_lower(nf.l_rr, rhs, trans=True)
     return nf.basis.q @ np.concatenate([x_r, x_s])

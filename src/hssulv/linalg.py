@@ -4,17 +4,17 @@ Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
 truncation, block splits) that the factorization layers rely on.
 
-Two routes reach the same LAPACK library.  The factorization's Cholesky
-and triangular solves (``dpotrf``, ``dtrtrs``) and the compression behind
-every shared basis of a build (``dgeqrt``, ``dgesdd``) go through
-:func:`_lapack`: ctypes function pointers to the routines that
-``scipy.linalg.cython_lapack`` exports, called with the GIL released and
-in place on F-ordered arrays, so the workers of a build or a
-factorization run them side by side.  :func:`solve_lower`, called once
-per node and per sweep by the solve, stays on scipy's f2py ``dtrtrs``,
-which holds the GIL but costs less per call.  It is the same library
-that ``scipy.linalg`` calls, so the thread policy of
-:mod:`hssulv._threads` covers both.
+Every LAPACK routine has one binding.  The factorization's Cholesky
+(``dpotrf``) and the compression behind every shared basis of a build
+(``dgeqrt``, ``dgesdd``) go through :func:`_lapack`: ctypes function
+pointers to the routines that ``scipy.linalg.cython_lapack`` exports,
+called with the GIL released and in place on F-ordered arrays, so the
+workers of a build or a factorization run them side by side.  Every
+triangular solve, the factorization's panel and the solve's sweeps,
+goes through :func:`solve_lower`, scipy's f2py ``dtrtrs``, which holds
+the GIL but costs less per call.  It is the same library that
+``scipy.linalg`` calls, so the thread policy of :mod:`hssulv._threads`
+covers both.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -107,33 +106,28 @@ def _require_symmetric(a: np.ndarray, name: str, context: str = ""):
 
 def _failed_pivot_value(a: np.ndarray, k: int) -> float:
     # Recompute the failing pivot from the leading minor that did succeed.
-    if k == 0:
-        return float(a[0, 0])
-    low, _ = dpotrf(a[:k, :k], lower=1, clean=1)
-    w = scipy.linalg.solve_triangular(low, a[:k, k], lower=True)
+    w = solve_lower(cholesky(a[:k, :k]), a[:k, k])
     return float(a[k, k] - w @ w)
 
 
-def _cholesky_in_place(a: np.ndarray, context: str = "") -> np.ndarray:
+def _potrf(a: np.ndarray, context: str = "", source: np.ndarray | None = None) -> np.ndarray:
     """Lower Cholesky factor of the square F-ordered float64 ``a``, which
-    LAPACK ``dpotrf`` writes over ``a`` with the GIL released; returns ``a``
-    with its strictly upper triangle zeroed.
+    the caller owns and has passed through :func:`_require_symmetric`.
+    LAPACK ``dpotrf`` writes it over ``a`` with the GIL released; returns
+    ``a`` with its strictly upper triangle zeroed.
 
-    Refuses a non-finite or non-symmetric ``a`` with a ``ValueError``.  On
-    a non-positive pivot raises :class:`NotPositiveDefiniteError` with the
-    value ``dpotrf`` left on the diagonal; ``a`` is then partly factored.
+    On a non-positive pivot raises :class:`NotPositiveDefiniteError` with
+    the value ``dpotrf`` left on the diagonal, or, if ``a`` is a copy of
+    ``source``, the value recomputed from ``source``.
     """
-    if a.dtype != np.float64 or not a.flags.f_contiguous or not a.flags.writeable:
-        raise ValueError("the in-place Cholesky needs a writeable F-ordered float64 array")
-    a = _require_square(a, "a")
-    _require_symmetric(a, "a", context)
     n = a.shape[0]
     if n == 0:
         return a
     info = _info("dpotrf", b"L", n, a, n)
     if info:
         k = info - 1
-        raise NotPositiveDefiniteError(k, float(a[k, k]), context)
+        value = float(a[k, k]) if source is None else _failed_pivot_value(source, k)
+        raise NotPositiveDefiniteError(k, value, context)
     for j in range(0, n, TILE):
         w = min(TILE, n - j)
         a[:j, j:j + w] = 0
@@ -148,21 +142,19 @@ def cholesky(a: np.ndarray, context: str = "", overwrite_a: bool = False) -> np.
     it in place, with the GIL released, and that copy is returned with its
     strictly upper triangle zeroed.  With ``overwrite_a``, an ``a`` that is
     already a writeable F-ordered float64 array is factored in place and
-    returned instead, as by :func:`_cholesky_in_place`.
+    returned instead; any other ``a`` is copied as without it.
 
     Raises ``ValueError`` naming ``context`` for a non-finite or
     non-symmetric ``a``, and :class:`NotPositiveDefiniteError` with the
     pivot index and value on failure; there is no automatic diagonal
-    shift.  The value is recomputed from ``a`` unless ``a`` was overwritten.
+    shift.  The value is recomputed from ``a`` unless ``a`` was overwritten,
+    which leaves it partly factored.
     """
     a = _require_square(a, "a")
+    _require_symmetric(a, "a", context)
     if overwrite_a and a.flags.f_contiguous and a.flags.writeable:
-        return _cholesky_in_place(a, context)
-    try:
-        return _cholesky_in_place(np.array(a, order="F"), context)
-    except NotPositiveDefiniteError as err:
-        k = err.pivot_index
-        raise NotPositiveDefiniteError(k, _failed_pivot_value(a, k), context) from None
+        return _potrf(a, context)
+    return _potrf(np.array(a, order="F"), context, source=a)
 
 
 def solve_lower(low: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -321,14 +313,6 @@ class PartialFactorResult:
     l_sr: np.ndarray
     ss_remainder: np.ndarray
 
-    @property
-    def redundant_dim(self) -> int:
-        return self.l_rr.shape[0]
-
-    @property
-    def skeleton_dim(self) -> int:
-        return self.ss_remainder.shape[0]
-
 
 def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
                      context: str = "") -> PartialFactorResult:
@@ -347,12 +331,11 @@ def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
     rd = redundant_dim
     if rd == 0:
         return PartialFactorResult(np.zeros((0, 0)), np.zeros((n, 0)), a_hat.copy())
-    l_rr = cholesky(a_hat[:rd, :rd], context)
+    leading = a_hat[:rd, :rd]
+    l_rr = _potrf(np.array(leading, order="F"), context, source=leading)
     if rd == n:
         return PartialFactorResult(l_rr, np.zeros((0, rd)), np.zeros((0, 0)))
-    # l_sr l_rr^T = A^SR  <=>  l_rr l_sr^T = (A^SR)^T, solved in place on a
-    # C-ordered copy of A^SR, whose memory is the F-ordered (A^SR)^T
-    l_sr = np.array(a_hat[rd:, :rd], order="C")
-    _call("dtrtrs", b"L", b"N", b"N", rd, n - rd, l_rr, rd, l_sr, rd)
+    # l_sr l_rr^T = A^SR  <=>  l_rr l_sr^T = (A^SR)^T
+    l_sr = solve_lower(l_rr, a_hat[rd:, :rd].T).T
     ss = a_hat[rd:, rd:] - l_sr @ l_sr.T
     return PartialFactorResult(l_rr, l_sr, ss)

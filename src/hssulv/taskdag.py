@@ -246,10 +246,10 @@ def _stats_from_records(records: list, workers: int) -> ExecutionStats:
 
 # Each factorization kind's body; its result is stored under the task id.
 _FACTOR_BODIES = {
-    TaskKind.DIAG_PRODUCT: lambda h, res, t: run_diag_product(h, res, t.level, t.node),
-    TaskKind.PARTIAL_FACTOR: lambda h, res, t: run_partial_factor(h, res, t.level, t.node),
-    TaskKind.MERGE: lambda h, res, t: run_merge(h, res, t.level, t.node),
-    TaskKind.ROOT_FACTOR: lambda h, res, t: run_root_factor(h, res),
+    TaskKind.DIAG_PRODUCT: run_diag_product,
+    TaskKind.PARTIAL_FACTOR: run_partial_factor,
+    TaskKind.MERGE: run_merge,
+    TaskKind.ROOT_FACTOR: run_root_factor,
 }
 
 
@@ -267,8 +267,9 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
     means the cores this process may use; with one worker no thread is
     started.  BLAS runs with one thread inside every task (the pools are
     set before the workers start), so the workers are the only
-    parallelism.  ``shuffle_seed`` randomizes ready-queue pops
-    (scheduling stress for tests) without affecting results.
+    parallelism.  ``shuffle_seed`` replaces each ready task's priority
+    with a random rank drawn when it becomes ready (scheduling stress for
+    tests), without affecting results.
 
     When a body raises, no further task starts, the running tasks finish,
     the workers are joined and the first exception is re-raised as is.
@@ -287,20 +288,13 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
     failure = None
     running = 0
 
+    def push_ready(tid):
+        rank = g.tasks[tid].priority() if rng is None else rng.random()
+        heapq.heappush(ready, (rank, tid))
+
     for tid, count in remaining.items():
         if count == 0:
-            heapq.heappush(ready, (g.tasks[tid].priority(), tid))
-
-    def pop_ready():
-        if rng is None:
-            return heapq.heappop(ready)[1]
-        idx = rng.randrange(len(ready))
-        item = ready[idx]
-        last = ready.pop()
-        if idx < len(ready):
-            ready[idx] = last
-            heapq.heapify(ready)
-        return item[1]
+            push_ready(tid)
 
     def worker_loop(worker_id: int):
         nonlocal failure, running
@@ -312,7 +306,7 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
                 if failure is not None or not ready:
                     cond.notify_all()
                     return
-                tid = pop_ready()
+                tid = heapq.heappop(ready)[1]
                 running += 1
             task = g.tasks[tid]
             start = time.perf_counter_ns()
@@ -333,7 +327,7 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
                 for nxt in dependents[tid]:
                     remaining[nxt] -= 1
                     if remaining[nxt] == 0:
-                        heapq.heappush(ready, (g.tasks[nxt].priority(), nxt))
+                        push_ready(nxt)
                 cond.notify_all()
 
     threads = [threading.Thread(target=worker_loop, args=(w,), daemon=True)

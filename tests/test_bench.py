@@ -289,6 +289,14 @@ class TestCli:
         assert err["status"] == "error"
         assert err["error"] == "ValueError"
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "rank"]], ids=["single", "rank"])
+    def test_size_list_needs_scaling_sweep(self, capsys, sweep):
+        # a list would otherwise run its first size only
+        assert main([*sweep, "--N", "512,1024"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["status"] == "error" and err["error"] == "ValueError"
+        assert "--N" in err["message"]
+
     def test_not_positive_definite_fields(self, capsys, tmp_path):
         # epsilon = 2 makes every laplace2d entry -log(2 + d) negative; the
         # constant mode sits in the skeletons and fails at the root

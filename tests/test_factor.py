@@ -80,11 +80,12 @@ class TestMergeChildren:
         ps = generate_grid(512)
         h = build_hss(spec, ps, nleaf=256, max_rank=256)
         from hssulv.factor import run_diag_product, run_merge, run_partial_factor
+        tasks = build_dag(h).tasks
         results = {}
         for i in range(2):
-            results[("dp", 1, i)] = run_diag_product(h, results, 1, i)
-            results[("pf", 1, i)] = run_partial_factor(h, results, 1, i)
-        parent = run_merge(h, results, 1, 0)
+            results[("dp", 1, i)] = run_diag_product(h, results, tasks[("dp", 1, i)])
+            results[("pf", 1, i)] = run_partial_factor(h, results, tasks[("pf", 1, i)])
+        parent = run_merge(h, results, tasks[("mg", 1, 0)])
 
         dense = kernel_matrix(spec, ps.points, ps.points)
         qf = sla.block_diag(h.bases[(1, 0)].q, h.bases[(1, 1)].q)

@@ -11,8 +11,9 @@ from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
                     build_shared_basis, generate_grid, kernel_matrix,
                     partial_cholesky)
 from hssulv._threads import single_blas_thread
-from hssulv.linalg import (_cholesky_in_place, _failed_pivot_value, _svd,
-                           dominant_basis_full, solve_lower)
+from hssulv import linalg
+from hssulv.linalg import (_failed_pivot_value, _svd, dominant_basis_full,
+                           solve_lower)
 
 
 def longest_gil_pause(fn, *args):
@@ -135,7 +136,7 @@ class TestCholesky:
         want = _failed_pivot_value(a, 300)
         assert want < 0
         with pytest.raises(NotPositiveDefiniteError) as err:
-            single_blas_thread(_cholesky_in_place)(np.array(a, order="F"), "root")
+            single_blas_thread(cholesky)(np.array(a, order="F"), "root", overwrite_a=True)
         assert err.value.pivot_index == 300 and err.value.context == "root"
         assert err.value.pivot_value == pytest.approx(want, rel=1e-9)
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -143,12 +144,15 @@ class TestCholesky:
         assert err.value.pivot_index == 300 and err.value.pivot_value == want
 
     def test_in_place_needs_writeable_f_ordered_float64(self):
+        # any other input is copied, as without overwrite_a
         a = random_spd(np.random.default_rng(6), 8)
         read_only = np.array(a, order="F")
         read_only.flags.writeable = False
-        for bad in (a, a.astype(np.float32, order="F"), read_only):
-            with pytest.raises(ValueError, match="F-ordered float64"):
-                _cholesky_in_place(bad)
+        for x in (a, a.astype(np.float32, order="F"), read_only):
+            before = x.copy()
+            low = cholesky(x, overwrite_a=True)
+            assert np.array_equal(x, before) and x.dtype == before.dtype
+            assert np.array_equal(low, cholesky(x))
 
     def test_overwrite_a_factors_f_ordered_input_in_place(self):
         a = random_spd(np.random.default_rng(6), 8)
@@ -352,6 +356,15 @@ class TestPartialCholesky:
         a[where] = np.nan
         with pytest.raises(ValueError, match="NaN or infinite entries in leaf 7"):
             partial_cholesky(a, 3, context="leaf 7")
+
+    def test_scans_a_hat_once(self, monkeypatch):
+        # the leading block is factored without a second symmetry scan
+        calls = []
+        scan = linalg._require_symmetric
+        monkeypatch.setattr(linalg, "_require_symmetric",
+                            lambda *args: calls.append(args) or scan(*args))
+        partial_cholesky(random_spd(np.random.default_rng(9), 12), 7)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rd", [2, 7])
     def test_input_unchanged(self, rd):

@@ -289,6 +289,24 @@ class TestRunGraph:
             assert results == {tid: tid[2] for tid in graph.tasks}
             assert sorted(r.task_id for r in stats.records) == sorted(graph.tasks)
 
+    def test_shuffled_orders_leave_priority_and_keep_dependencies(self):
+        # at one worker the records are in run order
+        graph = build_dag(tiny_hss(3))
+        bodies = dict.fromkeys(graph.kind_counts(), lambda c, r, t: None)
+
+        def run_order(seed):
+            stats = run_graph(graph, bodies, None, 1, shuffle_seed=seed)[1]
+            return [r.task_id for r in stats.records]
+
+        by_priority = run_order(None)
+        shuffled = [run_order(seed) for seed in range(5)]
+        assert any(order != by_priority for order in shuffled)
+        for order in [by_priority, *shuffled]:
+            position = {tid: i for i, tid in enumerate(order)}
+            assert sorted(order) == sorted(graph.tasks)
+            assert all(position[dep] < position[tid]
+                       for tid in order for dep in graph.tasks[tid].deps)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_failure_raises_body_error_and_stops(self, workers, seed):
