@@ -6,13 +6,14 @@ with both error metrics, wall times with 95% confidence intervals (of
 factorization, of a solve and of a 16-column block solve), the BLAS
 thread count in effect inside library calls, the skeleton ranks and
 truncation tails reached at each tree level, the runtime's makespan,
-per-kind task seconds and busy ratio of the build, and its breakdown of
-the last factorization: makespan, scheduler and idle overhead, per-kind
-and per-worker task seconds, and simulated communication.  Build and
-factorization both run at ``workers``.  Construction is timed separately
-from factorization; repetitions re-run factorization and solve on the
-already built operator, so the build time carries no interval.  Each
-sweep row is one such report cut down to the sweep's pinned columns.
+per-kind and per-level task seconds and busy ratio of the build, and its
+breakdown of the last factorization: makespan, scheduler and idle
+overhead, per-kind and per-worker task seconds, and simulated
+communication.  Build and factorization both run at ``workers``.
+Construction is timed separately from factorization; repetitions re-run
+factorization and solve on the already built operator, so the build time
+carries no interval.  Each sweep row is one such report cut down to the
+sweep's pinned columns.
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ class ExperimentReport:
     build_seconds: float
     build_makespan_seconds: float
     build_per_kind_seconds: dict
+    # build task seconds by tree level; the leaf tasks are at the leaf level
+    build_per_level_seconds: dict
     # build task seconds / (workers x build makespan): 1.0 when no worker idles
     build_busy_ratio: float
     # the last factorization's task seconds / (workers x its makespan)
@@ -150,6 +153,13 @@ def _rank_stats(h, max_rank: int) -> list:
                     "max": max(ranks), "at_cap": ranks.count(max_rank),
                     "tail_max": max(tails)})
     return out
+
+
+def _per_level_seconds(stats) -> dict:
+    out: dict = {}
+    for r in stats.records:
+        out[r.level] = out.get(r.level, 0.0) + (r.end_ns - r.start_ns) / 1e9
+    return dict(sorted(out.items()))
 
 
 def run_single(cfg: ExperimentConfig) -> ExperimentReport:
@@ -195,6 +205,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         build_seconds=build_s,
         build_makespan_seconds=build_stats.makespan_seconds,
         build_per_kind_seconds=build_stats.per_kind_seconds,
+        build_per_level_seconds=_per_level_seconds(build_stats),
         build_busy_ratio=build_stats.total_task_seconds
         / (cfg.workers * build_stats.makespan_seconds),
         factor_busy_ratio=stats.total_task_seconds / (cfg.workers * stats.makespan_seconds),

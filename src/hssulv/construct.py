@@ -11,7 +11,13 @@ stacked admissible blocks (a QR squeezes the wide row down to a square
 triangle first), the best column space of that rank.  That QR and SVD
 are LAPACK ``dgeqrt`` and ``dgesdd`` called with the GIL released
 (:func:`hssulv.linalg.dominant_basis_full`), so the build's workers
-compress in parallel.
+compress in parallel.  A leaf compresses a sample of its admissible row
+in place of the whole row, as in Xing & Chow, "Interpolative
+decomposition via proxy points for kernel matrices" (SIMAX 2020): the
+exact columns of its near band, and proxy points in an annulus around
+the band, weighted to stand for the points beyond it (see
+``NEAR_RADIUS``).  Its basis is then close to the optimum for the whole
+row, not at it.
 The two formats differ only in fan-out:
 
 * HSS (:func:`build_hss`) is a binary tree of depth L.  An upper-level
@@ -25,13 +31,14 @@ The two formats differ only in fan-out:
 
 Both builders are task graphs run by :func:`hssulv.taskdag.run_graph`,
 the runtime the factorization runs on.  A ``LeafBasis`` task per leaf
-evaluates the leaf's exact diagonal block and its admissible row
-separately, compresses the row into the leaf basis and projects the
-columns left of the diagonal onto the skeleton.  A ``LeafCoupling`` task
-per leaf waits for the bases of its own and every earlier leaf, forms
-the couplings with those leaves as stored (rows of the earlier leaf) and
-frees the projection; leaf ``i`` ranks before leaf ``i + 1`` so each
-projection is consumed early.  HSS
+evaluates the leaf's exact diagonal block, its blocks with the leaves
+before it (the left part) and its sample; it compresses the sample into
+the leaf basis and projects the left part onto the skeleton.  The part
+of the row right of the diagonal and outside the near band is never
+evaluated.  A ``LeafCoupling`` task per leaf waits for the bases of its
+own and every earlier leaf, forms the couplings with those leaves as
+stored (rows of the earlier leaf) and frees the projection; leaf ``i``
+ranks before leaf ``i + 1`` so each projection is consumed early.  HSS
 then chains one ``Transfer`` task per level over the packed skeleton
 interaction table.  Every task writes its own result, stored under its
 id (``("leaf", i)``, ``("coupling", i)``, ``("transfer", level)``), so
@@ -67,6 +74,27 @@ __all__ = [
 
 DENSE_STREAM_LIMIT = 65536
 
+# A leaf's basis compresses a sample of its admissible row (Xing & Chow,
+# SIMAX 2020; H2Pack, ACM TOMS 2020): the exact columns of the near band,
+# every other point closer to the leaf box's centre than NEAR_RADIUS
+# half-diagonals, and PROXY_COUNT proxy points for the points beyond it.
+# The proxies lie on a golden-angle spiral, area-uniform in the annulus
+# from the band's radius out to PROXY_OUTER times it; _PROXY_PATTERN is
+# that spiral for a band of radius one.
+NEAR_RADIUS = 2.0
+PROXY_OUTER = 2.5
+PROXY_COUNT = 256
+
+
+def _proxy_pattern() -> np.ndarray:
+    k = np.arange(PROXY_COUNT)
+    radius = np.sqrt(1 + (PROXY_OUTER**2 - 1) * (k + 0.5) / PROXY_COUNT)
+    angle = k * np.pi * (3 - np.sqrt(5))  # steps of the golden angle
+    return radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
+_PROXY_PATTERN = _proxy_pattern()
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -81,6 +109,9 @@ class BlockBasis:
     ``tail`` is the relative truncation error ``||s[r:]|| / ||s||`` of the
     compressed row at the kept rank ``r``, read from the singular values
     the basis came from (0.0 when nothing was discarded or it is unknown).
+    A leaf basis comes from the weighted sample of its row (near band and
+    proxies), so a leaf's ``tail`` is the tail of that sample, not of the
+    full admissible row.
     """
 
     q: np.ndarray
@@ -210,16 +241,19 @@ def _available_bytes() -> int | None:
 def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
     """Upper estimate of a build's peak working set, in bytes.
 
-    Each worker holds one admissible row (:class:`_RowBuffers`), and its
-    running leaf task adds the copy of it that the QR factors in place
-    and its projection.  HSS packs the leaf couplings into a table of
-    side ``(n / nleaf) * max_rank``; a transfer pass holds the table, its
-    projected rows (half of it) and the next table (a quarter).  The output is the diagonals and leaf bases,
-    at most one transfer basis of side ``2 * max_rank`` per leaf, and the
-    couplings: one per pair of leaves in BLR2, one per parent in HSS.
+    Each worker holds one leased left part (:class:`_RowBuffers`), and its
+    running leaf task adds the sample, the copy of it that the QR factors
+    in place, and the projection of the left part.  A sample has at most
+    ``n - nleaf`` near columns and ``PROXY_COUNT`` proxy columns.  HSS
+    packs the leaf couplings into a table of side
+    ``(n / nleaf) * max_rank``; a transfer pass holds the table, its
+    projected rows (half of it) and the next table (a quarter).  The
+    output is the diagonals and leaf bases, at most one transfer basis of
+    side ``2 * max_rank`` per leaf, and the couplings: one per pair of
+    leaves in BLR2, one per parent in HSS.
     """
     nb = n // nleaf
-    leaf_task = 2 * nleaf * n + max_rank * n
+    leaf_task = nleaf * n + 2 * nleaf * (n + PROXY_COUNT) + max_rank * n
     table = 0 if one_level else 1.75 * (nb * max_rank) ** 2
     couplings = nb * (nb - 1) // 2 if one_level else nb - 1
     output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2) + couplings * max_rank**2
@@ -230,6 +264,7 @@ def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool
 class _BuildContext:
     spec: KernelSpec
     points: np.ndarray
+    box: np.ndarray  # rows: the smallest and the largest coordinates of points
     nleaf: int
     max_rank: int
     max_level: int
@@ -238,15 +273,20 @@ class _BuildContext:
 
 
 class _RowBuffers:
-    """Admissible-row arrays of the leaf tasks, passed from task to task.
+    """Left-part arrays of the leaf tasks, passed from task to task.
 
-    A leaf task leases a row and hands it back when it returns, so a build
-    allocates one row per worker instead of one per leaf.  The end of the
-    last of ``leases`` leases drops them, before the transfer passes
-    allocate their tables.  Rows freed and allocated again per leaf stay
-    cached by the C allocator in amounts that depend on which thread ran
-    which task: the peak RSS of one matern N = 4096 HSS build varied by
-    20 MB from process to process, and by under 1 MB with leased rows.
+    The left part of leaf ``i`` is its kernel block with every leaf before
+    it, the columns its projection reads, and it fills up to ``n - nleaf``
+    columns of a leased row.  A leaf task leases a row and hands it back
+    when it returns, so a build allocates one row per worker instead of
+    one per leaf.  The end of the last of ``leases`` leases drops them,
+    before the transfer passes allocate their tables.  Rows freed and
+    allocated again per leaf stay cached by the C allocator in amounts
+    that depend on which thread ran which task: the peak RSS of one
+    matern N = 4096 HSS build varied by 20 MB from process to process,
+    and by under 1 MB with leased rows.  A leaf's sample, at most about
+    1400 columns at nleaf 256, is allocated per task: leasing it as well
+    raised the peak RSS of a yukawa N = 4096 BLR2 build by 6 MB.
     """
 
     def __init__(self, shape: tuple, leases: int):
@@ -280,22 +320,51 @@ class _RowBuffers:
 # and popped by their one consumer.
 
 
+def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple:
+    """Near band, proxies and proxy weight of the leaf ``points[r0:r1]``.
+
+    The band is the indices of the other points closer than
+    ``NEAR_RADIUS`` half-diagonals of the leaf's bounding box to the box's
+    centre, in order.  The proxies are the spiral pattern around that
+    centre with the ones outside ``box`` (the bounding box of ``points``)
+    dropped, unless that drops them all.  Their kernel columns are scaled
+    by the weight, so that each proxy stands for an equal share of the
+    points beyond the band.
+    """
+    x = points[r0:r1]
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    centre, radius = (lo + hi) / 2, NEAR_RADIUS * np.linalg.norm(hi - lo) / 2
+    offsets = points - centre
+    inside = np.einsum("ij,ij->i", offsets, offsets) < radius**2
+    near = np.flatnonzero(inside)
+    proxies = centre + radius * _PROXY_PATTERN
+    in_box = ((proxies >= box[0]) & (proxies <= box[1])).all(axis=1)
+    if in_box.any():  # the box of a small or thin point set may hold none
+        proxies = proxies[in_box]
+    weight = np.sqrt((len(points) - len(near)) / len(proxies))
+    return near[(near < r0) | (near >= r1)], proxies, weight
+
+
 def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
     i = task.node
-    r0 = i * b.nleaf
-    x = b.points[r0:r0 + b.nleaf]
+    r0, r1 = i * b.nleaf, (i + 1) * b.nleaf
+    x = b.points[r0:r1]
     diag = kernel_matrix(b.spec, x, x)
+    near, proxies, weight = _leaf_sample(b.points, b.box, r0, r1)
     with b.rows.lease() as adm:
-        # Block j of the row is K(x_i, x_j); the admissible row skips j = i.
-        for j in range(b.num_leaves):
-            if j != i:
-                col = (j - (j > i)) * b.nleaf
-                adm[:, col:col + b.nleaf] = kernel_matrix(
-                    b.spec, x, b.points[j * b.nleaf:(j + 1) * b.nleaf])
-        basis = build_shared_basis(adm.T, b.max_rank)
+        # Block j < i of the row is K(x_i, x_j): the part the projection
+        # reads.  The rest of the row is sampled, never evaluated in full.
+        left = adm[:, :r0]
+        for j in range(i):
+            left[:, j * b.nleaf:(j + 1) * b.nleaf] = kernel_matrix(
+                b.spec, x, b.points[j * b.nleaf:(j + 1) * b.nleaf])
+        sample = np.hstack([left[:, near[near < r0]],
+                            kernel_matrix(b.spec, x, b.points[near[near >= r1]]),
+                            weight * kernel_matrix(b.spec, x, proxies)])
+        basis = build_shared_basis(sample.T, b.max_rank)
+        del sample  # freed before the projection allocates
         if i:
-            # The first r0 admissible columns are the leaves left of this one.
-            results[("proj", i)] = basis.skeleton.T @ adm[:, :r0]
+            results[("proj", i)] = basis.skeleton.T @ left
     return _freeze(diag), basis
 
 
@@ -371,7 +440,8 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
             deps = frozenset({tr})
     bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
               TaskKind.TRANSFER: _transfer}
-    ctx = _BuildContext(spec, ps.points, nleaf, max_rank, max_level, nb,
+    box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
+    ctx = _BuildContext(spec, ps.points, box, nleaf, max_rank, max_level, nb,
                         _RowBuffers((nleaf, ps.n - nleaf), nb))
     results, stats = run_graph(TaskGraph(max_level, tasks), bodies, ctx, workers,
                                shuffle_seed=shuffle_seed)

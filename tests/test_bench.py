@@ -202,6 +202,20 @@ class TestBuildTimings:
         assert report["build_makespan_seconds"] > 0
         assert report["build_per_kind_seconds"]["LeafBasis"] > 0
 
+    def test_build_per_level_seconds(self, tmp_path):
+        # the same task records split by level: L3 holds the leaf tasks
+        # and the leaf-level transfer, L1 and L2 one transfer each
+        out = tmp_path / "report.json"
+        assert main(["--N", "2048", "--nleaf", "256", "--max-rank", "64",
+                     "--workers", "2", "--reps", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        per_level = report["build_per_level_seconds"]
+        assert list(per_level) == ["1", "2", "3"]
+        assert all(seconds > 0 for seconds in per_level.values())
+        assert per_level["3"] > per_level["1"]
+        assert sum(per_level.values()) == pytest.approx(
+            sum(report["build_per_kind_seconds"].values()), rel=1e-12)
+
 
 class TestCsvSchemas:
     def test_rank_sweep_golden_header(self, tmp_path):
