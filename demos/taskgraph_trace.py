@@ -1,7 +1,7 @@
 """Executing the factorization as an asynchronous task graph.
 
 Shows the task counts and dependency depth, runs the graph on a worker
-pool, verifies the factors match workers=1 (which is ``ulv_factor_hss``)
+pool, verifies the factors match ``ulv_factor_hss`` at workers=1
 bitwise, looks for the asynchrony witness (a merge finishing before its
 level has drained), and simulates a row-cyclic process distribution to count inter-owner
 transfers.  Exports the schedule (JSON lines) and the communication
@@ -35,7 +35,7 @@ print(f"leaf owners (round robin over {PROCS} ranks): {leaf_owner}")
 
 # --- executor: dependency-driven, deterministic results -------------------
 factors, stats = execute(graph, h, workers=WORKERS)
-inline = ulv_factor_hss(h)  # the same executor with workers=1
+inline = ulv_factor_hss(h, workers=1)  # the same executor, inline
 same = np.array_equal(factors.root_chol, inline.root_chol)
 print(f"factors with {WORKERS} workers match workers=1 bitwise: {same}")
 print(f"makespan {stats.makespan_seconds * 1e3:.1f} ms, "

@@ -7,8 +7,8 @@ and factorizes them in O(N) with a ULV scheme, with a simulated process
 distribution and communication accounting.  Construction and
 factorization are both task graphs run asynchronously by one runtime
 (:func:`hssulv.taskdag.run_graph`), in which a failing task raises its
-own error; :func:`ulv_factor_hss` is the factorization run with one
-worker.
+own error.  The builders and :func:`ulv_factor_hss` run on the cores by
+default; the root's dense Cholesky is tile tasks on the same workers.
 """
 
 from .bench import (ExperimentConfig, ExperimentReport, rank_accuracy_sweep,

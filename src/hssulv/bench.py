@@ -1,14 +1,15 @@
 """Benchmark harness: one experiment report, and sweeps made of its rows.
 
-:func:`run_single` drives the full pipeline (grid, kernel compression,
-task-graph factorization, solve) and returns an :class:`ExperimentReport`
-with both error metrics, wall times with 95% confidence intervals (of
+:func:`run_single` drives the full pipeline (grid, kernel compression
+into an HSS or a BLR2 tree, task-graph factorization, solve) and
+returns an :class:`ExperimentReport` with both error metrics, wall
+times with 95% confidence intervals (of
 factorization, of a solve and of a 16-column block solve), the BLAS
 thread count in effect inside library calls, the skeleton ranks and
 truncation tails reached at each tree level, the runtime's makespan,
 per-kind and per-level task seconds and busy ratio of the build, and its
 breakdown of the last factorization: makespan, scheduler and idle
-overhead, per-kind and per-worker task seconds, and simulated
+overhead, per-kind, per-level and per-worker task seconds, and simulated
 communication.  Build and factorization both run at ``workers``.
 Construction is timed separately from factorization; repetitions re-run
 factorization and solve on the already built operator, so the build time
@@ -66,6 +67,9 @@ BLOCK_RHS = 16
 # Default (max_rank, nleaf) grid for the accuracy sweep.
 DEFAULT_RANK_GRID = ((100, 256), (200, 256), (200, 512), (400, 512))
 
+# The tree formats run_single builds: build_hss and build_blr2.
+TREES = ("hss", "blr2")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -77,8 +81,11 @@ class ExperimentConfig:
     nprocs_simulated: int = 1
     seed: int = 0
     repetitions: int = 5
+    tree: str = "hss"
 
     def __post_init__(self):
+        if self.tree not in TREES:
+            raise ValueError(f"tree={self.tree!r} is not one of {TREES}")
         if self.max_rank > self.nleaf:
             raise ValueError(f"max_rank={self.max_rank} exceeds nleaf={self.nleaf}")
         ratio = self.n // self.nleaf
@@ -121,6 +128,9 @@ class ExperimentReport:
     build_busy_ratio: float
     # the last factorization's task seconds / (workers x its makespan)
     factor_busy_ratio: float
+    # the last factorization's task seconds by tree level; the root tiles
+    # are level 0
+    factor_per_level_seconds: dict
     factor_seconds_mean: float
     factor_seconds_ci95: float | None
     solve_seconds_mean: float
@@ -163,12 +173,14 @@ def _per_level_seconds(stats) -> dict:
 
 
 def run_single(cfg: ExperimentConfig) -> ExperimentReport:
-    """Build and factorize at ``cfg.workers``, solve, and measure errors."""
+    """Build ``cfg.tree`` and factorize it at ``cfg.workers``, solve, and
+    measure errors."""
     ps = generate_grid(cfg.n)
     t0 = time.perf_counter()
-    # build_hss, keeping the runtime's record of the build
+    # build_hss or build_blr2, keeping the runtime's record of the build
     h, build_stats = _build_tree(cfg.kernel, ps, cfg.nleaf, cfg.max_rank,
-                                 one_level=False, workers=cfg.workers, shuffle_seed=None)
+                                 one_level=cfg.tree == "blr2", workers=cfg.workers,
+                                 shuffle_seed=None)
     build_s = time.perf_counter() - t0
 
     graph = build_dag(h)
@@ -209,6 +221,7 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         build_busy_ratio=build_stats.total_task_seconds
         / (cfg.workers * build_stats.makespan_seconds),
         factor_busy_ratio=stats.total_task_seconds / (cfg.workers * stats.makespan_seconds),
+        factor_per_level_seconds=_per_level_seconds(stats),
         factor_seconds_mean=factor_mean,
         factor_seconds_ci95=factor_ci,
         solve_seconds_mean=solve_mean,

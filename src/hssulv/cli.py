@@ -6,6 +6,7 @@ Examples:
         --workers 2 --seed 0 --reps 3 --format json
     hssulv-bench --sweep rank --N 4096 --out table.csv
     hssulv-bench --sweep scaling --N 2048,4096,8192 --nleaf 256 --max-rank 100
+    hssulv-bench --tree blr2 --kernel yukawa --N 8192 --workers 2
 
 A JSON config file may preset any option, including kernel constants:
 
@@ -29,7 +30,7 @@ import json
 import sys
 
 from .bench import (DEFAULT_RANK_GRID, RANK_SWEEP_COLUMNS, SCALING_COLUMNS,
-                    ExperimentConfig, rank_accuracy_sweep, run_single,
+                    TREES, ExperimentConfig, rank_accuracy_sweep, run_single,
                     scaling_sweep, write_csv, write_json)
 from .kernels import KERNEL_KINDS, KernelSpec
 from .linalg import NotPositiveDefiniteError
@@ -45,6 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel kind (default laplace2d; rank sweep runs all)")
     p.add_argument("--N", default="4096",
                    help="problem size; comma separated list for --sweep scaling")
+    p.add_argument("--tree", choices=TREES, default="hss",
+                   help="compressed format: multi-level hss or single-level blr2")
     p.add_argument("--nleaf", type=int, default=256, help="leaf block size")
     p.add_argument("--max-rank", type=int, default=100, help="skeleton rank cap")
     p.add_argument("--workers", type=int, default=1,
@@ -116,7 +119,7 @@ def main(argv=None) -> int:
         base = ExperimentConfig(
             kernel=kernel, n=sizes[0], nleaf=args.nleaf, max_rank=args.max_rank,
             workers=args.workers, nprocs_simulated=args.procs, seed=args.seed,
-            repetitions=args.reps)
+            repetitions=args.reps, tree=args.tree)
     except Exception as exc:
         _error(exc)
         return 2

@@ -11,15 +11,19 @@ root in BLR2.
 
 This module holds the task bodies; :func:`hssulv.taskdag.execute` runs
 them.  :func:`ulv_factor_hss` (alias :func:`ulv_factor_blr2`) is that
-executor with one worker, inline on the calling thread, so there is a
+executor, by default on the cores as the builders are, so there is a
 single factorization path for both formats, and a failing task raises
 its own error naming the level and node from either entry point.
 
 The factored form is a product, per level, of a block-diagonal basis
 rotation, a block unit-lower elimination and a gather permutation,
-closed by a dense Cholesky of the small root block.  The factorization
-is exact on the compressed operator: compression error lives entirely in
-construction.
+closed by a dense Cholesky of the root block.  The root is factored as
+tiles of side :data:`ROOT_TILE` in place in the block the last merge
+writes, one task per tile step of a right-looking Cholesky (Buttari et
+al., "A class of parallel tiled linear algebra algorithms for multicore
+architectures", Parallel Computing 2009), so the workers share it.  The
+factorization is exact on the compressed operator: compression error
+lives entirely in construction.
 
 :func:`ulv_solve` reads that product twice, leaves to root and back,
 each node's basis and factors once per sweep and the root factor once
@@ -37,8 +41,12 @@ import numpy as np
 
 from ._threads import single_blas_thread
 from .construct import BlockBasis, HssMatrix, matvec
-from .linalg import (NotPositiveDefiniteError, cholesky, partial_cholesky,
-                     solve_lower)
+from .linalg import (NotPositiveDefiniteError, _potrf, _require_symmetric,
+                     partial_cholesky, solve_lower, tile_gemm, tile_syrk,
+                     tile_trsm)
+# Not called here any more; the benchmark's traced run
+# (perfbench/tracing.py) wraps factor.cholesky by name.
+from .linalg import cholesky  # noqa: F401
 
 __all__ = [
     "NodeFactor",
@@ -53,6 +61,14 @@ __all__ = [
 ]
 
 RECONSTRUCT_GUARD = 2048
+
+# Side of the tiles the root block is factored in.  On the order-1600
+# root of yukawa BLR2 at N = 4096, two workers factored the operator in
+# 95-100 ms with tiles of 288 to 534 (medians of 20 rounds, 2 vCPUs),
+# 130 ms with 800 and 131 ms untiled; 400 gives four equal tiles there.
+# An HSS root has order at most 2 * max_rank, so up to max_rank 200 it
+# is one tile: one dpotrf, bitwise the untiled Cholesky.
+ROOT_TILE = 400
 
 
 def diagonal_product(block: np.ndarray, basis: BlockBasis) -> np.ndarray:
@@ -133,11 +149,12 @@ class UlvFactors:
 
 
 # Task bodies run by the task-graph executor.  Results are stored under
-# the task ids ("dp"|"pf"|"mg", level, node) and ("root",).  A rotated
-# diagonal or a merged block has one consumer, which pops it.  A partial
-# factor's skeleton remainder is read only by its parent's merge, which
-# pops the partial factor and leaves the node's factors under
-# ("nf", level, node) for assemble_factors.
+# the task ids ("dp"|"pf"|"mg", level, node).  A rotated diagonal or a
+# merged block below the root has one consumer, which pops it.  A
+# partial factor's skeleton remainder is read only by its parent's merge,
+# which pops the partial factor and leaves the node's factors under
+# ("nf", level, node) for assemble_factors.  The root tile tasks
+# factor the root's merged block ("mg", 1, 0) in place and store None.
 
 
 def run_diag_product(h: HssMatrix, results: dict, task):
@@ -175,12 +192,43 @@ def run_merge(h: HssMatrix, results: dict, task):
          for a in range(len(kids)) for b in range(a + 1, len(kids))})
 
 
-def run_root_factor(h: HssMatrix, results: dict, task):
-    # the merged block is this task's own; it becomes the root factor
-    block = results.pop(("mg", 1, 0))
-    ranks = [h.skeleton_dim(1, i) for i in range(h.num_nodes(1))]
-    return cholesky(block, context=f"root block (order {block.shape[0]}, "
-                                   f"level-1 skeleton ranks {ranks})", overwrite_a=True)
+def root_tile_count(h: HssMatrix) -> int:
+    """Tiles per side of the root block: its order over :data:`ROOT_TILE`,
+    rounded up, and at least one.  The last tile may be shorter."""
+    order = sum(h.skeleton_dim(1, i) for i in range(h.num_nodes(1)))
+    return max(1, -(-order // ROOT_TILE))
+
+
+def run_root_tile(h: HssMatrix, results: dict, task):
+    """One step of the tiled Cholesky of the root block, in place:
+    ``("potrf", k)`` factors diagonal tile ``k``, ``("trsm", i, k)`` solves
+    tile ``(i, k)`` against it and zeroes its mirror ``(k, i)``,
+    ``("syrk", i, k)`` and ``("gemm", i, j, k)`` subtract panel ``k`` from
+    tiles ``(i, i)`` and ``(i, j)``.  ``("potrf", 0)`` first checks the
+    whole block for symmetry."""
+    block = results[("mg", 1, 0)]
+    step, *ij = task.id
+
+    def tile(i, j):
+        return block[i * ROOT_TILE:(i + 1) * ROOT_TILE, j * ROOT_TILE:(j + 1) * ROOT_TILE]
+
+    if step == "potrf":
+        (k,) = ij
+        ranks = [h.skeleton_dim(1, i) for i in range(h.num_nodes(1))]
+        context = f"root block (order {block.shape[0]}, level-1 skeleton ranks {ranks})"
+        if k == 0:
+            _require_symmetric(block, "a", context)
+        _potrf(tile(k, k), context, first=k * ROOT_TILE)
+    elif step == "trsm":
+        i, k = ij
+        tile_trsm(tile(k, k), tile(i, k))
+        tile(k, i)[...] = 0
+    elif step == "syrk":
+        i, k = ij
+        tile_syrk(tile(i, k), tile(i, i))
+    else:
+        i, j, k = ij
+        tile_gemm(tile(i, k), tile(j, k), tile(i, j))
 
 
 def _perm_for_level(factors: list) -> np.ndarray:
@@ -198,20 +246,22 @@ def _perm_for_level(factors: list) -> np.ndarray:
 def assemble_factors(h: HssMatrix, results: dict) -> UlvFactors:
     levels = {level: [results[("nf", level, node)] for node in range(h.num_nodes(level))]
               for level in range(h.max_level, 0, -1)}
-    return UlvFactors(h.n, h.max_level, levels, results[("root",)])
+    return UlvFactors(h.n, h.max_level, levels, results[("mg", 1, 0)])
 
 
-def ulv_factor_hss(h: HssMatrix) -> UlvFactors:
+def ulv_factor_hss(h: HssMatrix, workers: int | None = None) -> UlvFactors:
     """ULV factorization: the task graph of ``h`` run by
-    :func:`hssulv.taskdag.execute` with one worker, inline on the calling
-    thread.
+    :func:`hssulv.taskdag.execute` on ``workers``, where ``None`` means the
+    cores this process may use, as in the builders.  One worker runs the
+    graph inline on the calling thread.  The factors are bitwise the same
+    for any ``workers``.
 
     A failing task raises its own error, such as a
     :class:`NotPositiveDefiniteError` naming the level and node.
     """
     from . import taskdag  # taskdag imports this module
 
-    return taskdag.execute(taskdag.build_dag(h), h, workers=1)[0]
+    return taskdag.execute(taskdag.build_dag(h), h, workers)[0]
 
 
 # BLR2 is the one-level tree, factored by the same path.

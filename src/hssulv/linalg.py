@@ -4,12 +4,14 @@ Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
 truncation, block splits) that the factorization layers rely on.
 
-Every LAPACK routine has one binding.  The factorization's Cholesky
-(``dpotrf``) and the compression behind every shared basis of a build
-(``dgeqrt``, ``dgesdd``) go through :func:`_lapack`: ctypes function
-pointers to the routines that ``scipy.linalg.cython_lapack`` exports,
-called with the GIL released and in place on F-ordered arrays, so the
-workers of a build or a factorization run them side by side.  Every
+Every LAPACK and BLAS routine has one binding.  The factorization's
+Cholesky (``dpotrf``), the tile updates of the root (``dtrsm``,
+``dsyrk``, ``dgemm``) and the compression behind every shared basis of a
+build (``dgeqrt``, ``dgesdd``) go through :func:`_routine`: ctypes
+function pointers to the routines that ``scipy.linalg.cython_lapack``
+and ``scipy.linalg.cython_blas`` export, called with the GIL released
+and in place on F-ordered arrays or column-major views into them, so
+the workers of a build or a factorization run them side by side.  Every
 triangular solve, the factorization's panel and the solve's sweeps,
 goes through :func:`solve_lower`, scipy's f2py ``dtrtrs``, which holds
 the GIL but costs less per call.  It is the same library that
@@ -24,7 +26,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
@@ -34,6 +36,9 @@ __all__ = [
     "dominant_basis_full",
     "partial_cholesky",
     "solve_lower",
+    "tile_gemm",
+    "tile_syrk",
+    "tile_trsm",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -110,24 +115,28 @@ def _failed_pivot_value(a: np.ndarray, k: int) -> float:
     return float(a[k, k] - w @ w)
 
 
-def _potrf(a: np.ndarray, context: str = "", source: np.ndarray | None = None) -> np.ndarray:
-    """Lower Cholesky factor of the square F-ordered float64 ``a``, which
-    the caller owns and has passed through :func:`_require_symmetric`.
-    LAPACK ``dpotrf`` writes it over ``a`` with the GIL released; returns
-    ``a`` with its strictly upper triangle zeroed.
+def _potrf(a: np.ndarray, context: str = "", source: np.ndarray | None = None,
+           first: int = 0) -> np.ndarray:
+    """Lower Cholesky factor of the square float64 ``a``, an F-ordered
+    array or a diagonal tile of one, which the caller owns and has passed
+    (for a tile, its whole block) through :func:`_require_symmetric`.
+    LAPACK ``dpotrf`` reads the lower triangle and writes the factor over
+    it with the GIL released; returns ``a`` with its strictly upper
+    triangle zeroed.
 
     On a non-positive pivot raises :class:`NotPositiveDefiniteError` with
-    the value ``dpotrf`` left on the diagonal, or, if ``a`` is a copy of
+    its index plus ``first`` (where the tile starts in its block) and the
+    value ``dpotrf`` left on the diagonal, or, if ``a`` is a copy of
     ``source``, the value recomputed from ``source``.
     """
     n = a.shape[0]
     if n == 0:
         return a
-    info = _info("dpotrf", b"L", n, a, n)
+    info = _info("dpotrf", b"L", n, a, _ld(a))
     if info:
         k = info - 1
         value = float(a[k, k]) if source is None else _failed_pivot_value(source, k)
-        raise NotPositiveDefiniteError(k, value, context)
+        raise NotPositiveDefiniteError(first + k, value, context)
     for j in range(0, n, TILE):
         w = min(TILE, n - j)
         a[:j, j:j + w] = 0
@@ -135,26 +144,53 @@ def _potrf(a: np.ndarray, context: str = "", source: np.ndarray | None = None) -
     return a
 
 
-def cholesky(a: np.ndarray, context: str = "", overwrite_a: bool = False) -> np.ndarray:
+def cholesky(a: np.ndarray, context: str = "") -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     ``a`` is not modified: LAPACK ``dpotrf`` factors one F-ordered copy of
     it in place, with the GIL released, and that copy is returned with its
-    strictly upper triangle zeroed.  With ``overwrite_a``, an ``a`` that is
-    already a writeable F-ordered float64 array is factored in place and
-    returned instead; any other ``a`` is copied as without it.
+    strictly upper triangle zeroed.
 
     Raises ``ValueError`` naming ``context`` for a non-finite or
     non-symmetric ``a``, and :class:`NotPositiveDefiniteError` with the
-    pivot index and value on failure; there is no automatic diagonal
-    shift.  The value is recomputed from ``a`` unless ``a`` was overwritten,
-    which leaves it partly factored.
+    pivot index and the value recomputed from ``a`` on failure; there is
+    no automatic diagonal shift.
     """
     a = _require_square(a, "a")
     _require_symmetric(a, "a", context)
-    if overwrite_a and a.flags.f_contiguous and a.flags.writeable:
-        return _potrf(a, context)
     return _potrf(np.array(a, order="F"), context, source=a)
+
+
+# The tile kernels of a right-looking Cholesky.  Each runs one BLAS call
+# in place on column-major float64 views into one F-ordered block, with
+# the GIL released, after checking the operands' shapes.
+
+def _require_shapes(*pairs):
+    for a, shape in pairs:
+        if a.shape != shape:
+            raise ValueError(f"tile of shape {a.shape} where {shape} is needed")
+
+
+def tile_trsm(low: np.ndarray, b: np.ndarray) -> None:
+    """``b <- b @ inv(low).T`` for the lower-triangular tile ``low``."""
+    m, n = b.shape
+    _require_shapes((low, (n, n)))
+    _routine("dtrsm")(*_args(b"R", b"L", b"T", b"N", m, n, 1.0, low, _ld(low), b, _ld(b)))
+
+
+def tile_syrk(a: np.ndarray, c: np.ndarray) -> None:
+    """``c <- c - a @ a.T`` on the lower triangle of the square tile ``c``."""
+    n, k = a.shape
+    _require_shapes((c, (n, n)))
+    _routine("dsyrk")(*_args(b"L", b"N", n, k, -1.0, a, _ld(a), 1.0, c, _ld(c)))
+
+
+def tile_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """``c <- c - a @ b.T``."""
+    m, n = c.shape
+    k = a.shape[1]
+    _require_shapes((a, (m, k)), (b, (n, k)))
+    _routine("dgemm")(*_args(b"N", b"T", m, n, k, -1.0, a, _ld(a), b, _ld(b), 1.0, c, _ld(c)))
 
 
 def solve_lower(low: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -195,28 +231,44 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 
 
 @functools.cache
-def _lapack(name: str):
-    """LAPACK routine ``name`` as a ctypes function that releases the GIL.
+def _routine(name: str):
+    """LAPACK or BLAS routine ``name`` as a ctypes function that releases
+    the GIL.
 
-    The pointer comes from the capsule ``scipy.linalg.cython_lapack``
-    exports for it; the capsule's name is the C signature, in which every
-    argument is a pointer (the Fortran convention).
+    The pointer comes from the capsule ``scipy.linalg.cython_lapack`` or
+    ``scipy.linalg.cython_blas`` exports for it; the capsule's name is the
+    C signature, in which every argument is a pointer (the Fortran
+    convention).
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    capi = cython_lapack.__pyx_capi__
+    capsule = capi[name] if name in capi else cython_blas.__pyx_capi__[name]
     signature = _capsule_name(capsule)
     nargs = signature.count(b",") + 1
     proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
     return proto(_capsule_pointer(capsule, signature))
 
 
+def _ld(a: np.ndarray) -> int:
+    """Leading dimension of ``a``, a column-major float64 array or view."""
+    if a.dtype != np.float64 or (a.shape[0] > 1 and a.strides[0] != a.itemsize):
+        raise ValueError("LAPACK and BLAS need column-major float64 operands")
+    return max(a.strides[1] // a.itemsize, a.shape[0], 1)
+
+
+def _args(*args) -> list:
+    """Fortran arguments: ints and floats by reference, arrays by their
+    data pointer, bytes as they are."""
+    return [ctypes.byref(ctypes.c_int(a)) if isinstance(a, int)
+            else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
+            else a.ctypes.data if isinstance(a, np.ndarray) else a
+            for a in args]
+
+
 def _info(name: str, *args) -> int:
-    """Call LAPACK ``name``: ints go by reference, arrays by their data
-    pointer, bytes as they are.  The trailing ``info`` is added and
-    returned; a negative one, a bad argument, raises."""
+    """Call LAPACK ``name`` on :func:`_args`; the trailing ``info`` is
+    added and returned.  A negative one, a bad argument, raises."""
     info = ctypes.c_int(0)
-    _lapack(name)(*(ctypes.byref(ctypes.c_int(a)) if isinstance(a, int)
-                    else a.ctypes.data if isinstance(a, np.ndarray) else a
-                    for a in args), ctypes.byref(info))
+    _routine(name)(*_args(*args), ctypes.byref(info))
     if info.value < 0:
         raise np.linalg.LinAlgError(f"{name} failed (lapack info={info.value})")
     return info.value
@@ -273,7 +325,7 @@ def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
 
     The QR is LAPACK's level-3 recursive ``dgeqrt``, run in place on one
     F-ordered working copy of ``a.T``, and the SVD is ``dgesdd``; both go
-    through :func:`_lapack`, so the GIL is released while they run.
+    through :func:`_routine`, so the GIL is released while they run.
     ``a`` is not modified.  Raises ``ValueError`` if ``a`` holds an
     infinite or NaN entry.
     """

@@ -14,11 +14,11 @@ with one schedule record and one determinism guarantee.
 
 The factorization graph is built from the tree of either format: per
 level there is one diagonal-product and one partial-factor task per node
-and one merge per parent; a single root task closes the graph.  The only
-cross-task edges are produced by the merge step, so a merge can fire as
-soon as its children finish (two in HSS, every block in BLR2),
-independent of the rest of its level.  ``execute(g, h, workers=1)`` is
-what :func:`hssulv.factor.ulv_factor_hss` calls.
+and one merge per parent; the tile tasks of the root's Cholesky close
+the graph.  The only edges between nodes are produced by the merge step,
+so a merge can fire as soon as its children finish (two in HSS, every
+block in BLR2), independent of the rest of its level.
+:func:`hssulv.factor.ulv_factor_hss` is :func:`execute` on this graph.
 
 The simulated "process" distribution is pure accounting, kept out of the
 runtime: block rows are owned round-robin at the leaf level, every
@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 
 from ._threads import single_blas_thread, worker_count
 from .construct import HssMatrix
-from .factor import (UlvFactors, assemble_factors, run_diag_product,
-                     run_merge, run_partial_factor, run_root_factor)
+from .factor import (UlvFactors, assemble_factors, root_tile_count,
+                     run_diag_product, run_merge, run_partial_factor,
+                     run_root_tile)
 
 __all__ = [
     "TaskKind",
@@ -85,6 +86,9 @@ _KIND_ORDER = {
 }
 
 
+_TILE_STEP = {"potrf": 0, "trsm": 1, "syrk": 2, "gemm": 2}
+
+
 @dataclass(frozen=True)
 class Task:
     """One step of a task graph; ``deps`` are ids that must finish first.
@@ -107,7 +111,15 @@ class Task:
         # first on ties.  In the build, a leaf's coupling ranks right after
         # its basis, so each projection is consumed as soon as it can be.
         level = self.level - 1 if self.kind == TaskKind.MERGE else self.level
-        return (level, self.node, _KIND_ORDER[self.kind])
+        head = (level, self.node, _KIND_ORDER[self.kind])
+        if self.kind == TaskKind.ROOT_FACTOR:
+            # Root tiles by the column they write, then by panel: the
+            # updates of the next column and its factor run before the
+            # rest of a panel's updates, as a lookahead would.
+            step, *tile = self.id
+            column = tile[1] if step == "gemm" else tile[0] if step == "syrk" else tile[-1]
+            return head + (column, tile[-1], _TILE_STEP[step], tile[0])
+        return head
 
 
 @dataclass
@@ -138,25 +150,48 @@ def build_dag(h: HssMatrix) -> TaskGraph:
     """Task graph of the ULV factorization of ``h``.
 
     A diagonal product and a partial factor per node per level, a merge
-    per parent and one root factorization: for a binary tree of depth
-    ``L`` that is ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` tasks, for BLR2
-    with ``nb`` blocks ``2*nb + 2``.
+    per parent, and the root's tiled Cholesky: with ``t`` tiles per side
+    (:func:`hssulv.factor.root_tile_count`), a ``("potrf", k)`` per
+    diagonal tile, a ``("trsm", i, k)`` per tile below it, and a
+    ``("syrk", i, k)`` or ``("gemm", i, j, k)`` per lower tile ``(i, i)``
+    or ``(i, j)`` and earlier panel ``k``: ``T(t) = t + t*(t-1) +
+    t*(t-1)*(t-2)/6`` tasks, all of kind ``RootFactor`` at level 0.  The
+    updates of a tile are chained in panel order, so its bits do not
+    depend on the schedule.  For a binary tree of depth ``L``, whose root
+    is one tile, that is ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` tasks; for
+    BLR2 with ``nb`` blocks ``2*nb + 1 + T(t)``.
     """
     L = h.max_level
     tasks = {}
+
+    def add(tid, kind, level, node, deps):
+        tasks[tid] = Task(tid, kind, level, node, frozenset(deps))
+
     for level in range(L, 0, -1):
         for node in range(h.num_nodes(level)):
-            deps = frozenset() if level == L else frozenset({("mg", level + 1, node)})
             dp, pf = ("dp", level, node), ("pf", level, node)
-            tasks[dp] = Task(dp, TaskKind.DIAG_PRODUCT, level, node, deps)
-            tasks[pf] = Task(pf, TaskKind.PARTIAL_FACTOR, level, node, frozenset({dp}))
+            add(dp, TaskKind.DIAG_PRODUCT, level, node,
+                () if level == L else [("mg", level + 1, node)])
+            add(pf, TaskKind.PARTIAL_FACTOR, level, node, [dp])
         for parent in range(h.num_nodes(level - 1)):
-            mg = ("mg", level, parent)
-            tasks[mg] = Task(mg, TaskKind.MERGE, level, parent,
-                             frozenset(("pf", level, c)
-                                       for c in h.children(level - 1, parent)))
-    tasks[("root",)] = Task(("root",), TaskKind.ROOT_FACTOR, 0, 0,
-                            frozenset({("mg", 1, 0)}))
+            add(("mg", level, parent), TaskKind.MERGE, level, parent,
+                [("pf", level, c) for c in h.children(level - 1, parent)])
+    t = root_tile_count(h)
+
+    def after(tid, k):  # the previous update of the same tile, if any
+        return [tid] if k else []
+
+    for k in range(t):
+        add(("potrf", k), TaskKind.ROOT_FACTOR, 0, 0,
+            [("syrk", k, k - 1)] if k else [("mg", 1, 0)])
+        for i in range(k + 1, t):
+            add(("trsm", i, k), TaskKind.ROOT_FACTOR, 0, 0,
+                [("potrf", k), *after(("gemm", i, k, k - 1), k)])
+            add(("syrk", i, k), TaskKind.ROOT_FACTOR, 0, 0,
+                [("trsm", i, k), *after(("syrk", i, k - 1), k)])
+            for j in range(k + 1, i):
+                add(("gemm", i, j, k), TaskKind.ROOT_FACTOR, 0, 0,
+                    [("trsm", i, k), ("trsm", j, k), *after(("gemm", i, j, k - 1), k)])
     return TaskGraph(L, tasks)
 
 
@@ -249,7 +284,7 @@ _FACTOR_BODIES = {
     TaskKind.DIAG_PRODUCT: run_diag_product,
     TaskKind.PARTIAL_FACTOR: run_partial_factor,
     TaskKind.MERGE: run_merge,
-    TaskKind.ROOT_FACTOR: run_root_factor,
+    TaskKind.ROOT_FACTOR: run_root_tile,
 }
 
 

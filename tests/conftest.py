@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hssulv import (KernelSpec, build_hss, generate_grid, kernel_matrix,
-                    ulv_factor_hss)
+from hssulv import (BlockBasis, HssMatrix, KernelSpec, Task, TaskGraph,
+                    TaskKind, build_dag, build_hss, generate_grid,
+                    kernel_matrix, ulv_factor_hss)
+from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
 
 class BuildCache:
@@ -76,3 +78,22 @@ def factors_equal(a, b):
     return all(np.array_equal(x.l_rr, y.l_rr) and np.array_equal(x.l_sr, y.l_sr)
                for level in a.levels
                for x, y in zip(a.levels[level], b.levels[level]))
+
+
+def root_tree(a):
+    """A one-leaf tree whose basis is all skeleton, so that its root block
+    is ``a`` itself."""
+    n = a.shape[0]
+    return HssMatrix(n, 1, (a,), {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
+
+
+def factor_root(a, workers=1, shuffle_seed=None):
+    """``a`` factored by the root tile tasks of its factorization graph
+    alone: the merge they wait for hands them an F-ordered copy of ``a``."""
+    h = root_tree(a)
+    tasks = {tid: t for tid, t in build_dag(h).tasks.items()
+             if t.kind == TaskKind.ROOT_FACTOR}
+    tasks[("mg", 1, 0)] = Task(("mg", 1, 0), TaskKind.MERGE, 1, 0, frozenset())
+    bodies = {TaskKind.MERGE: lambda h, results, task: np.array(a, order="F"),
+              TaskKind.ROOT_FACTOR: _FACTOR_BODIES[TaskKind.ROOT_FACTOR]}
+    return run_graph(TaskGraph(1, tasks), bodies, h, workers, shuffle_seed)[0][("mg", 1, 0)]

@@ -217,6 +217,51 @@ class TestBuildTimings:
             sum(report["build_per_kind_seconds"].values()), rel=1e-12)
 
 
+class TestTrees:
+    """BLR2 measured through the same report, and the factorization's
+    seconds per level."""
+
+    def test_factor_per_level_seconds(self, tmp_path):
+        # level 0 holds the root tiles, level 3 the leaf tasks
+        out = tmp_path / "report.json"
+        assert main(["--N", "2048", "--nleaf", "256", "--max-rank", "64",
+                     "--workers", "2", "--reps", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        per_level = report["factor_per_level_seconds"]
+        assert list(per_level) == ["0", "1", "2", "3"]
+        assert all(seconds > 0 for seconds in per_level.values())
+        assert sum(per_level.values()) == pytest.approx(
+            sum(report["per_kind_seconds"].values()), rel=1e-12)
+
+    def test_blr2_from_cli(self, tmp_path):
+        # 16 blocks of rank 60: a root of order 960 in three tiles per side,
+        # 10 tile tasks after 2 * 16 + 1 block tasks
+        out = tmp_path / "report.json"
+        assert main(["--tree", "blr2", "--kernel", "yukawa", "--N", "2048",
+                     "--nleaf", "128", "--max-rank", "60", "--workers", "2",
+                     "--reps", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["tree"] == "blr2"
+        assert report["task_count"] == 2 * 16 + 1 + 10
+        assert [r["level"] for r in report["rank_stats"]] == [1]
+        assert set(report["build_per_kind_seconds"]) == {"LeafBasis", "LeafCoupling"}
+        assert list(report["factor_per_level_seconds"]) == ["0", "1"]
+        assert report["solve_error"] <= 1e-11
+
+    def test_blr2_scaling_sweep(self):
+        rows, exponent = scaling_sweep([512, 1024], small_config(tree="blr2", max_rank=64))
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        # 2 and 4 blocks, each root one tile
+        assert [r["task_count"] for r in rows] == [2 * 2 + 2, 2 * 4 + 2]
+        assert exponent is not None
+
+    def test_unknown_tree_refused(self, capsys):
+        with pytest.raises(ValueError, match="tree"):
+            small_config(tree="h2")
+        with pytest.raises(SystemExit):
+            main(["--tree", "h2"])
+
+
 class TestCsvSchemas:
     def test_rank_sweep_golden_header(self, tmp_path):
         rows = rank_accuracy_sweep(["laplace2d"], [(128, 256)], small_config())

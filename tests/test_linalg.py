@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import tracemalloc
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_spd
+from conftest import factor_root, random_spd, root_tree
 from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
                     build_shared_basis, generate_grid, kernel_matrix,
-                    partial_cholesky)
+                    partial_cholesky, ulv_factor_hss)
+from hssulv.factor import ROOT_TILE
 from hssulv._threads import single_blas_thread
 from hssulv import linalg
 from hssulv.linalg import (_failed_pivot_value, _svd, dominant_basis_full,
-                           solve_lower)
+                           solve_lower, tile_gemm, tile_syrk, tile_trsm)
 
 
 def longest_gil_pause(fn, *args):
@@ -129,41 +131,14 @@ class TestCholesky:
         with pytest.raises(ValueError, match="NaN or infinite entries in leaf 7"):
             cholesky(a, context="leaf 7")
 
-    def test_in_place_pivot_matches_recomputed(self):
-        # order 400 fails past dpotrf's first diagonal block, where the
-        # pivot it leaves on the diagonal went through the blocked update
+    def test_failed_pivot_is_recomputed_from_the_input(self):
         a = indefinite_at(np.random.default_rng(5), 400, 300)
         want = _failed_pivot_value(a, 300)
         assert want < 0
         with pytest.raises(NotPositiveDefiniteError) as err:
-            single_blas_thread(cholesky)(np.array(a, order="F"), "root", overwrite_a=True)
+            cholesky(a, "root")
         assert err.value.pivot_index == 300 and err.value.context == "root"
-        assert err.value.pivot_value == pytest.approx(want, rel=1e-9)
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky(a)
-        assert err.value.pivot_index == 300 and err.value.pivot_value == want
-
-    def test_in_place_needs_writeable_f_ordered_float64(self):
-        # any other input is copied, as without overwrite_a
-        a = random_spd(np.random.default_rng(6), 8)
-        read_only = np.array(a, order="F")
-        read_only.flags.writeable = False
-        for x in (a, a.astype(np.float32, order="F"), read_only):
-            before = x.copy()
-            low = cholesky(x, overwrite_a=True)
-            assert np.array_equal(x, before) and x.dtype == before.dtype
-            assert np.array_equal(low, cholesky(x))
-
-    def test_overwrite_a_factors_f_ordered_input_in_place(self):
-        a = random_spd(np.random.default_rng(6), 8)
-        want = cholesky(a)
-        f = np.array(a, order="F")
-        assert cholesky(f, overwrite_a=True) is f
-        assert np.array_equal(f, want)
-        # a C-ordered a is copied, as without overwrite_a
-        c = a.copy()
-        low = cholesky(c, overwrite_a=True)
-        assert np.array_equal(c, a) and np.array_equal(low, want)
+        assert err.value.pivot_value == want
 
     def test_releases_the_gil(self):
         # about 0.1 s of dpotrf at one BLAS thread; through f2py the
@@ -174,6 +149,119 @@ class TestCholesky:
         advanced, longest = longest_gil_pause(cholesky, a)
         assert advanced >= 10**4
         assert longest < 0.03
+
+
+class TestRootTiles:
+    """The root's tiled Cholesky: its BLAS kernels, run in place on views
+    into one F-ordered block, and its named failures."""
+
+    @staticmethod
+    def block_and_views(rng, n=96, t=32):
+        a = np.asfortranarray(rng.standard_normal((n, n)))
+        return a, (lambda i, j: a[i * t:(i + 1) * t, j * t:(j + 1) * t])
+
+    def test_trsm_solves_tile_in_place(self):
+        a, tile = self.block_and_views(np.random.default_rng(1))
+        low = cholesky(random_spd(np.random.default_rng(2), 32))
+        tile(0, 0)[...] = low + np.triu(np.ones((32, 32)), 1)  # upper ignored
+        before = a.copy()
+        tile_trsm(tile(0, 0), tile(2, 0))
+        want = sla.solve_triangular(low, before[64:, :32].T, lower=True).T
+        assert np.linalg.norm(a[64:, :32] - want) <= 1e-13 * np.linalg.norm(want)
+        a[64:, :32] = before[64:, :32]
+        assert np.array_equal(a, before)
+
+    def test_syrk_updates_lower_triangle_only(self):
+        a, tile = self.block_and_views(np.random.default_rng(3))
+        before = a.copy()
+        tile_syrk(tile(2, 1), tile(2, 2))
+        c = before[64:, 64:] - before[64:, 32:64] @ before[64:, 32:64].T
+        low = np.tril_indices(32)
+        assert np.allclose(a[64:, 64:][low], c[low], rtol=0, atol=1e-13 * np.abs(c).max())
+        a[64:, 64:][low] = before[64:, 64:][low]
+        assert np.array_equal(a, before)
+
+    def test_gemm_updates_tile_in_place(self):
+        a, tile = self.block_and_views(np.random.default_rng(4))
+        before = a.copy()
+        tile_gemm(tile(2, 0), tile(1, 0), tile(2, 1))
+        c = before[64:, 32:64] - before[64:, :32] @ before[32:64, :32].T
+        assert np.allclose(a[64:, 32:64], c, rtol=0, atol=1e-13 * np.abs(c).max())
+        a[64:, 32:64] = before[64:, 32:64]
+        assert np.array_equal(a, before)
+
+    def test_kernels_refuse_row_major_operands(self):
+        c = np.zeros((8, 8))
+        with pytest.raises(ValueError, match="column-major float64"):
+            tile_gemm(np.ones((8, 4)), np.ones((8, 4)), c)
+        with pytest.raises(ValueError, match="column-major float64"):
+            tile_syrk(np.ones((8, 4), dtype=np.float32, order="F"), np.asfortranarray(c))
+
+    def test_kernels_refuse_mismatched_shapes(self):
+        a, b = np.zeros((8, 4), order="F"), np.zeros((6, 3), order="F")
+        with pytest.raises(ValueError, match="tile of shape"):
+            tile_trsm(np.eye(4), np.zeros((8, 5), order="F"))
+        with pytest.raises(ValueError, match="tile of shape"):
+            tile_syrk(a, a.copy(order="F"))
+        with pytest.raises(ValueError, match="tile of shape"):
+            tile_gemm(a, b, np.zeros((8, 6), order="F"))
+
+    @pytest.mark.parametrize("kernel", ["trsm", "syrk", "gemm"])
+    def test_kernels_release_the_gil(self, kernel):
+        # 1-2 Gflop per call at one BLAS thread
+        n = 1024
+        rng = np.random.default_rng(14)
+        a, b, c = (np.asfortranarray(rng.standard_normal((n, n))) for _ in range(3))
+        if kernel == "trsm":
+            args = (np.asfortranarray(cholesky(random_spd(rng, n))), c)
+        elif kernel == "syrk":
+            args = (a, c)
+        else:
+            args = (a, b, c)
+        fn = {"trsm": tile_trsm, "syrk": tile_syrk, "gemm": tile_gemm}[kernel]
+        advanced, longest = longest_gil_pause(fn, *args)
+        assert advanced >= 10**4
+        assert longest < 0.03
+
+    def test_late_tile_pivot_names_global_index_and_root(self):
+        # the root fails in its third tile; the error reports the index in
+        # the whole block and the value dpotrf left in the tile, which went
+        # through the tile updates
+        n, k = 2 * ROOT_TILE + 17, 2 * ROOT_TILE + 5
+        a = indefinite_at(np.random.default_rng(5), n, k)
+        want = _failed_pivot_value(a, k)
+        assert want < 0
+        for workers in (1, 2):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                ulv_factor_hss(root_tree(a), workers=workers)
+            assert err.value.pivot_index == k
+            assert err.value.context == f"root block (order {n}, level-1 skeleton ranks [{n}])"
+            assert err.value.pivot_value == pytest.approx(want, rel=1e-9)
+            assert (err.value.level, err.value.node, err.value.rank) == (None, None, None)
+
+    def test_one_tile_root_is_one_dpotrf(self):
+        # a root of at most ROOT_TILE is factored as an untiled Cholesky,
+        # which the factorization runs at one BLAS thread
+        a = random_spd(np.random.default_rng(6), ROOT_TILE)
+        assert np.array_equal(factor_root(a), single_blas_thread(cholesky)(a))
+
+    def test_stress_more_workers_than_cores(self):
+        # eight workers switching every microsecond share one block
+        a = random_spd(np.random.default_rng(8), 3 * ROOT_TILE + 17)
+        ref = factor_root(a)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                assert np.array_equal(factor_root(a, 8, seed), ref)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_root_asymmetry_named_before_any_tile_runs(self):
+        a = random_spd(np.random.default_rng(7), ROOT_TILE + 8)
+        a[ROOT_TILE + 3, 2] += 1
+        with pytest.raises(ValueError, match=r"a is not symmetric .* in root block \(order"):
+            factor_root(a, workers=2)
 
 
 class TestSolveLower:

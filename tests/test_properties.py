@@ -8,7 +8,9 @@ the factors of ``ulv_factor_hss`` rebuild it exactly, and the executor
 reproduces them bitwise for any worker count and scheduling order.  A
 block solve agrees column by column with single solves and inverts the
 operator's ``matvec``.  The tiled symmetry check that guards every
-Cholesky decides as the dense formula does.
+Cholesky decides as the dense formula does.  The root's tiled Cholesky
+matches a dense one, bitwise the same for any worker count and
+scheduling order.
 """
 
 import numpy as np
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import factors_equal
+from conftest import factor_root, factors_equal, random_spd
 from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
                     build_blr2, build_dag, build_hss, execute, generate_grid,
                     matvec, reconstruct_check, ulv_factor_hss, ulv_solve)
+from hssulv.factor import ROOT_TILE
 from hssulv.linalg import SYMMETRY_RTOL, TILE, _require_symmetric
 
 # Criterion 2's solve bounds at N = 4096, nleaf 256, max_rank 100.
@@ -130,3 +133,16 @@ def test_tiled_symmetry_check_decides_as_dense_formula(n, order, ratio, data):
     except ValueError:
         tiled = True
     assert tiled == dense
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([1, ROOT_TILE - 1, ROOT_TILE, ROOT_TILE + 1, 3 * ROOT_TILE + 17]),
+       seed=st.integers(0, 2**16), shuffle_seed=st.integers(0, 2**16))
+def test_root_tiles_match_dense_cholesky_for_any_schedule(n, seed, shuffle_seed):
+    a = random_spd(np.random.default_rng(seed), n)
+    low = factor_root(a)
+    want = np.linalg.cholesky(a)
+    assert np.linalg.norm(low - want) <= 1e-13 * np.linalg.norm(want)
+    assert not np.triu(low, 1).any()
+    for workers in (1, 2, 3):
+        assert np.array_equal(factor_root(a, workers, shuffle_seed), low)

@@ -5,12 +5,13 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import factors_equal
+from conftest import factors_equal, root_tree
 from hssulv import (KernelSpec, NotPositiveDefiniteError, Task, TaskGraph,
                     TaskKind, assign_owners, build_blr2, build_dag, build_hss,
                     execute, export_comm_csv, export_schedule_jsonl,
                     generate_grid, simulate_comm, ulv_factor_blr2,
                     ulv_factor_hss)
+from hssulv.factor import ROOT_TILE, root_tile_count
 from hssulv.taskdag import run_graph
 
 # smallest square-or-2:1 grid for each level count
@@ -36,6 +37,13 @@ def built_node(task):
 
 def expected_task_count(level):
     return 2 * (2 ** (level + 1) - 2) + (2 ** level - 1) + 1
+
+
+def root_task_count(t):
+    """Tile tasks of a root with ``t`` tiles per side: a Cholesky per
+    diagonal tile, a solve per tile below it, an update per lower tile and
+    earlier panel."""
+    return t + t * (t - 1) + t * (t - 1) * (t - 2) // 6
 
 
 def longest_path_tasks(graph):
@@ -111,11 +119,61 @@ class TestBlr2Graph:
     def blr2(self):
         return build_blr2(KernelSpec("laplace2d"), generate_grid(1024), 128, 40)
 
+    @pytest.fixture(scope="class")
+    def tiled(self):
+        # 16 blocks of rank 60: a root of order 960, three tiles per side
+        m = build_blr2(KernelSpec("yukawa"), generate_grid(2048), 128, 60)
+        assert root_tile_count(m) == 3
+        return m
+
     def test_one_merge_over_all_blocks(self, blr2):
+        # a root of order at most 8 * 40 = 320 is one tile
         graph = build_dag(blr2)
-        assert graph.max_level == 1 and len(graph) == 2 * 8 + 2
+        assert root_tile_count(blr2) == 1
+        assert graph.max_level == 1 and len(graph) == 2 * 8 + 1 + root_task_count(1)
         merge = graph.tasks[("mg", 1, 0)]
         assert {graph.tasks[d].node for d in merge.deps} == set(range(8))
+
+    def test_tiled_root_task_count(self, tiled):
+        graph = build_dag(tiled)
+        assert root_task_count(3) == 10
+        assert len(graph) == 2 * 16 + 1 + 10
+        root = [t for t in graph.tasks.values() if t.kind == TaskKind.ROOT_FACTOR]
+        assert len(root) == 10
+        assert all((t.level, t.node) == (0, 0) for t in root)
+        assert {t.id[0] for t in root} == {"potrf", "trsm", "syrk", "gemm"}
+
+    def test_tiled_root_updates_chained_in_panel_order(self):
+        # every task writing a tile depends on the one before it, so the
+        # tile's bits do not depend on the schedule; four tiles per side,
+        # so that some tiles take two gemm updates
+        graph = build_dag(root_tree(np.eye(3 * ROOT_TILE + 17)))
+        writers = {}
+        for t in graph.tasks.values():
+            if t.kind != TaskKind.ROOT_FACTOR:
+                continue
+            step, *ij = t.id
+            target = {"potrf": (ij[0], ij[0]), "trsm": tuple(ij),
+                      "syrk": (ij[0], ij[0]), "gemm": tuple(ij[:2])}[step]
+            panel = ij[-1]
+            writers.setdefault(target, []).append((panel, step == "potrf" or step == "trsm", t))
+        assert len(writers) == 10  # the lower tiles of a 4 x 4 root
+        for target, chain in writers.items():
+            chain = [t for _, _, t in sorted(chain, key=lambda w: w[:2])]
+            assert chain[-1].id[0] in ("potrf", "trsm")
+            first = chain[0]
+            if first.id == ("potrf", 0):
+                assert first.deps == {("mg", 1, 0)}
+            for prev, nxt in zip(chain, chain[1:]):
+                assert prev.id in nxt.deps
+
+    def test_tiled_root_bitwise_across_workers_and_seeds(self, tiled):
+        graph = build_dag(tiled)
+        ref = ulv_factor_blr2(tiled, workers=1)
+        for workers, seed in [(2, None), (4, None), (2, 0), (4, 1), (3, 2)]:
+            factors, _ = execute(graph, tiled, workers=workers, shuffle_seed=seed)
+            assert factors_equal(ref, factors)
+        assert factors_equal(ref, ulv_factor_blr2(tiled))
 
     def test_executor_matches_inline_run(self, blr2):
         graph = build_dag(blr2)
