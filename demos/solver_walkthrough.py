@@ -23,13 +23,12 @@ N, NLEAF, MAX_RANK, SEED = 1024, 256, 100, 0
 # The ordering is what makes off-diagonal blocks low rank: each tree node
 # owns a contiguous index range that is also a compact patch of the square.
 ps = generate_grid(N)
-print(f"grid: {N} points, leaf blocks of {NLEAF}, "
-      f"tree depth {ps.tree_depth(NLEAF)}")
-
 spec = KernelSpec("laplace2d")
 
 # --- compression ----------------------------------------------------------
 h = build_hss(spec, ps, nleaf=NLEAF, max_rank=MAX_RANK)
+print(f"grid: {N} points, leaf blocks of at most {NLEAF}, "
+      f"tree depth {h.max_level}")
 ranks = [h.skeleton_dim(h.max_level, i) for i in range(h.num_nodes(h.max_level))]
 print(f"leaf skeleton ranks: {ranks}")
 err = construct_error(h, spec, ps, seed=SEED)

@@ -30,7 +30,7 @@ import numpy as np
 from ._threads import blas_threads
 from .construct import _build_tree, construct_error
 from .factor import solve_error, ulv_solve
-from .geometry import generate_grid
+from .geometry import _grid_shape, generate_grid
 from .kernels import KernelSpec
 from .taskdag import assign_owners, build_dag, execute, simulate_comm
 
@@ -88,9 +88,7 @@ class ExperimentConfig:
             raise ValueError(f"tree={self.tree!r} is not one of {TREES}")
         if self.max_rank > self.nleaf:
             raise ValueError(f"max_rank={self.max_rank} exceeds nleaf={self.nleaf}")
-        ratio = self.n // self.nleaf
-        if self.n % self.nleaf or ratio & (ratio - 1) or ratio < 2:
-            raise ValueError(f"n={self.n} must equal nleaf * 2**L with L >= 1")
+        _grid_shape(self.n)  # run_single's grid; the build checks the leaves
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.workers < 1 or self.nprocs_simulated < 1:

@@ -53,6 +53,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -170,15 +171,17 @@ def build_shared_basis(row_block: np.ndarray, max_rank: int) -> BlockBasis:
 class HssMatrix:
     """Nested-basis tree format; BLR2 is its one-level case.
 
-    ``bases[(level, i)]`` is the shared basis of node ``i`` at ``level``
-    (levels run 1..max_level, leaves at max_level; the root, level 0, has
-    none).  Leaf bases act on raw coordinates; upper bases are transfer
-    matrices on the stacked skeleton coefficients of the node's children.
-    ``coupling[(level, i, j)]`` couples node ``i`` (rows) to its sibling
-    ``j`` (columns); it holds exactly the keys with ``i < j`` where ``i``
-    and ``j`` are children of one parent, and the ``(j, i)`` block is its
-    transpose.  That is ``nb - 1`` blocks for an HSS tree with ``nb``
-    leaves and ``nb * (nb - 1) / 2`` for BLR2.
+    Leaf ``i`` holds points ``leaf_offsets[i]:leaf_offsets[i + 1]``, the
+    orders of ``leaf_diag`` summed.  ``bases[(level, i)]`` is the shared
+    basis of node ``i`` at ``level`` (levels run 1..max_level, leaves at
+    max_level; the root, level 0, has none).  Leaf bases act on raw
+    coordinates; upper bases are transfer matrices on the stacked skeleton
+    coefficients of the node's children.  ``coupling[(level, i, j)]``
+    couples node ``i`` (rows) to its sibling ``j`` (columns); it holds
+    exactly the keys with ``i < j`` where ``i`` and ``j`` are children of
+    one parent, and the ``(j, i)`` block is its transpose.  That is
+    ``nb - 1`` blocks for an HSS tree with ``nb`` leaves and
+    ``nb * (nb - 1) / 2`` for BLR2.
 
     A level's node count is the number of its bases, and each parent owns
     an equal contiguous run of the level below: two children per parent
@@ -186,15 +189,18 @@ class HssMatrix:
     :func:`build_blr2`.
     """
 
-    nleaf: int
     max_level: int
     leaf_diag: tuple
     bases: dict
     coupling: dict
 
+    @cached_property
+    def leaf_offsets(self) -> tuple:
+        return tuple(accumulate((d.shape[0] for d in self.leaf_diag), initial=0))
+
     @property
     def n(self) -> int:
-        return self.nleaf * len(self.leaf_diag)
+        return self.leaf_offsets[-1]
 
     @cached_property
     def _level_sizes(self) -> tuple:
@@ -238,21 +244,45 @@ def _available_bytes() -> int | None:
     return None
 
 
+def _leaf_partition(n: int, nleaf: int, one_level: bool) -> tuple[int, tuple]:
+    """Leaf level and offsets: leaf ``i`` holds points ``offsets[i]:offsets[i + 1]``.
+
+    HSS halves ``[0, n)``, ``size // 2`` points first as the bisection
+    order splits, until every range holds at most ``nleaf`` points.  BLR2
+    cuts blocks of ``nleaf`` with a shorter last block.
+    """
+    if nleaf <= 0:
+        raise ValueError(f"nleaf={nleaf} must be positive")
+    if one_level:
+        level, sizes = 1, [min(nleaf, n - start) for start in range(0, n, nleaf)]
+    else:
+        level, sizes = 0, [n]
+        while max(sizes) > nleaf:
+            if min(sizes) < 2:
+                raise ValueError(f"n={n} cannot be halved into leaves of at most "
+                                 f"nleaf={nleaf} points")
+            level, sizes = level + 1, [h for s in sizes for h in (s // 2, s - s // 2)]
+    if len(sizes) < 2:
+        raise ValueError(f"n={n} with nleaf={nleaf} is a single block; "
+                         "a shared-basis tree needs at least two blocks")
+    return level, tuple(accumulate(sizes, initial=0))
+
+
 def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
     """Upper estimate of a build's peak working set, in bytes.
 
     Each worker holds one leased left part (:class:`_RowBuffers`), and its
     running leaf task adds the sample, the copy of it that the QR factors
-    in place, and the projection of the left part.  A sample has at most
-    ``n - nleaf`` near columns and ``PROXY_COUNT`` proxy columns.  HSS
-    packs the leaf couplings into a table of side
-    ``(n / nleaf) * max_rank``; a transfer pass holds the table, its
-    projected rows (half of it) and the next table (a quarter).  The
-    output is the diagonals and leaf bases, at most one transfer basis of
-    side ``2 * max_rank`` per leaf, and the couplings: one per pair of
-    leaves in BLR2, one per parent in HSS.
+    in place, and the projection of the left part.  A leaf has at most
+    ``nleaf`` points, and its sample at most ``n`` near columns and
+    ``PROXY_COUNT`` proxy columns.  HSS packs the couplings of its ``nb``
+    leaves into a table of side ``nb * max_rank``; a transfer pass holds
+    the table, its projected rows (half of it) and the next table (a
+    quarter).  The output is the diagonals and leaf bases, at most one
+    transfer basis of side ``2 * max_rank`` per leaf, and the couplings:
+    one per pair of leaves in BLR2, one per parent in HSS.
     """
-    nb = n // nleaf
+    nb = len(_leaf_partition(n, nleaf, one_level)[1]) - 1
     leaf_task = nleaf * n + 2 * nleaf * (n + PROXY_COUNT) + max_rank * n
     table = 0 if one_level else 1.75 * (nb * max_rank) ** 2
     couplings = nb * (nb - 1) // 2 if one_level else nb - 1
@@ -265,10 +295,9 @@ class _BuildContext:
     spec: KernelSpec
     points: np.ndarray
     box: np.ndarray  # rows: the smallest and the largest coordinates of points
-    nleaf: int
+    offsets: tuple  # leaf i holds points[offsets[i]:offsets[i + 1]]
     max_rank: int
     max_level: int
-    num_leaves: int
     rows: _RowBuffers
 
 
@@ -276,11 +305,11 @@ class _RowBuffers:
     """Left-part arrays of the leaf tasks, passed from task to task.
 
     The left part of leaf ``i`` is its kernel block with every leaf before
-    it, the columns its projection reads, and it fills up to ``n - nleaf``
-    columns of a leased row.  A leaf task leases a row and hands it back
-    when it returns, so a build allocates one row per worker instead of
-    one per leaf.  The end of the last of ``leases`` leases drops them,
-    before the transfer passes allocate their tables.  Rows freed and
+    it, the columns its projection reads; it fills the top left of a
+    leased row, which is as wide as the last leaf's.  A leaf task leases
+    a row and hands it back when it returns, so a build allocates one row
+    per worker instead of one per leaf.  The end of the last of ``leases``
+    leases drops them, before the transfer passes allocate their tables.  Rows freed and
     allocated again per leaf stay cached by the C allocator in amounts
     that depend on which thread ran which task: the peak RSS of one
     matern N = 4096 HSS build varied by 20 MB from process to process,
@@ -346,18 +375,18 @@ def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple
 
 
 def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
-    i = task.node
-    r0, r1 = i * b.nleaf, (i + 1) * b.nleaf
+    i, offs = task.node, b.offsets
+    r0, r1 = offs[i], offs[i + 1]
     x = b.points[r0:r1]
     diag = kernel_matrix(b.spec, x, x)
     near, proxies, weight = _leaf_sample(b.points, b.box, r0, r1)
     with b.rows.lease() as adm:
         # Block j < i of the row is K(x_i, x_j): the part the projection
         # reads.  The rest of the row is sampled, never evaluated in full.
-        left = adm[:, :r0]
+        left = adm[:r1 - r0, :r0]
         for j in range(i):
-            left[:, j * b.nleaf:(j + 1) * b.nleaf] = kernel_matrix(
-                b.spec, x, b.points[j * b.nleaf:(j + 1) * b.nleaf])
+            left[:, offs[j]:offs[j + 1]] = kernel_matrix(
+                b.spec, x, b.points[offs[j]:offs[j + 1]])
         sample = np.hstack([left[:, near[near < r0]],
                             kernel_matrix(b.spec, x, b.points[near[near >= r1]]),
                             weight * kernel_matrix(b.spec, x, proxies)])
@@ -369,10 +398,9 @@ def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
 
 
 def _leaf_coupling(b: _BuildContext, results: dict, task) -> tuple:
-    proj = results.pop(("proj", task.node))
+    proj, offs = results.pop(("proj", task.node)), b.offsets
     return tuple(
-        _freeze((proj[:, j * b.nleaf:(j + 1) * b.nleaf]
-                 @ results[("leaf", j)][1].skeleton).T)
+        _freeze((proj[:, offs[j]:offs[j + 1]] @ results[("leaf", j)][1].skeleton).T)
         for j in range(task.node))
 
 
@@ -380,8 +408,9 @@ def _transfer(b: _BuildContext, results: dict, task) -> tuple:
     level = task.level
     if level == b.max_level:
         # Pack the leaf couplings; each pair is given once, (j, i) with j < i.
-        leaf_bases = [results[("leaf", i)][1] for i in range(b.num_leaves)]
-        upper = {(j, i): block for i in range(1, b.num_leaves)
+        nb = len(b.offsets) - 1
+        leaf_bases = [results[("leaf", i)][1] for i in range(nb)]
+        upper = {(j, i): block for i in range(1, nb)
                  for j, block in enumerate(results.pop(("coupling", i)))}
         table, offs = _coupling_table(leaf_bases, upper)
         bases = []
@@ -400,22 +429,15 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     """Run the build graph of either format; returns the tree and the
     runtime's :class:`~hssulv.taskdag.ExecutionStats`.
 
-    Both formats need ``n`` split into two or more blocks of ``nleaf``
-    points and ``max_rank <= nleaf``.  A failing task raises its own
+    Both formats need two or more leaves from :func:`_leaf_partition`
+    and ``max_rank <= nleaf``.  A failing task raises its own
     error, such as a :class:`~hssulv.kernels.KernelEvaluationError`
     naming the distance.
     """
     from .taskdag import Task, TaskGraph, TaskKind, run_graph  # taskdag imports this module
 
-    # HSS also needs a power-of-two block count; its error names the
-    # nearest valid sizes.
-    max_level = 1 if one_level else ps.tree_depth(nleaf)
-    if nleaf <= 0 or ps.n % nleaf:
-        raise ValueError(f"n={ps.n} is not divisible by nleaf={nleaf}")
-    nb = ps.n // nleaf
-    if nb < 2:
-        raise ValueError(f"n={ps.n} with nleaf={nleaf} is a single block; "
-                         "a shared-basis tree needs at least two blocks")
+    max_level, offsets = _leaf_partition(ps.n, nleaf, one_level)
+    nb = len(offsets) - 1
     if max_rank > nleaf:
         raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
     workers = worker_count(workers)
@@ -441,8 +463,8 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
               TaskKind.TRANSFER: _transfer}
     box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
-    ctx = _BuildContext(spec, ps.points, box, nleaf, max_rank, max_level, nb,
-                        _RowBuffers((nleaf, ps.n - nleaf), nb))
+    ctx = _BuildContext(spec, ps.points, box, offsets, max_rank, max_level,
+                        _RowBuffers((max(np.diff(offsets)), offsets[-2]), nb))
     results, stats = run_graph(TaskGraph(max_level, tasks), bodies, ctx, workers,
                                shuffle_seed=shuffle_seed)
 
@@ -458,7 +480,7 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
             lvl_bases, siblings = results[("transfer", level)]
             bases.update(((level, i), basis) for i, basis in enumerate(lvl_bases))
             coupling.update(siblings)
-    h = HssMatrix(nleaf, max_level, tuple(d for d, _ in leaves), bases, coupling)
+    h = HssMatrix(max_level, tuple(d for d, _ in leaves), bases, coupling)
     return h, stats
 
 
@@ -467,12 +489,12 @@ def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
                workers: int | None = None, shuffle_seed: int | None = None) -> HssMatrix:
     """Compress a kernel matrix into the single-level shared-basis format.
 
-    The result is a one-level tree whose root has all ``n / nleaf`` blocks
-    as children, with every pair of blocks coupled.  ``workers`` and
-    ``shuffle_seed`` mean what they mean for
-    :func:`hssulv.taskdag.run_graph` (``None`` workers: the cores this
-    process may use); the result is bitwise the same for any of them.
-    Requires ``n`` to be two or more blocks of ``nleaf`` and
+    The result is a one-level tree whose root has every block of ``nleaf``
+    points as a child (the last block holds the rest, maybe fewer), with
+    every pair of blocks coupled.  ``workers`` and ``shuffle_seed`` mean
+    what they mean for :func:`hssulv.taskdag.run_graph` (``None``
+    workers: the cores this process may use); the result is bitwise the
+    same for any of them.  Requires ``n > nleaf`` and
     ``max_rank <= nleaf``.  Raises :class:`InsufficientMemoryError`
     before any kernel evaluation when the estimated peak working set
     exceeds the available memory.
@@ -537,8 +559,11 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
               workers: int | None = None, shuffle_seed: int | None = None) -> HssMatrix:
     """Compress a kernel matrix into the multi-level nested-basis format.
 
-    Requires ``n == nleaf * 2**L`` with ``L >= 1``.  The same rank cap is
-    applied at every level; with ``max_rank == nleaf`` (and caps never
+    The leaves are the ranges that halving ``[0, n)`` gives once each
+    holds at most ``nleaf`` points (:func:`_leaf_partition`); where ``n``
+    is ``nleaf`` times a power of two, each holds ``nleaf``.  Requires
+    ``n > nleaf`` and ``max_rank <= nleaf``.  The same rank cap is applied
+    at every level; with ``max_rank == nleaf`` (and caps never
     binding above) the representation is exact up to rounding.
     ``workers``, ``shuffle_seed`` and the memory refusal are as in
     :func:`build_blr2`.
@@ -554,12 +579,11 @@ def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != n:
         raise ValueError(f"operand has leading dimension {x.shape[0]}, expected {n}")
     work = x.reshape(n, -1)
-    L = m.max_level
-    nleaf = m.nleaf
+    L, offs = m.max_level, m.leaf_offsets
     # Upward sweep: skeleton coefficients per node, leaves first.
     coeffs = {}
     for i in range(m.num_nodes(L)):
-        coeffs[(L, i)] = m.bases[(L, i)].skeleton.T @ work[i * nleaf:(i + 1) * nleaf]
+        coeffs[(L, i)] = m.bases[(L, i)].skeleton.T @ work[offs[i]:offs[i + 1]]
     for level in range(L - 1, 0, -1):
         for i in range(m.num_nodes(level)):
             stacked = np.concatenate([coeffs[(level + 1, c)] for c in m.children(level, i)])
@@ -586,7 +610,7 @@ def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
                 off += k
     y = np.empty_like(work)
     for i in range(m.num_nodes(L)):
-        r0, r1 = i * nleaf, (i + 1) * nleaf
+        r0, r1 = offs[i], offs[i + 1]
         y[r0:r1] = m.leaf_diag[i] @ work[r0:r1] + m.bases[(L, i)].skeleton @ partial[(L, i)]
     return y[:, 0] if x.ndim == 1 else y
 
@@ -604,11 +628,10 @@ def construct_error(m, spec: KernelSpec, ps: PointSet, seed: int) -> float:
         raise ValueError(f"n={n} exceeds the streaming dense guard {DENSE_STREAM_LIMIT}")
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n)
-    width = m.nleaf
+    offs = m.leaf_offsets
     exact = np.empty(n)
     pts = ps.points
-    for start in range(0, n, width):
-        stop = start + width
+    for start, stop in zip(offs, offs[1:]):
         exact[start:stop] = kernel_matrix(spec, pts[start:stop], pts) @ b
     approx = matvec(m, b)
     return float(np.linalg.norm(exact - approx) / np.linalg.norm(exact))

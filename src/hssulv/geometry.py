@@ -3,8 +3,8 @@
 The solver operates on contiguous index blocks, so the point ordering is
 what makes off-diagonal blocks low rank: points are sorted by recursively
 splitting the longest bounding-box axis at the median.  Sibling index
-ranges are then spatially disjoint and every node of the implicit binary
-index tree covers a compact patch of the domain.
+ranges are then spatially disjoint and every range of halving ``[0, n)``
+covers a compact patch of the domain.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ __all__ = ["PointSet", "generate_grid"]
 def _bisection_order(points: np.ndarray) -> np.ndarray:
     """Permutation ordering ``points`` by recursive median bisection.
 
-    Each even-sized subset is split into two equal halves along its longer
-    bounding-box axis (ties prefer x).  Sorting is stable, so the result
-    is deterministic.
+    Each subset of two or more points is split along its longer
+    bounding-box axis (ties prefer x), the first ``size // 2`` points in
+    the first half.  Sorting is stable, so the result is deterministic.
     """
     out = []
 
     def rec(sel):
-        if sel.size <= 1 or sel.size % 2 == 1:
+        if sel.size <= 1:
             out.append(sel)
             return
         sub = points[sel]
@@ -46,9 +46,9 @@ def _bisection_order(points: np.ndarray) -> np.ndarray:
 class PointSet:
     """Ordered 2D geometry.
 
-    ``points`` are stored in bisection order, so each aligned block of
-    ``n / 2**level`` consecutive indices covers a compact patch of the
-    domain.  Immutable after construction; safe to share across threads.
+    Grids from :func:`generate_grid` are in bisection order, so each range
+    of halving ``[0, n)`` covers a compact patch of the domain.  Immutable
+    after construction; safe to share across threads.
     """
 
     points: np.ndarray
@@ -64,42 +64,22 @@ class PointSet:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def tree_depth(self, nleaf: int) -> int:
-        """Level count L satisfying ``n == nleaf * 2**L`` with L >= 1."""
-        if nleaf <= 0:
-            raise ValueError("nleaf must be positive")
-        ratio, rem = divmod(self.n, nleaf)
-        level = ratio.bit_length() - 1
-        if rem or (1 << level) != ratio or level < 1:
-            valid = [nleaf << k for k in range(1, 15)]
-            lo = max((v for v in valid if v <= self.n), default=valid[0])
-            hi = min((v for v in valid if v >= self.n), default=valid[-1])
-            raise ValueError(
-                f"n={self.n} is not nleaf * 2**L for nleaf={nleaf}; "
-                f"nearest valid sizes are {lo} and {hi}"
-            )
-        return level
 
-
-def _grid_shape(n: int) -> tuple[int, int] | None:
-    root = math.isqrt(n)
+def _grid_shape(n: int) -> tuple[int, int]:
+    """``(nx, ny)`` of the grid :func:`generate_grid` makes of ``n`` points."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    root, half_root = math.isqrt(n), math.isqrt(n // 2)
     if root * root == n:
         return root, root
-    if n % 2 == 0:
-        half_root = math.isqrt(n // 2)
-        if 2 * half_root * half_root == n:
-            return 2 * half_root, half_root
-    return None
-
-
-def _nearest_grid_sizes(n: int) -> tuple[int, int]:
-    valid = sorted(
-        {m * m for m in range(1, math.isqrt(2 * n) + 2)}
-        | {2 * m * m for m in range(1, math.isqrt(n) + 2)}
-    )
+    if 2 * half_root * half_root == n:
+        return 2 * half_root, half_root
+    valid = sorted({m * m for m in range(1, math.isqrt(2 * n) + 2)}
+                   | {2 * m * m for m in range(1, math.isqrt(n) + 2)})
     below = max((v for v in valid if v < n), default=1)
     above = min((v for v in valid if v > n), default=valid[-1])
-    return below, above
+    raise ValueError(f"n={n} does not form a uniform near-square grid; "
+                     f"nearest valid sizes are {below} and {above}")
 
 
 def generate_grid(n: int, side: float = 1.0) -> PointSet:
@@ -110,18 +90,9 @@ def generate_grid(n: int, side: float = 1.0) -> PointSet:
     spans ``[0, side]`` along x; a 2:1 grid spans half that along y with
     the same spacing.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    nx, ny = _grid_shape(n)
     if side <= 0:
         raise ValueError("side must be positive")
-    shape = _grid_shape(n)
-    if shape is None:
-        below, above = _nearest_grid_sizes(n)
-        raise ValueError(
-            f"n={n} does not form a uniform near-square grid; "
-            f"nearest valid sizes are {below} and {above}"
-        )
-    nx, ny = shape
     h = side if nx == 1 else side / (nx - 1)
     xs = np.arange(nx) * h
     ys = np.arange(ny) * h

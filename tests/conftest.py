@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def indefinite_root_hss():
     scale = 2 * np.sqrt(root[0, 0] * root[1, 1]) / abs(root[0, 1])
     coupling = dict(h.coupling)
     coupling[(1, 0, 1)] = scale * h.coupling[(1, 0, 1)]
-    return type(h)(h.nleaf, h.max_level, h.leaf_diag, h.bases, coupling)
+    return dataclasses.replace(h, coupling=coupling)
 
 
 def factors_equal(a, b):
@@ -84,7 +86,7 @@ def root_tree(a):
     """A one-leaf tree whose basis is all skeleton, so that its root block
     is ``a`` itself."""
     n = a.shape[0]
-    return HssMatrix(n, 1, (a,), {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
+    return HssMatrix(1, (a,), {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
 
 
 def factor_root(a, workers=1, shuffle_seed=None):

@@ -90,10 +90,19 @@ class TestRunSingle:
         assert report.blas_threads == expected
         assert json.loads(json.dumps(report.as_dict()))["blas_threads"] == expected
 
+    def test_blr2_runs_nine_blocks(self):
+        # 2304 = 48**2 is 9 blocks of 256: a BLR2 tree, whatever the
+        # power-of-two rule of HSS leaves once said
+        report = run_single(small_config(kernel=KernelSpec("yukawa"), n=2304,
+                                         max_rank=100, tree="blr2"))
+        assert [level["level"] for level in report.rank_stats] == [1]
+        assert report.solve_error <= 1e-11
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exceeds nleaf"):
             small_config(max_rank=300)
-        with pytest.raises(ValueError, match="2\\*\\*L"):
+        # N is checked by the grid's own rule; the build checks the leaves
+        with pytest.raises(ValueError, match="nearest valid sizes"):
             ExperimentConfig(kernel=KernelSpec("laplace2d"), n=500, nleaf=256,
                              max_rank=100)
         with pytest.raises(ValueError, match="repetitions"):

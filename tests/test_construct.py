@@ -259,10 +259,31 @@ class TestHss:
     def test_invalid_sizes_named(self):
         spec = KernelSpec("laplace2d")
         ps = generate_grid(256)
-        with pytest.raises(ValueError, match="nearest valid"):
-            build_hss(spec, ps, nleaf=100, max_rank=50)
+        with pytest.raises(ValueError, match="must be positive"):
+            build_hss(spec, ps, nleaf=0, max_rank=1)
+        with pytest.raises(ValueError, match="single block"):
+            build_hss(spec, ps, nleaf=256, max_rank=50)
         with pytest.raises(ValueError, match="exceeds nleaf"):
             build_hss(spec, ps, nleaf=64, max_rank=65)
+        # halving 9 points into leaves of one would leave an empty leaf
+        with pytest.raises(ValueError, match="cannot be halved"):
+            build_hss(spec, generate_grid(9), nleaf=1, max_rank=1)
+
+
+@pytest.mark.parametrize("one_level, n, nleaf, level, sizes", [
+    (False, 1024, 256, 2, [256] * 4),
+    (False, 256, 100, 2, [64] * 4),
+    (False, 1250, 256, 3, [156, 156, 156, 157, 156, 156, 156, 157]),
+    (True, 1024, 256, 1, [256] * 4),
+    (True, 2304, 256, 1, [256] * 9),
+    (True, 2500, 256, 1, [256] * 9 + [196]),
+])
+def test_leaf_partition(one_level, n, nleaf, level, sizes):
+    # HSS halves [0, n), the first half of a range holding size // 2;
+    # BLR2 cuts blocks of nleaf with a shorter last one
+    got_level, offsets = construct._leaf_partition(n, nleaf, one_level)
+    assert (got_level, list(np.diff(offsets))) == (level, sizes)
+    assert offsets[0] == 0 and offsets[-1] == n
 
 
 class TestMatvec:
@@ -418,15 +439,17 @@ class TestMemoryRefusal:
     @pytest.mark.parametrize("build", [build_hss, build_blr2])
     def test_estimate_bounds_traced_peak(self, build):
         # at N = 8192, two workers, the traced peak is 0.63 (HSS) and 0.56
-        # (BLR2) of the estimate
-        ps = generate_grid(8192)
-        tracemalloc.start()
-        try:
-            build(KernelSpec("yukawa"), ps, 256, 100, workers=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < construct._peak_bytes(8192, 256, 100, 2, build is build_blr2)
+        # (BLR2) of the estimate; at 3136 = 56**2 (16 HSS leaves of 196
+        # points, 12 BLR2 blocks of 256 and one of 64) 0.51 and 0.62
+        for n in (8192, 3136):
+            ps = generate_grid(n)
+            tracemalloc.start()
+            try:
+                build(KernelSpec("yukawa"), ps, 256, 100, workers=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < construct._peak_bytes(n, 256, 100, 2, build is build_blr2), n
 
     def test_normal_build_unaffected(self):
         available = construct._available_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -110,7 +111,7 @@ class TestBlr2Ulv:
         # all skeleton is made by hand.
         pts = generate_grid(64).points
         block = kernel_matrix(KernelSpec("yukawa"), pts, pts)
-        m = HssMatrix(64, 1, (block,), {(1, 0): BlockBasis(np.eye(64), 0, 64)}, {})
+        m = HssMatrix(1, (block,), {(1, 0): BlockBasis(np.eye(64), 0, 64)}, {})
         f = ulv_factor_blr2(m)
         from hssulv import cholesky
         assert np.array_equal(f.root_chol, cholesky(block))
@@ -175,7 +176,7 @@ class TestHssUlv:
         h = build_hss(spec, ps, nleaf=128, max_rank=60)
         bad_diag = list(h.leaf_diag)
         bad_diag[2] = -np.asarray(bad_diag[2])
-        broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases, h.coupling)
+        broken = dataclasses.replace(h, leaf_diag=tuple(bad_diag))
         rank = h.skeleton_dim(2, 2)
         with pytest.raises(NotPositiveDefiniteError,
                            match=f"level 2 node 2 \\(skeleton rank {rank}\\)") as err:
@@ -188,7 +189,7 @@ class TestHssUlv:
         m = build_blr2(spec, ps, nleaf=128, max_rank=60)
         bad_diag = list(m.leaf_diag)
         bad_diag[3] = -np.asarray(bad_diag[3])
-        broken = type(m)(m.nleaf, m.max_level, tuple(bad_diag), m.bases, m.coupling)
+        broken = dataclasses.replace(m, leaf_diag=tuple(bad_diag))
         with pytest.raises(NotPositiveDefiniteError, match="level 1 node 3"):
             ulv_factor_blr2(broken)
 
@@ -217,7 +218,7 @@ class TestHssUlv:
         bad_diag = list(h.leaf_diag)
         bad_diag[1] = np.array(bad_diag[1])
         bad_diag[1][5, 5] = np.nan
-        broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases, h.coupling)
+        broken = dataclasses.replace(h, leaf_diag=tuple(bad_diag))
         with pytest.raises(ValueError, match=f"NaN or infinite entries in level "
                                              f"{h.max_level} node 1 "):
             ulv_factor_hss(broken)
@@ -370,6 +371,22 @@ def test_single_solve_bitwise_equal_to_reference(kind, build):
     for _ in range(3):
         b = rng.standard_normal(1024)
         assert np.array_equal(ulv_solve(f, b), reference_solve(f, b))
+
+
+@pytest.mark.parametrize("build", [build_hss, build_blr2])
+@pytest.mark.parametrize("n", [1250, 2500])
+def test_uneven_tree_solve_matches_dense_oracle(n, build):
+    # n is not nleaf times a power of two: the HSS leaves hold 156 or 157
+    # points and the last BLR2 block is short; criterion 1's tolerance
+    ps = generate_grid(n)
+    b = np.random.default_rng(0).standard_normal(n)
+    for kind in ("laplace2d", "yukawa", "matern"):
+        spec = KernelSpec(kind)
+        h = build(spec, ps, 256, 256)
+        assert h.n == n and len(set(np.diff(h.leaf_offsets))) == 2
+        ref = dense_solve(kernel_matrix(spec, ps.points, ps.points), b)
+        x = ulv_solve(ulv_factor_hss(h), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), kind
 
 
 class TestReconstructCheck:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hssulv import generate_grid
+from hssulv import construct, generate_grid
 from hssulv.geometry import PointSet
 
 
@@ -50,12 +50,16 @@ def test_invalid_size_names_nearest_valid():
         generate_grid(1000)
 
 
-def test_tree_depth_rejects_bad_nleaf():
-    ps = generate_grid(1024)
-    with pytest.raises(ValueError, match="nearest valid"):
-        ps.tree_depth(nleaf=300)
-    assert ps.tree_depth(nleaf=256) == 2
-    assert ps.tree_depth(nleaf=128) == 3
+def test_odd_halves_are_square_patches():
+    # 1250 = 50 x 25 points: the HSS leaves hold 156 or 157 points, and the
+    # bisection goes on through the odd 625-point halves, so each leaf
+    # covers a near-square patch, not a 1:4 strip
+    ps = generate_grid(1250)
+    _, offsets = construct._leaf_partition(1250, 160, one_level=False)
+    for lo, hi in zip(offsets, offsets[1:]):
+        extent = np.ptp(ps.points[lo:hi], axis=0)
+        assert hi - lo in (156, 157)
+        assert extent.max() <= 1.2 * extent.min()
 
 
 def test_points_are_immutable():

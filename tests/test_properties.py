@@ -1,7 +1,7 @@
 """Properties of the build and the one factorization path over random
 trees of both formats.
 
-For a random kernel, leaf size, depth and rank cap, the compressed
+For a random kernel, leaf size, grid size and rank cap, the compressed
 operator is symmetric, stores each sibling coupling once (``i < j``) and
 is bitwise independent of the build's worker count and scheduling order,
 the factors of ``ulv_factor_hss`` rebuild it exactly, and the executor
@@ -28,18 +28,25 @@ from hssulv.linalg import SYMMETRY_RTOL, TILE, _require_symmetric
 # Criterion 2's solve bounds at N = 4096, nleaf 256, max_rank 100.
 SOLVE_BOUNDS = {"laplace2d": 1e-8, "yukawa": 1e-11, "matern": 1e-9}
 
+# Every grid size up to 1024: m**2 and 2 * m**2 points.
+GRID_SIZES = sorted({m * m for m in range(1, 33)} | {2 * m * m for m in range(1, 23)})
+
 
 @st.composite
 def trees(draw):
-    """(builder, spec, n, nleaf, max_rank) with n = nleaf * 2**L <= 1024."""
+    """(builder, spec, n, nleaf, max_rank) with nleaf < n <= 1024: either
+    n = nleaf * 2**L, or any grid size, whose halves may be odd and whose
+    last BLR2 block may be short."""
     build = draw(st.sampled_from([build_hss, build_blr2]))
     spec = KernelSpec(draw(st.sampled_from(KERNEL_KINDS)),
                       alpha=draw(st.floats(0.5, 4.0)),
                       mu=draw(st.floats(0.02, 0.1)))
     nleaf = draw(st.sampled_from([16, 32, 64, 128]))
-    levels = draw(st.integers(1, (1024 // nleaf).bit_length() - 1))
+    n = draw(st.one_of(
+        st.integers(1, (1024 // nleaf).bit_length() - 1).map(lambda levels: nleaf << levels),
+        st.sampled_from([size for size in GRID_SIZES if size > nleaf])))
     max_rank = draw(st.integers(1, nleaf))
-    return build, spec, nleaf << levels, nleaf, max_rank
+    return build, spec, n, nleaf, max_rank
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,7 +85,7 @@ def test_build_schedule_independent(tree, workers, seed):
         assert op.bases[key].redundant_dim == basis.redundant_dim
         assert np.array_equal(op.bases[key].q, basis.q)
     # One coupling per unordered sibling pair, stored as (level, i, j), i < j.
-    nb = n // nleaf
+    nb = len(op.leaf_diag)
     if build is build_blr2:
         pairs = {(1, i, j) for j in range(nb) for i in range(j)}
         assert len(pairs) == nb * (nb - 1) // 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import threading
@@ -265,8 +266,7 @@ class TestExecute:
         h = tiny_hss(3)
         bad_diag = list(h.leaf_diag)
         bad_diag[5] = -np.asarray(bad_diag[5])
-        broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases,
-                         h.coupling)
+        broken = dataclasses.replace(h, leaf_diag=tuple(bad_diag))
         with pytest.raises(NotPositiveDefiniteError, match="level 3 node 5"):
             execute(build_dag(broken), broken, workers=2)
 
@@ -276,8 +276,7 @@ class TestExecute:
         skewed = np.array(bad_diag[2])
         skewed[0, -1] += 1.0
         bad_diag[2] = skewed
-        broken = type(h)(h.nleaf, h.max_level, tuple(bad_diag), h.bases,
-                         h.coupling)
+        broken = dataclasses.replace(h, leaf_diag=tuple(bad_diag))
         with pytest.raises(ValueError, match="not symmetric .* level 3 node 2"):
             execute(build_dag(broken), broken, workers=2)
 
