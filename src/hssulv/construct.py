@@ -23,9 +23,11 @@ The two formats differ only in fan-out:
 * HSS (:func:`build_hss`) is a binary tree of depth L.  An upper-level
   basis is a transfer matrix acting on the stacked skeleton coefficients
   of its two children, so a raw-coordinate basis is never materialized.
-  Upper-level bases are built by compressing the admissible interactions
-  restricted to the children's skeletons on both sides, which keeps
-  construction memory at O(N * nleaf) plus the skeleton interaction table.
+  It compresses the couplings of its two children with every other node
+  of their level, and the couplings of a level are those of the level
+  below projected onto the new skeletons on both sides.  Construction
+  memory is O(N * nleaf) plus the couplings of every pair of nodes on a
+  level, ``(N / nleaf)**2 / 2`` skeleton blocks at the leaves.
 * BLR2 (:func:`build_blr2`) is a one-level tree: the root has every leaf
   block as a child, and every pair of leaves is coupled.
 
@@ -39,12 +41,16 @@ evaluated.  A ``LeafCoupling`` task per leaf waits for the bases of its
 own and every earlier leaf, forms the couplings with those leaves as
 stored (rows of the earlier leaf) and frees the projection; leaf ``i``
 ranks before leaf ``i + 1`` so each projection is consumed early.  HSS
-then chains one ``Transfer`` task per level over the packed skeleton
-interaction table.  Every task writes its own result, stored under its
-id (``("leaf", i)``, ``("coupling", i)``, ``("transfer", level)``), so
-the operator is bitwise independent of the worker count and the
-schedule, and a failing task raises its own error.  Both formats need at
-least two blocks.
+upper levels follow the same rule, one basis task and one coupling task
+per node: a ``Transfer`` task per node waits for every coupling of the
+level below and compresses its children's rows of them, and a
+``Coupling`` task per node ``q >= 1`` waits for the transfer bases of
+its own and every earlier node of its level and projects the couplings
+of their children.  Every task writes its own result, stored under its
+id (``("leaf", i)``, ``("coupling", level, i)``,
+``("transfer", level, p)``), so the operator is bitwise independent of
+the worker count and the schedule, and a failing task raises its own
+error.  Both formats need at least two blocks.
 """
 
 from __future__ import annotations
@@ -271,23 +277,24 @@ def _leaf_partition(n: int, nleaf: int, one_level: bool) -> tuple[int, tuple]:
 def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
     """Upper estimate of a build's peak working set, in bytes.
 
-    Each worker holds one leased left part (:class:`_RowBuffers`), and its
-    running leaf task adds the sample, the copy of it that the QR factors
-    in place, and the projection of the left part.  A leaf has at most
-    ``nleaf`` points, and its sample at most ``n`` near columns and
-    ``PROXY_COUNT`` proxy columns.  HSS packs the couplings of its ``nb``
-    leaves into a table of side ``nb * max_rank``; a transfer pass holds
-    the table, its projected rows (half of it) and the next table (a
-    quarter).  The output is the diagonals and leaf bases, at most one
-    transfer basis of side ``2 * max_rank`` per leaf, and the couplings:
-    one per pair of leaves in BLR2, one per parent in HSS.
+    Each worker runs the larger of two tasks.  A leaf task holds one
+    leased left part (:class:`_RowBuffers`), the sample, the copy of it
+    that the QR factors in place, and the projection of the left part; a
+    leaf has at most ``nleaf`` points, and its sample at most ``n`` near
+    columns and ``PROXY_COUNT`` proxy columns.  An HSS transfer task
+    holds its children's stacked rows, ``2 * max_rank`` by at most
+    ``nb * max_rank``, and the QR's copy of them.  The build keeps the
+    coupling of every pair of nodes on each level (a level of ``m`` nodes
+    has ``m * (m - 1) / 2``), the diagonals and leaf bases, and at most
+    one transfer basis of side ``2 * max_rank`` per leaf.
     """
-    nb = len(_leaf_partition(n, nleaf, one_level)[1]) - 1
+    levels, offsets = _leaf_partition(n, nleaf, one_level)
+    nb = len(offsets) - 1
     leaf_task = nleaf * n + 2 * nleaf * (n + PROXY_COUNT) + max_rank * n
-    table = 0 if one_level else 1.75 * (nb * max_rank) ** 2
-    couplings = nb * (nb - 1) // 2 if one_level else nb - 1
-    output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2) + couplings * max_rank**2
-    return int(8 * (workers * leaf_task + table + output))
+    transfer_task = 0 if one_level else 2 * (2 * max_rank) * (nb * max_rank)
+    pairs = sum(m * (m - 1) // 2 for m in (nb >> k for k in range(levels)))
+    output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2) + pairs * max_rank**2
+    return int(8 * (workers * max(leaf_task, transfer_task) + output))
 
 
 @dataclass(frozen=True)
@@ -297,7 +304,6 @@ class _BuildContext:
     box: np.ndarray  # rows: the smallest and the largest coordinates of points
     offsets: tuple  # leaf i holds points[offsets[i]:offsets[i + 1]]
     max_rank: int
-    max_level: int
     rows: _RowBuffers
 
 
@@ -309,7 +315,7 @@ class _RowBuffers:
     leased row, which is as wide as the last leaf's.  A leaf task leases
     a row and hands it back when it returns, so a build allocates one row
     per worker instead of one per leaf.  The end of the last of ``leases``
-    leases drops them, before the transfer passes allocate their tables.  Rows freed and
+    leases drops them, before any upper-level task runs.  Rows freed and
     allocated again per leaf stay cached by the C allocator in amounts
     that depend on which thread ran which task: the peak RSS of one
     matern N = 4096 HSS build varied by 20 MB from process to process,
@@ -343,10 +349,11 @@ class _RowBuffers:
 
 # Task bodies of the build graph, run by hssulv.taskdag.run_graph.  A
 # task's id is its result key: ("leaf", i) -> (diagonal, basis),
-# ("coupling", i) -> couplings (j, i) of leaves j < i with leaf i, and
-# ("transfer", level) -> (bases, sibling couplings) of a level.  The side
-# entries ("proj", i) and ("table", level) are written by their producer
-# and popped by their one consumer.
+# ("transfer", level, p) -> the transfer basis of upper node p, and
+# ("coupling", level, i) -> couplings (j, i) of nodes j < i with node i
+# of a level, from a LeafCoupling task at the leaves and a Coupling task
+# above.  The side entry ("proj", i) is written by leaf i's LeafBasis
+# task and popped by its LeafCoupling task.
 
 
 def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple:
@@ -404,24 +411,33 @@ def _leaf_coupling(b: _BuildContext, results: dict, task) -> tuple:
         for j in range(task.node))
 
 
-def _transfer(b: _BuildContext, results: dict, task) -> tuple:
-    level = task.level
-    if level == b.max_level:
-        # Pack the leaf couplings; each pair is given once, (j, i) with j < i.
-        nb = len(b.offsets) - 1
-        leaf_bases = [results[("leaf", i)][1] for i in range(nb)]
-        upper = {(j, i): block for i in range(1, nb)
-                 for j, block in enumerate(results.pop(("coupling", i)))}
-        table, offs = _coupling_table(leaf_bases, upper)
-        bases = []
-    else:
-        bases, table, offs = _transfer_pass(*results.pop(("table", level + 1)),
-                                            b.max_rank)
-    coupling: dict = {}
-    _sibling_couplings(level, table, offs, coupling)
-    if level > 1:
-        results[("table", level)] = (table, offs)
-    return bases, coupling
+def _pair(results: dict, level: int, i: int, j: int) -> np.ndarray:
+    """Coupling of node ``i`` (rows) with node ``j`` of a level, read from
+    the stored pair: the block itself for ``i < j``, else its transpose."""
+    if i < j:
+        return results[("coupling", level, j)][i]
+    return results[("coupling", level, i)][j].T
+
+
+def _transfer(b: _BuildContext, results: dict, task) -> BlockBasis:
+    # The rows of children 2p and 2p + 1 against every other node of
+    # their level, in node order.
+    below, kids = task.level + 1, (2 * task.node, 2 * task.node + 1)
+    others = [k for k in range(2**below) if k not in kids]
+    rows = np.block([[_pair(results, below, c, k) for k in others] for c in kids])
+    return build_shared_basis(rows.T, b.max_rank)
+
+
+def _coupling(b: _BuildContext, results: dict, task) -> tuple:
+    # S(p, q) = skel_p^T [S(2p + a, 2q + c)]_{a, c = 0, 1} skel_q for p < q.
+    level, q, below = task.level, task.node, task.level + 1
+    skel_q = results[("transfer", level, q)].skeleton
+    return tuple(
+        _freeze(results[("transfer", level, p)].skeleton.T
+                @ np.block([[_pair(results, below, c, d) for d in (2 * q, 2 * q + 1)]
+                            for c in (2 * p, 2 * p + 1)])
+                @ skel_q)
+        for p in range(q))
 
 
 def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
@@ -447,23 +463,27 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
         raise InsufficientMemoryError(
             f"{'build_blr2' if one_level else 'build_hss'}(n={ps.n}, nleaf={nleaf}, "
             f"max_rank={max_rank}, workers={workers})", estimate, available)
-    tasks = {}
+    tasks: dict = {}
+
+    def add(tid, kind, level, node, deps):
+        tasks[tid] = Task(tid, kind, level, node, frozenset(deps))
+
     for i in range(nb):
-        lb, lc = ("leaf", i), ("coupling", i)
-        tasks[lb] = Task(lb, TaskKind.LEAF_BASIS, max_level, i, frozenset())
+        add(("leaf", i), TaskKind.LEAF_BASIS, max_level, i, ())
         if i:
-            tasks[lc] = Task(lc, TaskKind.LEAF_COUPLING, max_level, i,
-                             frozenset(("leaf", j) for j in range(i + 1)))
-    if not one_level:
-        deps = frozenset(("coupling", i) for i in range(1, nb))
-        for level in range(max_level, 0, -1):
-            tr = ("transfer", level)
-            tasks[tr] = Task(tr, TaskKind.TRANSFER, level, 0, deps)
-            deps = frozenset({tr})
+            add(("coupling", max_level, i), TaskKind.LEAF_COUPLING, max_level, i,
+                [("leaf", j) for j in range(i + 1)])
+    for level in range(max_level - 1, 0, -1):  # HSS only: BLR2 has one level
+        below = [("coupling", level + 1, i) for i in range(1, 2**(level + 1))]
+        for p in range(2**level):
+            add(("transfer", level, p), TaskKind.TRANSFER, level, p, below)
+            if p:
+                add(("coupling", level, p), TaskKind.COUPLING, level, p,
+                    [("transfer", level, j) for j in range(p + 1)])
     bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
-              TaskKind.TRANSFER: _transfer}
+              TaskKind.TRANSFER: _transfer, TaskKind.COUPLING: _coupling}
     box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
-    ctx = _BuildContext(spec, ps.points, box, offsets, max_rank, max_level,
+    ctx = _BuildContext(spec, ps.points, box, offsets, max_rank,
                         _RowBuffers((max(np.diff(offsets)), offsets[-2]), nb))
     results, stats = run_graph(TaskGraph(max_level, tasks), bodies, ctx, workers,
                                shuffle_seed=shuffle_seed)
@@ -471,15 +491,15 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     leaves = [results[("leaf", i)] for i in range(nb)]
     bases = {(max_level, i): basis for i, (_, basis) in enumerate(leaves)}
     coupling: dict = {}
-    if one_level:
-        for i in range(1, nb):
-            coupling.update(((1, j, i), block)
-                            for j, block in enumerate(results[("coupling", i)]))
-    else:
-        for level in range(max_level, 0, -1):
-            lvl_bases, siblings = results[("transfer", level)]
-            bases.update(((level, i), basis) for i, basis in enumerate(lvl_bases))
-            coupling.update(siblings)
+    for tid in tasks:
+        if tid[0] == "transfer":
+            bases[tid[1:]] = results[tid]
+        elif tid[0] == "coupling":
+            # Keep the pairs whose nodes share a parent: every pair of
+            # level 1, and (i - 1, i) for odd i below it.
+            _, level, i = tid
+            first = 0 if level == 1 else i - i % 2
+            coupling.update(((level, j, i), results[tid][j]) for j in range(first, i))
     h = HssMatrix(max_level, tuple(d for d, _ in leaves), bases, coupling)
     return h, stats
 
@@ -500,58 +520,6 @@ def build_blr2(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
     exceeds the available memory.
     """
     return _build_tree(spec, ps, nleaf, max_rank, True, workers, shuffle_seed)[0]
-
-
-def _coupling_table(bases: list, coupling: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Pack pairwise couplings into one matrix indexed by skeleton offsets.
-
-    Each pair is given once; its transpose fills the mirrored block.
-    """
-    ranks = np.array([b.skeleton_dim for b in bases])
-    offs = np.concatenate([[0], np.cumsum(ranks)])
-    table = np.zeros((offs[-1], offs[-1]))
-    for (i, j), block in coupling.items():
-        table[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block
-        table[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = block.T
-    return table, offs
-
-
-def _transfer_pass(table: np.ndarray, offs: np.ndarray, max_rank: int):
-    """One level of nested-basis construction on the skeleton interactions.
-
-    For each parent, the stacked rows of its two children (restricted to
-    all non-descendant skeleton columns) are compressed into a transfer
-    basis; the interaction table is then projected onto the new skeletons
-    on both sides.
-    """
-    nb = len(offs) - 1
-    nparents = nb // 2
-    bases = []
-    for p in range(nparents):
-        r0, r1 = offs[2 * p], offs[2 * p + 2]
-        z = np.hstack([table[r0:r1, :r0], table[r0:r1, r1:]])
-        bases.append(build_shared_basis(z.T, max_rank))
-    new_ranks = np.array([b.skeleton_dim for b in bases])
-    new_offs = np.concatenate([[0], np.cumsum(new_ranks)])
-    rows = np.empty((new_offs[-1], table.shape[1]))
-    for p in range(nparents):
-        r0, r1 = offs[2 * p], offs[2 * p + 2]
-        rows[new_offs[p]:new_offs[p + 1]] = bases[p].skeleton.T @ table[r0:r1]
-    new_table = np.empty((new_offs[-1], new_offs[-1]))
-    for p in range(nparents):
-        r0, r1 = offs[2 * p], offs[2 * p + 2]
-        new_table[:, new_offs[p]:new_offs[p + 1]] = rows[:, r0:r1] @ bases[p].skeleton
-    for p in range(nparents):
-        new_table[new_offs[p]:new_offs[p + 1], new_offs[p]:new_offs[p + 1]] = 0.0
-    return bases, new_table, new_offs
-
-
-def _sibling_couplings(level: int, table: np.ndarray, offs: np.ndarray, out: dict):
-    nb = len(offs) - 1
-    for p in range(nb // 2):
-        left, right = 2 * p, 2 * p + 1
-        block = table[offs[left]:offs[left + 1], offs[right]:offs[right + 1]]
-        out[(level, left, right)] = _freeze(block)
 
 
 @single_blas_thread

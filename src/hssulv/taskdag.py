@@ -64,10 +64,12 @@ __all__ = [
 
 
 class TaskKind:
-    # construction (hssulv.construct)
+    # construction (hssulv.construct): one basis and one coupling task per
+    # node, at the leaves and at every upper level of an HSS tree
     LEAF_BASIS = "LeafBasis"
     LEAF_COUPLING = "LeafCoupling"
     TRANSFER = "Transfer"
+    COUPLING = "Coupling"
     # factorization
     DIAG_PRODUCT = "DiagProduct"
     PARTIAL_FACTOR = "PartialFactor"
@@ -78,7 +80,8 @@ class TaskKind:
 _KIND_ORDER = {
     TaskKind.LEAF_BASIS: 0,
     TaskKind.LEAF_COUPLING: 1,
-    TaskKind.TRANSFER: 2,
+    TaskKind.TRANSFER: 0,
+    TaskKind.COUPLING: 1,
     TaskKind.DIAG_PRODUCT: 0,
     TaskKind.PARTIAL_FACTOR: 1,
     TaskKind.MERGE: 2,
@@ -108,8 +111,8 @@ class Task:
         # Depth first: a node's partial factor runs right after its own
         # diagonal product, which it consumes.  Merges feed the level
         # above; rank them with it so the path toward the root drains
-        # first on ties.  In the build, a leaf's coupling ranks right after
-        # its basis, so each projection is consumed as soon as it can be.
+        # first on ties.  In the build, a node's coupling ranks right after
+        # its basis, so each leaf projection is consumed as soon as it can be.
         level = self.level - 1 if self.kind == TaskKind.MERGE else self.level
         head = (level, self.node, _KIND_ORDER[self.kind])
         if self.kind == TaskKind.ROOT_FACTOR:

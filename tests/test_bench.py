@@ -187,7 +187,7 @@ class TestBuildTimings:
     def test_build_kinds_within_build_seconds(self, workers):
         report = run_single(small_config(n=1024, max_rank=64, workers=workers))
         assert set(report.build_per_kind_seconds) == {
-            "LeafBasis", "LeafCoupling", "Transfer"}
+            "LeafBasis", "LeafCoupling", "Transfer", "Coupling"}
         assert 0 < report.build_makespan_seconds <= report.build_seconds
         # task seconds overlap on several workers, never beyond workers x makespan
         assert sum(report.build_per_kind_seconds.values()) <= \
@@ -212,8 +212,8 @@ class TestBuildTimings:
         assert report["build_per_kind_seconds"]["LeafBasis"] > 0
 
     def test_build_per_level_seconds(self, tmp_path):
-        # the same task records split by level: L3 holds the leaf tasks
-        # and the leaf-level transfer, L1 and L2 one transfer each
+        # the same task records split by level: L3 holds the leaf tasks,
+        # L1 and L2 a transfer and a coupling task per node
         out = tmp_path / "report.json"
         assert main(["--N", "2048", "--nleaf", "256", "--max-rank", "64",
                      "--workers", "2", "--reps", "1", "--out", str(out)]) == 0

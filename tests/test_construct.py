@@ -374,7 +374,21 @@ class TestParallelBuild:
         spec, ps = KernelSpec("yukawa"), generate_grid(1024)
         _, stats = construct._build_tree(spec, ps, 256, 100, False, None, None)
         assert stats.workers == len(os.sched_getaffinity(0))
-        assert set(stats.per_kind_seconds) == {"LeafBasis", "LeafCoupling", "Transfer"}
+        assert set(stats.per_kind_seconds) == {
+            "LeafBasis", "LeafCoupling", "Transfer", "Coupling"}
+
+    def test_one_basis_and_one_coupling_task_per_upper_node(self):
+        # 16 leaves: levels 1-3 hold 2 + 4 + 8 upper nodes, each with its
+        # own Transfer task and, past its level's first node, its own
+        # Coupling task
+        spec, ps = KernelSpec("laplace2d"), generate_grid(4096)
+        _, stats = construct._build_tree(spec, ps, 256, 100, False, 2, None)
+        tasks = {kind: sorted((r.level, r.node) for r in stats.records if r.kind == kind)
+                 for kind in ("Transfer", "Coupling")}
+        upper = [(level, p) for level in (1, 2, 3) for p in range(2**level)]
+        assert tasks["Transfer"] == upper
+        assert tasks["Coupling"] == [(level, p) for level, p in upper if p]
+        assert len(tasks["Coupling"]) == 1 + 3 + 7
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
@@ -428,19 +442,35 @@ class TestMemoryRefusal:
         assert build.__name__ in str(err.value) and "workers=2" in str(err.value)
         assert calls == []
 
-    def test_estimate_grows_with_workers_and_table(self):
+    def test_estimate_grows_with_workers_and_pairs(self):
         one = construct._peak_bytes(4096, 256, 100, 1, False)
         assert construct._peak_bytes(4096, 256, 100, 2, False) > one
-        # at N = 32768 the packed coupling table alone takes 1.3 GB
-        assert construct._peak_bytes(32768, 256, 100, 1, False) > 8 * (128 * 100) ** 2
-        # BLR2 has no table, but keeps a coupling for every pair of leaves
-        assert construct._peak_bytes(32768, 256, 100, 1, True) > 8 * 128 * 127 // 2 * 100**2
+        # at N = 32768 both formats keep a coupling for every pair of its
+        # 128 leaves, 0.65 GB; HSS keeps the pairs of its upper levels too
+        leaf_pairs = 8 * 128 * 127 // 2 * 100**2
+        assert construct._peak_bytes(32768, 256, 100, 1, True) > leaf_pairs
+        assert construct._peak_bytes(32768, 256, 100, 1, False) > leaf_pairs
+
+    def test_hss_peak_near_blr2_peak(self):
+        # HSS keeps the leaf pairs BLR2 keeps, plus the far fewer pairs of
+        # its upper levels; a packed table of the leaf couplings took it to
+        # 1.7x BLR2's traced peak (183 against 109 MiB)
+        ps = generate_grid(8192)
+        peaks = {}
+        for build in (build_hss, build_blr2):
+            tracemalloc.start()
+            try:
+                build(KernelSpec("yukawa"), ps, 256, 100, workers=2)
+                peaks[build] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[build_hss] <= 1.1 * peaks[build_blr2], peaks
 
     @pytest.mark.parametrize("build", [build_hss, build_blr2])
     def test_estimate_bounds_traced_peak(self, build):
-        # at N = 8192, two workers, the traced peak is 0.63 (HSS) and 0.56
+        # at N = 8192, two workers, the traced peak is 0.53 (HSS) and 0.56
         # (BLR2) of the estimate; at 3136 = 56**2 (16 HSS leaves of 196
-        # points, 12 BLR2 blocks of 256 and one of 64) 0.51 and 0.62
+        # points, 12 BLR2 blocks of 256 and one of 64) 0.41 and 0.62
         for n in (8192, 3136):
             ps = generate_grid(n)
             tracemalloc.start()
