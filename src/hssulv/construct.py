@@ -33,10 +33,11 @@ The two formats differ only in fan-out:
 
 Both builders are task graphs run by :func:`hssulv.taskdag.run_graph`,
 the runtime the factorization runs on.  A ``LeafBasis`` task per leaf
-evaluates the leaf's exact diagonal block, its blocks with the leaves
-before it (the left part) and its sample; it compresses the sample into
-the leaf basis and projects the left part onto the skeleton.  The part
-of the row right of the diagonal and outside the near band is never
+evaluates its row up to the diagonal in one kernel call, which holds the
+leaf's blocks with the leaves before it (the left part) and its exact
+diagonal block, and then its sample; it compresses the sample into the
+leaf basis and projects the left part onto the skeleton.  The part of
+the row right of the diagonal and outside the near band is never
 evaluated.  A ``LeafCoupling`` task per leaf waits for the bases of its
 own and every earlier leaf, forms the couplings with those leaves as
 stored (rows of the earlier leaf) and frees the projection; leaf ``i``
@@ -55,8 +56,6 @@ error.  Both formats need at least two blocks.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -277,11 +276,11 @@ def _leaf_partition(n: int, nleaf: int, one_level: bool) -> tuple[int, tuple]:
 def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
     """Upper estimate of a build's peak working set, in bytes.
 
-    Each worker runs the larger of two tasks.  A leaf task holds one
-    leased left part (:class:`_RowBuffers`), the sample, the copy of it
-    that the QR factors in place, and the projection of the left part; a
-    leaf has at most ``nleaf`` points, and its sample at most ``n`` near
-    columns and ``PROXY_COUNT`` proxy columns.  An HSS transfer task
+    Each worker runs the larger of two tasks.  A leaf task holds its row
+    up to the diagonal, the sample, the copy of it that the QR factors in
+    place, and the projection of the left part; a leaf has at most
+    ``nleaf`` points, and its sample at most ``n`` near columns and
+    ``PROXY_COUNT`` proxy columns.  An HSS transfer task
     holds its children's stacked rows, ``2 * max_rank`` by at most
     ``nb * max_rank``, and the QR's copy of them.  The build keeps the
     coupling of every pair of nodes on each level (a level of ``m`` nodes
@@ -304,47 +303,6 @@ class _BuildContext:
     box: np.ndarray  # rows: the smallest and the largest coordinates of points
     offsets: tuple  # leaf i holds points[offsets[i]:offsets[i + 1]]
     max_rank: int
-    rows: _RowBuffers
-
-
-class _RowBuffers:
-    """Left-part arrays of the leaf tasks, passed from task to task.
-
-    The left part of leaf ``i`` is its kernel block with every leaf before
-    it, the columns its projection reads; it fills the top left of a
-    leased row, which is as wide as the last leaf's.  A leaf task leases
-    a row and hands it back when it returns, so a build allocates one row
-    per worker instead of one per leaf.  The end of the last of ``leases``
-    leases drops them, before any upper-level task runs.  Rows freed and
-    allocated again per leaf stay cached by the C allocator in amounts
-    that depend on which thread ran which task: the peak RSS of one
-    matern N = 4096 HSS build varied by 20 MB from process to process,
-    and by under 1 MB with leased rows.  A leaf's sample, at most about
-    1400 columns at nleaf 256, is allocated per task: leasing it as well
-    raised the peak RSS of a yukawa N = 4096 BLR2 build by 6 MB.
-    """
-
-    def __init__(self, shape: tuple, leases: int):
-        self._shape = shape
-        self._left = leases
-        self._free: list = []
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def lease(self):
-        with self._lock:
-            row = self._free.pop() if self._free else None
-        if row is None:
-            row = np.empty(self._shape)
-        try:
-            yield row
-        finally:
-            with self._lock:
-                self._left -= 1
-                if self._left:
-                    self._free.append(row)
-                else:
-                    self._free.clear()
 
 
 # Task bodies of the build graph, run by hssulv.taskdag.run_graph.  A
@@ -382,26 +340,22 @@ def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple
 
 
 def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
-    i, offs = task.node, b.offsets
-    r0, r1 = offs[i], offs[i + 1]
+    i = task.node
+    r0, r1 = b.offsets[i], b.offsets[i + 1]
     x = b.points[r0:r1]
-    diag = kernel_matrix(b.spec, x, x)
     near, proxies, weight = _leaf_sample(b.points, b.box, r0, r1)
-    with b.rows.lease() as adm:
-        # Block j < i of the row is K(x_i, x_j): the part the projection
-        # reads.  The rest of the row is sampled, never evaluated in full.
-        left = adm[:r1 - r0, :r0]
-        for j in range(i):
-            left[:, offs[j]:offs[j + 1]] = kernel_matrix(
-                b.spec, x, b.points[offs[j]:offs[j + 1]])
-        sample = np.hstack([left[:, near[near < r0]],
-                            kernel_matrix(b.spec, x, b.points[near[near >= r1]]),
-                            weight * kernel_matrix(b.spec, x, proxies)])
-        basis = build_shared_basis(sample.T, b.max_rank)
-        del sample  # freed before the projection allocates
-        if i:
-            results[("proj", i)] = basis.skeleton.T @ left
-    return _freeze(diag), basis
+    # The row up to the diagonal is the left part the projection reads and
+    # the diagonal block; the rest of the row is sampled, never evaluated
+    # in full.
+    row = kernel_matrix(b.spec, x, b.points[:r1])
+    sample = np.hstack([row[:, near[near < r0]],
+                        kernel_matrix(b.spec, x, b.points[near[near >= r1]]),
+                        weight * kernel_matrix(b.spec, x, proxies)])
+    basis = build_shared_basis(sample.T, b.max_rank)
+    del sample  # freed before the projection allocates
+    if i:
+        results[("proj", i)] = basis.skeleton.T @ row[:, :r0]
+    return _freeze(row[:, r0:]), basis
 
 
 def _leaf_coupling(b: _BuildContext, results: dict, task) -> tuple:
@@ -483,8 +437,7 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
               TaskKind.TRANSFER: _transfer, TaskKind.COUPLING: _coupling}
     box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
-    ctx = _BuildContext(spec, ps.points, box, offsets, max_rank,
-                        _RowBuffers((max(np.diff(offsets)), offsets[-2]), nb))
+    ctx = _BuildContext(spec, ps.points, box, offsets, max_rank)
     results, stats = run_graph(TaskGraph(max_level, tasks), bodies, ctx, workers,
                                shuffle_seed=shuffle_seed)
 
