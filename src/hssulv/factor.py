@@ -6,8 +6,9 @@ deferred upward.  Off-diagonal blocks are never touched: in the rotated
 coordinates they are zero outside the skeleton corner, so sibling
 couplings flow straight into the parent merge.  That removes every
 same-level data dependency; only the merge links two levels.  One merge
-rule serves every fan-out: two children in HSS, all blocks under the
-root in BLR2.
+rule, :func:`merge_children`, serves every fan-out: two children in
+HSS, all blocks under the root in BLR2.  It writes a window of the
+parent's block: the whole block below the root, one tile at the root.
 
 This module holds the task bodies; :func:`hssulv.taskdag.execute` runs
 them.  :func:`ulv_factor_hss` (alias :func:`ulv_factor_blr2`) is that
@@ -17,13 +18,16 @@ its own error naming the level and node from either entry point.
 
 The factored form is a product, per level, of a block-diagonal basis
 rotation, a block unit-lower elimination and a gather permutation,
-closed by a dense Cholesky of the root block.  The root is factored as
-tiles of side :data:`ROOT_TILE` in place in the block the last merge
-writes, one task per tile step of a right-looking Cholesky (Buttari et
+closed by a dense Cholesky of the root block.  The root is assembled
+and factored as tiles of side :data:`ROOT_TILE`, in place in one
+F-ordered block: a merge task per lower tile copies in what the tile
+covers as soon as the children whose diagonal blocks it covers are
+factored, and each task of a right-looking tiled Cholesky (Buttari et
 al., "A class of parallel tiled linear algebra algorithms for multicore
-architectures", Parallel Computing 2009), so the workers share it.  The
-factorization is exact on the compressed operator: compression error
-lives entirely in construction.
+architectures", Parallel Computing 2009) starts as soon as its tiles
+are ready, so the workers share the root and no tile waits for the
+whole level.  The factorization is exact on the compressed operator:
+compression error lives entirely in construction.
 
 :func:`ulv_solve` reads that product twice, leaves to root and back,
 each node's basis and factors once per sweep and the root factor once
@@ -35,15 +39,17 @@ so the factors are read once for all ``k`` columns.
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from ._threads import single_blas_thread
 from .construct import BlockBasis, HssMatrix, matvec
-from .linalg import (NotPositiveDefiniteError, _potrf, _require_symmetric,
-                     partial_cholesky, solve_lower, tile_gemm, tile_syrk,
-                     tile_trsm)
+from .linalg import (NotPositiveDefiniteError, _potrf, partial_cholesky,
+                     solve_lower, tile_gemm, tile_syrk, tile_trsm)
 # Not called here any more; the benchmark's traced run
 # (perfbench/tracing.py) wraps factor.cholesky by name.
 from .linalg import cholesky  # noqa: F401
@@ -62,10 +68,11 @@ __all__ = [
 
 RECONSTRUCT_GUARD = 2048
 
-# Side of the tiles the root block is factored in.  On the order-1600
-# root of yukawa BLR2 at N = 4096, two workers factored the operator in
-# 95-100 ms with tiles of 288 to 534 (medians of 20 rounds, 2 vCPUs),
-# 130 ms with 800 and 131 ms untiled; 400 gives four equal tiles there.
+# Side of the tiles the root block is assembled and factored in.  On the
+# order-1600 root of yukawa BLR2 at N = 4096, two workers factored the
+# operator in 54-55 ms with tiles of 400, 53-57 ms with 534, 55-59 ms
+# with 800, 58 ms with 320, 62-66 ms with 200 and 82 ms untiled (medians
+# of 20 rounds, two runs, 2 vCPUs); 400 gives four equal tiles there.
 # An HSS root has order at most 2 * max_rank, so up to max_rank 200 it
 # is one tile: one dpotrf, bitwise the untiled Cholesky.
 ROOT_TILE = 400
@@ -79,33 +86,54 @@ def diagonal_product(block: np.ndarray, basis: BlockBasis) -> np.ndarray:
     return basis.q.T @ block @ basis.q
 
 
-def merge_children(remainders: list, couplings: dict) -> np.ndarray:
-    """Assemble a parent diagonal block from its children's skeleton remainders.
+def _meeting(offsets: tuple, window: range) -> list:
+    """The children ``c`` whose range ``offsets[c]:offsets[c + 1]`` shares
+    an index with ``window``."""
+    if not window:
+        return []
+    first = bisect_right(offsets, window.start) - 1
+    return [c for c in range(first, bisect_left(offsets, window.stop))
+            if offsets[c] < offsets[c + 1]]
 
-    The children's Schur complements land on the diagonal blocks, in child
-    order, and ``couplings[(a, b)]`` (child ``a`` rows, child ``b``
-    columns, ``a < b``) fills off-diagonal block ``(a, b)`` and, transposed,
-    ``(b, a)``, matching the gather permutation of the factored form.
 
-    The block is F-ordered, the layout LAPACK reads, so the root can be
-    factored in place in it.
+def merge_children(dims, remainders, couplings: dict, out: np.ndarray | None = None,
+                   rows: range | None = None, cols: range | None = None) -> np.ndarray:
+    """Assemble window ``rows`` x ``cols`` of a parent's diagonal block from
+    its children.
+
+    Child ``a`` covers rows and columns ``offsets[a]:offsets[a + 1]`` of
+    the block, where ``offsets`` are the running sums of ``dims``.  Its
+    skeleton remainder ``remainders[a]``, the child's Schur complement,
+    fills diagonal block ``(a, a)``, and ``couplings[(a, b)]`` (child
+    ``a`` rows, child ``b`` columns, ``a < b``) fills off-diagonal block
+    ``(a, b)`` and, transposed, ``(b, a)``, matching the gather
+    permutation of the factored form.  Only the blocks that meet the
+    window are read, so ``remainders`` may map just the children whose
+    diagonal block meets it.
+
+    Without ``out``, a new F-ordered block, the layout LAPACK reads, is
+    made; ``rows`` and ``cols`` default to the whole block.  Returns
+    ``out``.
     """
-    dims = [ss.shape[0] for ss in remainders]
-    if any(ss.shape != (d, d) for ss, d in zip(remainders, dims)):
-        raise ValueError("skeleton remainders must be square")
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    out = np.empty((offs[-1], offs[-1]), order="F")
-    for a, ss in enumerate(remainders):
-        rows = slice(offs[a], offs[a + 1])
-        out[rows, rows] = ss
-        for b in range(a + 1, len(remainders)):
-            block = couplings[(a, b)]
+    offsets = tuple(accumulate(dims, initial=0))
+    if out is None:
+        out = np.empty((offsets[-1], offsets[-1]), order="F")
+    rows = range(offsets[-1]) if rows is None else rows
+    cols = range(offsets[-1]) if cols is None else cols
+    col_children = _meeting(offsets, cols)
+    for a in _meeting(offsets, rows):
+        r0, r1 = max(rows.start, offsets[a]), min(rows.stop, offsets[a + 1])
+        for b in col_children:
+            c0, c1 = max(cols.start, offsets[b]), min(cols.stop, offsets[b + 1])
+            if a == b:
+                what, block = "skeleton remainder", remainders[a]
+            else:
+                what, block = "coupling", couplings[(a, b)] if a < b else couplings[(b, a)].T
             if block.shape != (dims[a], dims[b]):
-                raise ValueError(f"coupling shape {block.shape} does not match "
-                                 f"remainders ({dims[a]}, {dims[b]})")
-            cols = slice(offs[b], offs[b + 1])
-            out[rows, cols] = block
-            out[cols, rows] = block.T
+                raise ValueError(f"{what} shape {block.shape} does not match the "
+                                 f"children's orders ({dims[a]}, {dims[b]})")
+            out[r0:r1, c0:c1] = \
+                block[r0 - offsets[a]:r1 - offsets[a], c0 - offsets[b]:c1 - offsets[b]]
     return out
 
 
@@ -148,17 +176,76 @@ class UlvFactors:
         return self.root_chol.shape[0]
 
 
-# Task bodies run by the task-graph executor.  Results are stored under
-# the task ids ("dp"|"pf"|"mg", level, node).  A rotated diagonal or a
-# merged block below the root has one consumer, which pops it.  A
-# partial factor's skeleton remainder is read only by its parent's merge,
-# which pops the partial factor and leaves the node's factors under
-# ("nf", level, node) for assemble_factors.  The root tile tasks
-# factor the root's merged block ("mg", 1, 0) in place and store None.
+def root_dims(h: HssMatrix) -> tuple:
+    """Orders of the level-1 nodes' skeletons, in the order they fill
+    the root block."""
+    return tuple(h.skeleton_dim(1, i) for i in range(h.num_nodes(1)))
 
 
-def run_diag_product(h: HssMatrix, results: dict, task):
-    level, node = task.level, task.node
+def root_tile_count(h: HssMatrix) -> int:
+    """Tiles per side of the root block: its order over :data:`ROOT_TILE`,
+    rounded up, and at least one.  The last tile may be shorter."""
+    return max(1, -(-sum(root_dims(h)) // ROOT_TILE))
+
+
+def tile_range(order: int, i: int) -> range:
+    """Rows (or columns) of tile ``i`` of a root block of ``order``."""
+    return range(i * ROOT_TILE, min((i + 1) * ROOT_TILE, order))
+
+
+def tile_children(dims, i: int, j: int) -> list:
+    """The level-1 nodes whose diagonal block, in a root block of level-1
+    skeleton orders ``dims``, meets tile ``(i, j)``: the nodes whose
+    skeleton remainders that tile's merge reads."""
+    offsets = tuple(accumulate(dims, initial=0))
+    cols = set(_meeting(offsets, tile_range(offsets[-1], j)))
+    return [c for c in _meeting(offsets, tile_range(offsets[-1], i)) if c in cols]
+
+
+class FactorRun:
+    """What the task bodies of one factorization of ``h`` share: the tree,
+    its level-1 skeleton orders ``dims``, its level-1 couplings keyed by
+    node pairs as :func:`merge_children` reads them, and the root block.
+
+    The root's first tile merge to run allocates the block, F-ordered,
+    before it writes into it, so an HSS factorization, whose one root
+    merge runs last, holds it only from then on.  The tile merges fill
+    its lower tiles, and the tile tasks factor it in place.
+    """
+
+    def __init__(self, h: HssMatrix):
+        self.h = h
+        self.dims = root_dims(h)
+        self.couplings = {key[1:]: block for key, block in h.coupling.items()
+                          if key[0] == 1}
+        self._root = None
+        self._lock = threading.Lock()
+
+    @property
+    def root(self) -> np.ndarray:
+        with self._lock:
+            if self._root is None:
+                self._root = np.empty((sum(self.dims), sum(self.dims)), order="F")
+            return self._root
+
+    @property
+    def context(self) -> str:
+        return (f"root block (order {sum(self.dims)}, "
+                f"level-1 skeleton ranks {list(self.dims)})")
+
+
+# Task bodies run by the task-graph executor with a FactorRun.  Results
+# are stored under the task ids ("dp"|"pf"|"mg", level, node).  A rotated
+# diagonal or a merged block below the root has one consumer, which pops
+# it.  A partial factor leaves the node's factors under ("nf", level,
+# node) for assemble_factors and returns its skeleton remainder, which
+# its parent's merge pops; at the root several tile merges read it.  The
+# root's merge tasks ("asm", i, j) and tile tasks write the run's root
+# block in place and store None.
+
+
+def run_diag_product(run: FactorRun, results: dict, task):
+    h, level, node = run.h, task.level, task.node
     if level == h.max_level:
         block = h.leaf_diag[node]
     else:
@@ -166,47 +253,51 @@ def run_diag_product(h: HssMatrix, results: dict, task):
     return diagonal_product(block, h.bases[(level, node)])
 
 
-def run_partial_factor(h: HssMatrix, results: dict, task):
+def run_partial_factor(run: FactorRun, results: dict, task):
     level, node = task.level, task.node
-    basis = h.bases[(level, node)]
+    basis = run.h.bases[(level, node)]
     try:
-        return partial_cholesky(
+        pf = partial_cholesky(
             results.pop(("dp", level, node)), basis.redundant_dim,
             context=f"level {level} node {node} (skeleton rank {basis.skeleton_dim})")
     except NotPositiveDefiniteError as err:
         err.level, err.node, err.rank = level, node, basis.skeleton_dim
         raise
+    results[("nf", level, node)] = NodeFactor(basis, pf.l_rr, pf.l_sr)
+    return pf.ss_remainder
 
 
-def run_merge(h: HssMatrix, results: dict, task):
-    level, parent = task.level, task.node
-    kids = h.children(level - 1, parent)
-    remainders = []
-    for c in kids:
-        pf = results.pop(("pf", level, c))
-        results[("nf", level, c)] = NodeFactor(h.bases[(level, c)], pf.l_rr, pf.l_sr)
-        remainders.append(pf.ss_remainder)
-    return merge_children(
-        remainders,
-        {(a, b): h.coupling[(level, kids[a], kids[b])]
-         for a in range(len(kids)) for b in range(a + 1, len(kids))})
+def run_merge(run: FactorRun, results: dict, task):
+    """Below the root, assemble the whole block of parent ``task.node``,
+    both triangles, which its diagonal product reads.  At the root,
+    ``("asm", i, j)`` assembles lower tile ``(i, j)`` of the run's root
+    block and refuses a NaN or an infinity in it."""
+    h, level = run.h, task.level
+    if level > 1:
+        kids = h.children(level - 1, task.node)
+        return merge_children(
+            [h.skeleton_dim(level, c) for c in kids],
+            [results.pop(("pf", level, c)) for c in kids],
+            {(a, b): h.coupling[(level, kids[a], kids[b])]
+             for a in range(len(kids)) for b in range(a + 1, len(kids))})
+    _, i, j = task.id
+    root = run.root
+    rows, cols = tile_range(root.shape[0], i), tile_range(root.shape[0], j)
+    merge_children(run.dims, {dep[2]: results[dep] for dep in task.deps},
+                   run.couplings, root, rows, cols)
+    if not np.isfinite(root[rows.start:rows.stop, cols.start:cols.stop]).all():
+        raise ValueError(f"NaN or infinite entries in {run.context}, tile ({i}, {j})")
+    return None
 
 
-def root_tile_count(h: HssMatrix) -> int:
-    """Tiles per side of the root block: its order over :data:`ROOT_TILE`,
-    rounded up, and at least one.  The last tile may be shorter."""
-    order = sum(h.skeleton_dim(1, i) for i in range(h.num_nodes(1)))
-    return max(1, -(-order // ROOT_TILE))
-
-
-def run_root_tile(h: HssMatrix, results: dict, task):
+def run_root_tile(run: FactorRun, results: dict, task):
     """One step of the tiled Cholesky of the root block, in place:
     ``("potrf", k)`` factors diagonal tile ``k``, ``("trsm", i, k)`` solves
     tile ``(i, k)`` against it and zeroes its mirror ``(k, i)``,
     ``("syrk", i, k)`` and ``("gemm", i, j, k)`` subtract panel ``k`` from
-    tiles ``(i, i)`` and ``(i, j)``.  ``("potrf", 0)`` first checks the
-    whole block for symmetry."""
-    block = results[("mg", 1, 0)]
+    tiles ``(i, i)`` and ``(i, j)``.  Only lower tiles are read, and the
+    first step on a tile waits for its merge."""
+    block = run.root
     step, *ij = task.id
 
     def tile(i, j):
@@ -214,11 +305,7 @@ def run_root_tile(h: HssMatrix, results: dict, task):
 
     if step == "potrf":
         (k,) = ij
-        ranks = [h.skeleton_dim(1, i) for i in range(h.num_nodes(1))]
-        context = f"root block (order {block.shape[0]}, level-1 skeleton ranks {ranks})"
-        if k == 0:
-            _require_symmetric(block, "a", context)
-        _potrf(tile(k, k), context, first=k * ROOT_TILE)
+        _potrf(tile(k, k), run.context, first=k * ROOT_TILE)
     elif step == "trsm":
         i, k = ij
         tile_trsm(tile(k, k), tile(i, k))
@@ -243,10 +330,11 @@ def _perm_for_level(factors: list) -> np.ndarray:
     return np.concatenate(red + skel) if factors else np.empty(0, dtype=np.intp)
 
 
-def assemble_factors(h: HssMatrix, results: dict) -> UlvFactors:
+def assemble_factors(run: FactorRun, results: dict) -> UlvFactors:
+    h = run.h
     levels = {level: [results[("nf", level, node)] for node in range(h.num_nodes(level))]
               for level in range(h.max_level, 0, -1)}
-    return UlvFactors(h.n, h.max_level, levels, results[("mg", 1, 0)])
+    return UlvFactors(h.n, h.max_level, levels, run.root)
 
 
 def ulv_factor_hss(h: HssMatrix, workers: int | None = None) -> UlvFactors:

@@ -14,20 +14,24 @@ with one schedule record and one determinism guarantee.
 
 The factorization graph is built from the tree of either format: per
 level there is one diagonal-product and one partial-factor task per node
-and one merge per parent; the tile tasks of the root's Cholesky close
-the graph.  The only edges between nodes are produced by the merge step,
-so a merge can fire as soon as its children finish (two in HSS, every
-block in BLR2), independent of the rest of its level.
+and one merge per parent below the root; the root is assembled by one
+merge task per lower tile, and the tile tasks of its Cholesky close the
+graph.  The only edges between nodes are produced by the merge step, so
+a merge can fire as soon as the children it reads finish (two in HSS),
+independent of the rest of its level, and a root tile as soon as the
+children whose diagonal blocks it covers finish (at most a few of the
+blocks in BLR2, none for most off-diagonal tiles).
 :func:`hssulv.factor.ulv_factor_hss` is :func:`execute` on this graph.
 
 The simulated "process" distribution is pure accounting, kept out of the
 runtime: block rows are owned round-robin at the leaf level, every
 merged parent inherits its first child's owner, and a task runs on the
-owner of the node it builds (the merge ``("mg", l, p)`` builds node
-``(l - 1, p)``).  A transfer event is recorded for every dependency edge
-whose endpoints resolve to different owners: a child's skeleton
-remainder read by its parent's merge.  The schedule export computes the
-owners when writing.
+owner of the node it builds (the merges ``("mg", l, p)`` build node
+``(l - 1, p)``, the root's tile merges ``("asm", i, j)`` the root).  A
+transfer event is recorded for every dependency edge whose endpoints
+resolve to different owners: a child's skeleton remainder, or the part
+of it that a root tile holds, read by its parent's merge.  The schedule
+export computes the owners when writing.
 """
 
 from __future__ import annotations
@@ -38,12 +42,14 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from ._threads import single_blas_thread, worker_count
 from .construct import HssMatrix
-from .factor import (UlvFactors, assemble_factors, root_tile_count,
-                     run_diag_product, run_merge, run_partial_factor,
-                     run_root_tile)
+from .factor import (FactorRun, UlvFactors, assemble_factors, root_dims,
+                     root_tile_count, run_diag_product, run_merge,
+                     run_partial_factor, run_root_tile, tile_children,
+                     tile_range)
 
 __all__ = [
     "TaskKind",
@@ -153,16 +159,20 @@ def build_dag(h: HssMatrix) -> TaskGraph:
     """Task graph of the ULV factorization of ``h``.
 
     A diagonal product and a partial factor per node per level, a merge
-    per parent, and the root's tiled Cholesky: with ``t`` tiles per side
-    (:func:`hssulv.factor.root_tile_count`), a ``("potrf", k)`` per
-    diagonal tile, a ``("trsm", i, k)`` per tile below it, and a
-    ``("syrk", i, k)`` or ``("gemm", i, j, k)`` per lower tile ``(i, i)``
-    or ``(i, j)`` and earlier panel ``k``: ``T(t) = t + t*(t-1) +
-    t*(t-1)*(t-2)/6`` tasks, all of kind ``RootFactor`` at level 0.  The
-    updates of a tile are chained in panel order, so its bits do not
-    depend on the schedule.  For a binary tree of depth ``L``, whose root
-    is one tile, that is ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` tasks; for
-    BLR2 with ``nb`` blocks ``2*nb + 1 + T(t)``.
+    ``("mg", level, parent)`` per parent below the root, and the root's
+    tiled Cholesky.  With ``t`` tiles per side
+    (:func:`hssulv.factor.root_tile_count`) the root has a merge
+    ``("asm", i, j)`` per lower tile, which waits for the partial factors
+    of the level-1 nodes whose diagonal blocks meet the tile; then a
+    ``("potrf", k)`` per diagonal tile, a ``("trsm", i, k)`` per tile below
+    it, and a ``("syrk", i, k)`` or ``("gemm", i, j, k)`` per lower tile
+    ``(i, i)`` or ``(i, j)`` and earlier panel ``k``: ``T(t) = t + t*(t-1)
+    + t*(t-1)*(t-2)/6`` tasks, all of kind ``RootFactor`` at level 0.  The
+    first step on a tile waits for the tile's merge, and its updates are
+    chained in panel order, so its bits do not depend on the schedule.
+    For a binary tree of depth ``L``, whose root is one tile, that is
+    ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` tasks; for BLR2 with ``nb``
+    blocks ``2*nb + t*(t+1)/2 + T(t)``.
     """
     L = h.max_level
     tasks = {}
@@ -176,25 +186,29 @@ def build_dag(h: HssMatrix) -> TaskGraph:
             add(dp, TaskKind.DIAG_PRODUCT, level, node,
                 () if level == L else [("mg", level + 1, node)])
             add(pf, TaskKind.PARTIAL_FACTOR, level, node, [dp])
-        for parent in range(h.num_nodes(level - 1)):
-            add(("mg", level, parent), TaskKind.MERGE, level, parent,
-                [("pf", level, c) for c in h.children(level - 1, parent)])
-    t = root_tile_count(h)
+        if level > 1:
+            for parent in range(h.num_nodes(level - 1)):
+                add(("mg", level, parent), TaskKind.MERGE, level, parent,
+                    [("pf", level, c) for c in h.children(level - 1, parent)])
+    t, dims = root_tile_count(h), root_dims(h)
+    for j in range(t):
+        for i in range(j, t):
+            add(("asm", i, j), TaskKind.MERGE, 1, 0,
+                [("pf", 1, c) for c in tile_children(dims, i, j)])
 
-    def after(tid, k):  # the previous update of the same tile, if any
-        return [tid] if k else []
+    def after(tid, k, i, j):  # the previous update of tile (i, j), or its merge
+        return tid if k else ("asm", i, j)
 
     for k in range(t):
-        add(("potrf", k), TaskKind.ROOT_FACTOR, 0, 0,
-            [("syrk", k, k - 1)] if k else [("mg", 1, 0)])
+        add(("potrf", k), TaskKind.ROOT_FACTOR, 0, 0, [after(("syrk", k, k - 1), k, k, k)])
         for i in range(k + 1, t):
             add(("trsm", i, k), TaskKind.ROOT_FACTOR, 0, 0,
-                [("potrf", k), *after(("gemm", i, k, k - 1), k)])
+                [("potrf", k), after(("gemm", i, k, k - 1), k, i, k)])
             add(("syrk", i, k), TaskKind.ROOT_FACTOR, 0, 0,
-                [("trsm", i, k), *after(("syrk", i, k - 1), k)])
+                [("trsm", i, k), after(("syrk", i, k - 1), k, i, i)])
             for j in range(k + 1, i):
                 add(("gemm", i, j, k), TaskKind.ROOT_FACTOR, 0, 0,
-                    [("trsm", i, k), ("trsm", j, k), *after(("gemm", i, j, k - 1), k)])
+                    [("trsm", i, k), ("trsm", j, k), after(("gemm", i, j, k - 1), k, i, j)])
     return TaskGraph(L, tasks)
 
 
@@ -204,7 +218,8 @@ class OwnerMap:
 
     Leaf nodes go round-robin by node index; every merged parent is owned
     by its first child's owner, so ancestors collapse onto the leftmost
-    descendant leaf's rank.
+    descendant leaf's rank.  The root's tile merges and tile tasks run on
+    the root's owner.
     """
 
     nprocs: int
@@ -218,13 +233,16 @@ def assign_owners(g: TaskGraph, nprocs: int) -> OwnerMap:
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
     L = g.max_level
-    assignment = {(L, t.node): t.node % nprocs for t in g.tasks.values()
-                  if t.kind == TaskKind.DIAG_PRODUCT and t.level == L}
-    # The merge at level l creates node (l - 1, parent) from its children.
-    merges = [t for t in g.tasks.values() if t.kind == TaskKind.MERGE]
-    for task in sorted(merges, key=lambda t: -t.level):
-        first = min(g.tasks[d].node for d in task.deps)
-        assignment[(task.level - 1, task.node)] = assignment[(task.level, first)]
+    nodes = {0: 1}  # nodes per level: one diagonal product each, and the root
+    for t in g.tasks.values():
+        if t.kind == TaskKind.DIAG_PRODUCT:
+            nodes[t.level] = nodes.get(t.level, 0) + 1
+    assignment = {(L, node): node % nprocs for node in range(nodes[L])}
+    # Each parent's children are an equal contiguous run of the level below.
+    for level in range(L, 0, -1):
+        fan_out = nodes[level] // nodes[level - 1]
+        for parent in range(nodes[level - 1]):
+            assignment[(level - 1, parent)] = assignment[(level, parent * fan_out)]
     return OwnerMap(nprocs, assignment)
 
 
@@ -396,8 +414,9 @@ def execute(g: TaskGraph, h: HssMatrix, workers: int | None,
     :class:`~hssulv.linalg.NotPositiveDefiniteError` naming the level and
     node.
     """
-    results, stats = run_graph(g, _FACTOR_BODIES, h, workers, shuffle_seed)
-    return assemble_factors(h, results), stats
+    run = FactorRun(h)
+    results, stats = run_graph(g, _FACTOR_BODIES, run, workers, shuffle_seed)
+    return assemble_factors(run, results), stats
 
 
 @dataclass
@@ -424,8 +443,14 @@ def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
 
     A task runs on the owner of the node it builds, so the only edges that
     cross owners carry a child's skeleton remainder to its parent's merge;
-    the payload is that remainder, sized in matrix entries.
+    the payload, in matrix entries, is that remainder, or at the root the
+    part of it that the merged tile holds.
     """
+    offsets = tuple(accumulate(root_dims(h), initial=0))
+
+    def overlap(window: range, child: int) -> int:
+        return max(0, min(window.stop, offsets[child + 1]) - max(window.start, offsets[child]))
+
     events = []
     for task in g.tasks.values():
         dst = _task_owner(owners, task)
@@ -433,9 +458,14 @@ def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
             dep = g.tasks[dep_id]
             src = _task_owner(owners, dep)
             if src != dst:
-                sk = h.skeleton_dim(dep.level, dep.node)
+                if task.id[0] == "asm":
+                    _, i, j = task.id
+                    entries = overlap(tile_range(offsets[-1], i), dep.node) * \
+                        overlap(tile_range(offsets[-1], j), dep.node)
+                else:
+                    entries = h.skeleton_dim(dep.level, dep.node) ** 2
                 events.append((task.id, f"ss_remainder[{dep.level},{dep.node}]",
-                               src, dst, sk * sk))
+                               src, dst, entries))
     return CommTrace(owners.nprocs, events)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hssulv import (BlockBasis, HssMatrix, KernelSpec, Task, TaskGraph,
                     TaskKind, build_dag, build_hss, generate_grid,
                     kernel_matrix, ulv_factor_hss)
+from hssulv.factor import FactorRun
 from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
 
@@ -90,12 +91,14 @@ def root_tree(a):
 
 
 def factor_root(a, workers=1, shuffle_seed=None):
-    """``a`` factored by the root tile tasks of its factorization graph
-    alone: the merge they wait for hands them an F-ordered copy of ``a``."""
+    """``a`` factored by the root's tile merges and tile tasks of its
+    factorization graph alone: the level-1 partial factor they wait for
+    hands them ``a`` as its skeleton remainder."""
     h = root_tree(a)
     tasks = {tid: t for tid, t in build_dag(h).tasks.items()
-             if t.kind == TaskKind.ROOT_FACTOR}
-    tasks[("mg", 1, 0)] = Task(("mg", 1, 0), TaskKind.MERGE, 1, 0, frozenset())
-    bodies = {TaskKind.MERGE: lambda h, results, task: np.array(a, order="F"),
-              TaskKind.ROOT_FACTOR: _FACTOR_BODIES[TaskKind.ROOT_FACTOR]}
-    return run_graph(TaskGraph(1, tasks), bodies, h, workers, shuffle_seed)[0][("mg", 1, 0)]
+             if t.kind in (TaskKind.MERGE, TaskKind.ROOT_FACTOR)}
+    tasks[("pf", 1, 0)] = Task(("pf", 1, 0), TaskKind.PARTIAL_FACTOR, 1, 0, frozenset())
+    bodies = {**_FACTOR_BODIES, TaskKind.PARTIAL_FACTOR: lambda run, results, task: a}
+    run = FactorRun(h)
+    run_graph(TaskGraph(1, tasks), bodies, run, workers, shuffle_seed)
+    return run.root

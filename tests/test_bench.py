@@ -244,14 +244,14 @@ class TestTrees:
 
     def test_blr2_from_cli(self, tmp_path):
         # 16 blocks of rank 60: a root of order 960 in three tiles per side,
-        # 10 tile tasks after 2 * 16 + 1 block tasks
+        # 10 tile tasks after 2 * 16 block tasks and 6 tile merges
         out = tmp_path / "report.json"
         assert main(["--tree", "blr2", "--kernel", "yukawa", "--N", "2048",
                      "--nleaf", "128", "--max-rank", "60", "--workers", "2",
                      "--reps", "1", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["tree"] == "blr2"
-        assert report["task_count"] == 2 * 16 + 1 + 10
+        assert report["task_count"] == 2 * 16 + 6 + 10
         assert [r["level"] for r in report["rank_stats"]] == [1]
         assert set(report["build_per_kind_seconds"]) == {"LeafBasis", "LeafCoupling"}
         assert list(report["factor_per_level_seconds"]) == ["0", "1"]

@@ -11,6 +11,7 @@ from hssulv import (BlockBasis, HssMatrix, KernelSpec,
                     diagonal_product, generate_grid, kernel_matrix, matvec,
                     merge_children, reconstruct_check, solve_error,
                     ulv_factor_blr2, ulv_factor_hss, ulv_solve)
+from hssulv.factor import FactorRun, root_tile_count
 from hssulv.linalg import _failed_pivot_value
 from hssulv.taskdag import _FACTOR_BODIES, build_dag, run_graph
 
@@ -55,24 +56,46 @@ class TestDiagonalProduct:
 class TestMergeChildren:
     def test_zero_coupling_is_block_diagonal(self):
         a, b = np.eye(2), 2 * np.eye(3)
-        out = merge_children([a, b], {(0, 1): np.zeros((2, 3))})
+        out = merge_children([2, 3], [a, b], {(0, 1): np.zeros((2, 3))})
         assert np.array_equal(out, sla.block_diag(a, b))
 
     def test_scalar_assembly(self):
-        out = merge_children([np.array([[1.0]]), np.array([[3.0]])],
+        out = merge_children([1, 1], [np.array([[1.0]]), np.array([[3.0]])],
                              {(0, 1): np.array([[2.0]])})
         assert np.array_equal(out, [[1.0, 2.0], [2.0, 3.0]])
 
     def test_three_children_all_pairs(self):
-        out = merge_children([np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]])],
+        out = merge_children([1, 1, 1],
+                             [np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]])],
                              {(0, 1): np.array([[4.0]]), (0, 2): np.array([[5.0]]),
                               (1, 2): np.array([[6.0]])})
         assert np.array_equal(out, [[1.0, 4.0, 5.0], [4.0, 2.0, 6.0], [5.0, 6.0, 3.0]])
 
     def test_block_is_f_ordered(self):
         # the root is factored in place in it
-        out = merge_children([np.eye(2), 2 * np.eye(3)], {(0, 1): np.ones((2, 3))})
+        out = merge_children([2, 3], [np.eye(2), 2 * np.eye(3)], {(0, 1): np.ones((2, 3))})
         assert out.flags.f_contiguous
+
+    def test_windows_tile_the_whole_block(self):
+        # windows that cut through children's blocks, each written from
+        # the remainders of the children whose diagonal blocks it meets
+        # alone, assemble the whole block bitwise
+        rng = np.random.default_rng(5)
+        dims = [3, 0, 5, 4, 2]
+        remainders = [rng.standard_normal((d, d)) for d in dims]
+        couplings = {(a, b): rng.standard_normal((dims[a], dims[b]))
+                     for a in range(5) for b in range(a + 1, 5)}
+        whole = merge_children(dims, remainders, couplings)
+        offsets = np.cumsum([0] + dims)
+        out = np.full_like(whole, np.nan)
+        cuts = [0, 4, 7, 11, 14]
+        for rows in map(range, cuts[:-1], cuts[1:]):
+            for cols in map(range, cuts[:-1], cuts[1:]):
+                met = {c: remainders[c] for c in range(5)
+                       if set(rows) & set(range(offsets[c], offsets[c + 1]))
+                       and set(cols) & set(range(offsets[c], offsets[c + 1]))}
+                merge_children(dims, met, couplings, out, rows, cols)
+        assert np.array_equal(out, whole)
 
     def test_lossless_parent_matches_dense_elimination(self):
         # Oracle: eliminate all redundant coordinates of the rotated dense
@@ -80,13 +103,15 @@ class TestMergeChildren:
         spec = KernelSpec("laplace2d")
         ps = generate_grid(512)
         h = build_hss(spec, ps, nleaf=256, max_rank=256)
-        from hssulv.factor import run_diag_product, run_merge, run_partial_factor
+        from hssulv.factor import run_diag_product, run_partial_factor
+        run = FactorRun(h)
         tasks = build_dag(h).tasks
         results = {}
         for i in range(2):
-            results[("dp", 1, i)] = run_diag_product(h, results, tasks[("dp", 1, i)])
-            results[("pf", 1, i)] = run_partial_factor(h, results, tasks[("pf", 1, i)])
-        parent = run_merge(h, results, tasks[("mg", 1, 0)])
+            results[("dp", 1, i)] = run_diag_product(run, results, tasks[("dp", 1, i)])
+            results[("pf", 1, i)] = run_partial_factor(run, results, tasks[("pf", 1, i)])
+        parent = merge_children(run.dims, [results[("pf", 1, i)] for i in range(2)],
+                                {(0, 1): h.coupling[(1, 0, 1)]})
 
         dense = kernel_matrix(spec, ps.points, ps.points)
         qf = sla.block_diag(h.bases[(1, 0)].q, h.bases[(1, 1)].q)
@@ -102,7 +127,9 @@ class TestMergeChildren:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="coupling shape"):
-            merge_children([np.eye(2), np.eye(2)], {(0, 1): np.zeros((3, 2))})
+            merge_children([2, 2], [np.eye(2), np.eye(2)], {(0, 1): np.zeros((3, 2))})
+        with pytest.raises(ValueError, match="skeleton remainder shape"):
+            merge_children([2, 2], [np.eye(2), np.eye(3)], {(0, 1): np.zeros((2, 2))})
 
 
 class TestBlr2Ulv:
@@ -205,7 +232,9 @@ class TestHssUlv:
         h = indefinite_root_hss()
         g = build_dag(h)
         del g.tasks[("potrf", 0)]  # the order-2 root is one tile
-        block = run_graph(g, _FACTOR_BODIES, h, 1)[0][("mg", 1, 0)]
+        run = FactorRun(h)
+        run_graph(g, _FACTOR_BODIES, run, 1)
+        block = run.root
         with pytest.raises(NotPositiveDefiniteError) as err:
             ulv_factor_hss(h)
         k = err.value.pivot_index
@@ -222,6 +251,22 @@ class TestHssUlv:
         with pytest.raises(ValueError, match=f"NaN or infinite entries in level "
                                              f"{h.max_level} node 1 "):
             ulv_factor_hss(broken)
+
+    @pytest.mark.parametrize("build", [build_hss, build_blr2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_poisoned_root_coupling_named(self, build, bad):
+        # the BLR2 root is tiled, and coupling (0, 15) lands in an
+        # off-diagonal tile whose merge waits for no partial factor
+        h = build(KernelSpec("laplace2d"), generate_grid(2048), 128, 60)
+        key = (1, 0, 15) if build is build_blr2 else (1, 0, 1)
+        assert (root_tile_count(h) > 1) == (build is build_blr2)
+        coupling = dict(h.coupling)
+        coupling[key] = np.array(coupling[key])
+        coupling[key][3, 5] = bad
+        broken = dataclasses.replace(h, coupling=coupling)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="NaN or infinite entries in root block"):
+                ulv_factor_hss(broken, workers)
 
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_factor_peak_memory_within_twice_factor_bytes(self, n):

@@ -8,14 +8,15 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import factor_root, random_spd, root_tree
-from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec,
-                    build_shared_basis, generate_grid, kernel_matrix,
+from hssulv import (NotPositiveDefiniteError, cholesky, KernelSpec, TaskKind,
+                    build_dag, build_shared_basis, generate_grid, kernel_matrix,
                     partial_cholesky, ulv_factor_hss)
-from hssulv.factor import ROOT_TILE
+from hssulv.factor import ROOT_TILE, FactorRun
 from hssulv._threads import single_blas_thread
 from hssulv import linalg
 from hssulv.linalg import (_failed_pivot_value, _svd, dominant_basis_full,
                            solve_lower, tile_gemm, tile_syrk, tile_trsm)
+from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
 
 def longest_gil_pause(fn, *args):
@@ -190,6 +191,24 @@ class TestRootTiles:
         a[64:, 32:64] = before[64:, 32:64]
         assert np.array_equal(a, before)
 
+    @pytest.mark.parametrize("n", [1, 99, 100, 257, 400, 417])
+    def test_trsm_split_matches_solve_triangular(self, n):
+        # wider than TRSM_BLOCK, the triangle is split in halves; the
+        # operands are views into one block, whose other entries and the
+        # triangle's upper part must be left alone
+        rng = np.random.default_rng(n)
+        m = 150
+        a = np.asfortranarray(rng.standard_normal((n + m + 10, n + 7)))
+        low = cholesky(random_spd(rng, n))
+        a[:n, :n] = low + np.triu(np.ones((n, n)), 1)
+        rows, cols = slice(n + 5, n + 5 + m), slice(3, 3 + n)
+        before = a.copy()
+        tile_trsm(a[:n, :n], a[rows, cols])
+        want = sla.solve_triangular(low, before[rows, cols].T, lower=True).T
+        assert np.linalg.norm(a[rows, cols] - want) <= 1e-13 * np.linalg.norm(want)
+        a[rows, cols] = before[rows, cols]
+        assert np.array_equal(a, before)
+
     def test_kernels_refuse_row_major_operands(self):
         c = np.zeros((8, 8))
         with pytest.raises(ValueError, match="column-major float64"):
@@ -258,10 +277,21 @@ class TestRootTiles:
             sys.setswitchinterval(interval)
 
     def test_root_asymmetry_named_before_any_tile_runs(self):
+        # the root's merges place couplings as S and S.T, so asymmetry can
+        # only come in through a remainder, whose partial factor refuses it
         a = random_spd(np.random.default_rng(7), ROOT_TILE + 8)
         a[ROOT_TILE + 3, 2] += 1
-        with pytest.raises(ValueError, match=r"a is not symmetric .* in root block \(order"):
-            factor_root(a, workers=2)
+        h = root_tree(a)
+        ran = []
+
+        def root_tile(run, results, task):
+            ran.append(task.id)
+            return _FACTOR_BODIES[TaskKind.ROOT_FACTOR](run, results, task)
+
+        bodies = {**_FACTOR_BODIES, TaskKind.ROOT_FACTOR: root_tile}
+        with pytest.raises(ValueError, match=r"a_hat is not symmetric .* in level 1 node 0 "):
+            run_graph(build_dag(h), bodies, FactorRun(h), workers=2)
+        assert ran == []
 
 
 class TestSolveLower:

@@ -127,22 +127,40 @@ class TestBlr2Graph:
         assert root_tile_count(m) == 3
         return m
 
-    def test_one_merge_over_all_blocks(self, blr2):
-        # a root of order at most 8 * 40 = 320 is one tile
+    def test_one_merge_over_all_blocks(self, blr2, tiled):
+        # a root of order at most 8 * 40 = 320 is one tile, merged by one
+        # task; a tiled root's merges together read every block
         graph = build_dag(blr2)
         assert root_tile_count(blr2) == 1
         assert graph.max_level == 1 and len(graph) == 2 * 8 + 1 + root_task_count(1)
-        merge = graph.tasks[("mg", 1, 0)]
+        merge = graph.tasks[("asm", 0, 0)]
         assert {graph.tasks[d].node for d in merge.deps} == set(range(8))
+        merges = [t for t in build_dag(tiled).tasks.values() if t.kind == TaskKind.MERGE]
+        assert {d for t in merges for d in t.deps} == {("pf", 1, c) for c in range(16)}
 
     def test_tiled_root_task_count(self, tiled):
+        # one merge per lower tile of the 3 x 3 root
         graph = build_dag(tiled)
         assert root_task_count(3) == 10
-        assert len(graph) == 2 * 16 + 1 + 10
+        assert len(graph) == 2 * 16 + 6 + 10
         root = [t for t in graph.tasks.values() if t.kind == TaskKind.ROOT_FACTOR]
         assert len(root) == 10
         assert all((t.level, t.node) == (0, 0) for t in root)
         assert {t.id[0] for t in root} == {"potrf", "trsm", "syrk", "gemm"}
+        merges = [t for t in graph.tasks.values() if t.kind == TaskKind.MERGE]
+        assert sorted(t.id for t in merges) == [("asm", i, j) for i in range(3)
+                                                for j in range(i + 1)]
+        assert all((t.level, t.node) == (1, 0) for t in merges)
+
+    def test_tile_merges_wait_for_the_blocks_they_cover(self, tiled):
+        # rank 60 blocks: block 6 spans rows 360-420 across the first tile
+        # boundary and block 13 rows 780-840 across the second
+        graph = build_dag(tiled)
+        assert [tiled.skeleton_dim(1, c) for c in range(16)] == [60] * 16
+        deps = {t.id[1:]: sorted(d[2] for d in t.deps)
+                for t in graph.tasks.values() if t.kind == TaskKind.MERGE}
+        assert deps == {(0, 0): list(range(7)), (1, 0): [6], (1, 1): list(range(6, 14)),
+                        (2, 0): [], (2, 1): [13], (2, 2): [13, 14, 15]}
 
     def test_tiled_root_updates_chained_in_panel_order(self):
         # every task writing a tile depends on the one before it, so the
@@ -162,9 +180,9 @@ class TestBlr2Graph:
         for target, chain in writers.items():
             chain = [t for _, _, t in sorted(chain, key=lambda w: w[:2])]
             assert chain[-1].id[0] in ("potrf", "trsm")
-            first = chain[0]
-            if first.id == ("potrf", 0):
-                assert first.deps == {("mg", 1, 0)}
+            assert ("asm", *target) in chain[0].deps
+            if chain[0].id == ("potrf", 0):
+                assert chain[0].deps == {("asm", 0, 0)}
             for prev, nxt in zip(chain, chain[1:]):
                 assert prev.id in nxt.deps
 
@@ -183,14 +201,35 @@ class TestBlr2Graph:
             factors, _ = execute(graph, blr2, workers=3, shuffle_seed=seed)
             assert factors_equal(ref, factors)
 
-    def test_comm_ships_off_rank_remainders_to_root_merge(self, blr2):
+    def test_comm_ships_off_rank_remainders_to_root_merge(self, blr2, tiled):
         graph = build_dag(blr2)
         owners = assign_owners(graph, 4)
         assert owners.owner_of(0, 0) == 0
         trace = simulate_comm(graph, owners, blr2)
         off_rank = [i for i in range(8) if i % 4]
-        assert [e[0] for e in trace.events] == [("mg", 1, 0)] * len(off_rank)
+        assert [e[0] for e in trace.events] == [("asm", 0, 0)] * len(off_rank)
         assert trace.total_entries == sum(blr2.skeleton_dim(1, i) ** 2 for i in off_rank)
+        # tiled: each off-rank remainder goes to the tiles that hold it,
+        # its entries in the lower tiles, which are all that is read
+        graph = build_dag(tiled)
+        trace = simulate_comm(graph, assign_owners(graph, 4), tiled)
+        order = 16 * 60
+        lower = np.tril(np.ones((3, 3), dtype=bool)).repeat(ROOT_TILE, 0).repeat(ROOT_TILE, 1)
+        shipped = {}
+        for tid, label, src, dst, entries in trace.events:
+            assert graph.tasks[tid].kind == TaskKind.MERGE and dst == 0
+            shipped[label] = shipped.get(label, 0) + entries
+        assert shipped == {f"ss_remainder[1,{c}]": int(lower[:order, :order][
+            60 * c:60 * (c + 1), 60 * c:60 * (c + 1)].sum()) for c in range(16) if c % 4}
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_root_tiles_start_before_the_level_drains(self, tiled, workers):
+        # dataflow witness: the root's first tiles wait only for the
+        # blocks they cover, not for the whole level
+        _, stats = execute(build_dag(tiled), tiled, workers=workers)
+        first_root = min(r.start_ns for r in stats.records if r.kind == TaskKind.ROOT_FACTOR)
+        assert first_root < max(r.end_ns for r in stats.records
+                                if r.kind == TaskKind.PARTIAL_FACTOR)
 
 
 class TestAssignOwners:
