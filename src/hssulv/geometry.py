@@ -44,7 +44,7 @@ def _bisection_order(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Ordered 2D geometry.
+    """Ordered 2D geometry of finite points.
 
     Grids from :func:`generate_grid` are in bisection order, so each range
     of halving ``[0, n)`` covers a compact patch of the domain.  Immutable
@@ -57,6 +57,10 @@ class PointSet:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"expected (n, 2) points, got shape {pts.shape}")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"point {row} is not finite: {tuple(pts[row].tolist())}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

@@ -87,27 +87,40 @@ def _yukawa(spec: KernelSpec, d: np.ndarray):
 
 
 def _matern(spec: KernelSpec, d: np.ndarray):
+    pref = spec.sigma**2 / (2.0 ** (spec.rho - 1.0) * gamma(spec.rho))
+    if spec.sigma == 1.0:
+        # Order one, the default, has its own faster Bessel routine and is
+        # evaluated in place: pref * t * k1(t) for t = d / mu, the product
+        # in the same order, so the values are those of the general form.
+        t = d / spec.mu
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1(t, out=d)
+            d *= pref * t
+        # the zero-distance branch is handled exactly
+        d[~(t > 0)] = spec.sigma**2
+        bad = ~np.isfinite(d)
+        if np.any(bad):  # d now holds values: the distance is t * mu again
+            _non_finite(spec, t[bad][0] * spec.mu)
+        return
     # the zero-distance branch is handled exactly
     pos = d > 0
     if np.any(pos):
         t = d[pos] / spec.mu
-        pref = spec.sigma**2 / (2.0 ** (spec.rho - 1.0) * gamma(spec.rho))
         with np.errstate(over="ignore", invalid="ignore"):
-            # non-finite results are caught explicitly below; order one,
-            # the default, has its own faster Bessel routine
-            if spec.sigma == 1.0:
-                vals = pref * t * k1(t)
-            else:
-                vals = pref * t**spec.sigma * kv(spec.sigma, t)
+            # non-finite results are caught explicitly below
+            vals = pref * t**spec.sigma * kv(spec.sigma, t)
         bad = ~np.isfinite(vals)
         if np.any(bad):
-            offending = d[pos][bad][0]
-            raise KernelEvaluationError(
-                f"modified Bessel evaluation is non-finite at distance {offending!r} "
-                f"(sigma={spec.sigma}, mu={spec.mu})"
-            )
+            _non_finite(spec, d[pos][bad][0])
         d[pos] = vals
     d[~pos] = spec.sigma**2
+
+
+def _non_finite(spec: KernelSpec, distance: float):
+    raise KernelEvaluationError(
+        f"modified Bessel evaluation is non-finite at distance {distance!r} "
+        f"(sigma={spec.sigma}, mu={spec.mu})"
+    )
 
 
 def kernel_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Small dense building blocks: Cholesky, the dominant basis and partial Cholesky.
+"""Small dense building blocks: Cholesky, the dominant basis, pivoted
+columns and partial Cholesky.
 
 Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
@@ -6,8 +7,9 @@ truncation, block splits) that the factorization layers rely on.
 
 Every LAPACK and BLAS routine has one binding.  The factorization's
 Cholesky (``dpotrf``), the tile updates of the root (``dtrsm``,
-``dsyrk``, ``dgemm``) and the compression behind every shared basis of a
-build (``dgeqrt``, ``dgesdd``) go through :func:`_routine`: ctypes
+``dsyrk``, ``dgemm``), the compression behind every shared basis of a
+build (``dgeqrt``, ``dgesdd``) and the choice of a leaf's skeleton points
+(``dgeqp3``) go through :func:`_routine`: ctypes
 function pointers to the routines that ``scipy.linalg.cython_lapack``
 and ``scipy.linalg.cython_blas`` export, called with the GIL released
 and in place on F-ordered arrays or column-major views into them, so
@@ -35,6 +37,7 @@ __all__ = [
     "cholesky",
     "dominant_basis_full",
     "partial_cholesky",
+    "pivot_columns",
     "solve_lower",
     "tile_gemm",
     "tile_syrk",
@@ -87,9 +90,9 @@ def _require_symmetric(a: np.ndarray, name: str, context: str = ""):
     with slack above that.
 
     The test is ``|a - a.T|.max() > 10 * SYMMETRY_RTOL * |a|.max()``, taken
-    one pair of tiles ``(i, j)``, ``i <= j``, at a time, so that no
-    transposed copy of ``a`` is made.  ``|a|.max()`` comes from the same
-    ``max`` and ``min`` that show a non-finite entry.
+    one pair of tiles ``(i, j)``, ``i <= j``, at a time into one tile-sized
+    buffer, so that no transposed copy of ``a`` is made.  ``|a|.max()``
+    comes from the same ``max`` and ``min`` that show a non-finite entry.
     """
     if a.size == 0:
         return
@@ -100,11 +103,14 @@ def _require_symmetric(a: np.ndarray, name: str, context: str = ""):
         raise ValueError(f"{name} has NaN or infinite entries{where}")
     limit = 10 * SYMMETRY_RTOL * max(hi, -lo)
     n = a.shape[0]
+    buf = np.empty((min(TILE, n), min(TILE, n)))
     for i in range(0, n, TILE):
         rows = slice(i, i + TILE)
         for j in range(i, n, TILE):
             cols = slice(j, j + TILE)
-            if np.abs(a[rows, cols] - a[cols, rows].T).max() > limit:
+            diff = buf[:min(TILE, n - i), :min(TILE, n - j)]
+            np.subtract(a[rows, cols], a[cols, rows].T, out=diff)
+            if np.abs(diff, out=diff).max() > limit:
                 raise ValueError(
                     f"{name} is not symmetric (beyond {SYMMETRY_RTOL:g} relative){where}")
 
@@ -333,7 +339,8 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 QR_BLOCK = 32
 
 
-def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+def dominant_basis_full(a: np.ndarray,
+                        overwrite: bool = False) -> tuple[np.ndarray, int, np.ndarray]:
     """Complete orthonormal basis ordered by the singular values of ``a``.
 
     Returns the full square Q (shape ``m x m``) whose leading columns span
@@ -348,8 +355,10 @@ def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     The QR is LAPACK's level-3 recursive ``dgeqrt``, run in place on one
     F-ordered working copy of ``a.T``, and the SVD is ``dgesdd``; both go
     through :func:`_routine`, so the GIL is released while they run.
-    ``a`` is not modified.  Raises ``ValueError`` if ``a`` holds an
-    infinite or NaN entry.
+    ``a`` is not modified, unless ``overwrite`` is set and ``a.T`` is an
+    F-ordered float64 array: then a wide ``a`` is factored in place, with
+    no working copy.  Raises ``ValueError`` if ``a`` holds an infinite or
+    NaN entry.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -359,7 +368,7 @@ def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
         return np.eye(m), 0, np.zeros(0)
     if n > m:
         # a = (Q R)^T = R^T Q^T, so R^T carries the column space of a
-        work = np.array(a.T, order="F")
+        work = a.T if overwrite and a.T.flags.f_contiguous else np.array(a.T, order="F")
         nb = min(QR_BLOCK, m)
         _call("dgeqrt", n, m, nb, work, n, np.empty((nb, m), order="F"), nb,
               np.empty(nb * m))
@@ -372,6 +381,31 @@ def dominant_basis_full(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
         raise ValueError("a must not contain infs or NaNs")
     u, s = _svd(factor)
     return u, _numerical_rank(s), s
+
+
+def pivot_columns(a: np.ndarray) -> np.ndarray:
+    """The columns of ``a`` in the order LAPACK's column-pivoted QR
+    (``dgeqp3``) takes them, the most independent first, as 0-based
+    indices.
+
+    ``dgeqp3`` runs through :func:`_routine`, with the GIL released, on one
+    F-ordered working copy of ``a``; ``a`` is not modified.
+    """
+    work = np.array(a, dtype=np.float64, order="F")
+    if work.ndim != 2:
+        raise ValueError("a must be 2-D")
+    m, n = work.shape
+    jpvt = np.zeros(n, dtype=np.intc)  # zero: every column is free to move
+    tau = np.empty(min(m, n))
+
+    def geqp3(buf: np.ndarray, lwork: int):
+        _call("dgeqp3", m, n, work, max(m, 1), jpvt, tau, buf, lwork)
+
+    query = np.empty(1)
+    geqp3(query, -1)
+    lwork = int(query[0])
+    geqp3(np.empty(lwork), lwork)
+    return jpvt.astype(np.intp) - 1
 
 
 @dataclass(frozen=True)
@@ -411,5 +445,6 @@ def partial_cholesky(a_hat: np.ndarray, redundant_dim: int,
         return PartialFactorResult(l_rr, np.zeros((0, rd)), np.zeros((0, 0)))
     # l_sr l_rr^T = A^SR  <=>  l_rr l_sr^T = (A^SR)^T
     l_sr = solve_lower(l_rr, a_hat[rd:, :rd].T).T
-    ss = a_hat[rd:, rd:] - l_sr @ l_sr.T
+    ss = np.matmul(l_sr, l_sr.T)
+    np.subtract(a_hat[rd:, rd:], ss, out=ss)  # the Schur complement, in place
     return PartialFactorResult(l_rr, l_sr, ss)

@@ -117,8 +117,14 @@ class Task:
         # Depth first: a node's partial factor runs right after its own
         # diagonal product, which it consumes.  Merges feed the level
         # above; rank them with it so the path toward the root drains
-        # first on ties.  In the build, a node's coupling ranks right after
-        # its basis, so each leaf projection is consumed as soon as it can be.
+        # first on ties.  In the build, an upper node's coupling ranks right
+        # after its basis, so its Coupling task drops the pairs of the level
+        # below that it reads last as soon as it can.  At the leaves every
+        # basis goes first, then the couplings, so that no leaf basis, on
+        # which the last coupling waits, queues behind the couplings of
+        # earlier leaves.
+        if self.kind in (TaskKind.LEAF_BASIS, TaskKind.LEAF_COUPLING):
+            return (self.level, _KIND_ORDER[self.kind], self.node)
         level = self.level - 1 if self.kind == TaskKind.MERGE else self.level
         head = (level, self.node, _KIND_ORDER[self.kind])
         if self.kind == TaskKind.ROOT_FACTOR:

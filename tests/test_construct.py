@@ -108,6 +108,43 @@ def leaf_kinds(ps, nleaf):
     return found
 
 
+def kernel_entries_witness(build, n, bound, monkeypatch):
+    """A leaf evaluates its near band, with its diagonal block in it, and
+    its proxies: no point outside its band is ever evaluated.  Leaf i's
+    couplings read only skeleton points: one call over k' points of each
+    earlier leaf against k' of its own.  All of it is at most ``bound *
+    n**2`` kernel entries."""
+    ps = generate_grid(n)
+    index = {tuple(p): k for k, p in enumerate(ps.points)}
+    calls = []
+
+    def counted(spec, x, y):
+        calls.append((x, y))
+        return kernel_matrix(spec, x, y)
+
+    monkeypatch.setattr(construct, "kernel_matrix", counted)
+    build(KernelSpec("yukawa"), ps, 256, 100, workers=2)
+    nb, k = n // 256, 100 + construct.ID_OVERSAMPLE
+    assert len(calls) == 2 * nb + nb - 1
+    assert sum(len(x) * len(y) for x, y in calls) <= bound * n**2
+    couplings = 0
+    for x, y in calls:
+        r0 = index[tuple(x[0])]
+        if np.array_equal(x, ps.points[r0:r0 + len(x)]):  # a leaf's own call
+            lo, hi = x.min(axis=0), x.max(axis=0)
+            radius = construct.NEAR_RADIUS * np.linalg.norm(hi - lo) / 2
+            band = [m for m in (index.get(tuple(p)) for p in y) if m is not None]
+            assert np.all(np.linalg.norm(ps.points[band] - (lo + hi) / 2, axis=1)
+                          < radius)
+            continue
+        couplings += 1
+        leaf = {index[tuple(p)] // 256 for p in y}
+        assert len(y) == k and len(leaf) == 1
+        rows = [index[tuple(p)] // 256 for p in x]
+        assert rows == [j for j in range(leaf.pop()) for _ in range(k)]
+    assert couplings == nb - 1
+
+
 class TestLeafSample:
     """A leaf basis compresses its near band and weighted proxies, not its
     whole admissible row."""
@@ -144,30 +181,13 @@ class TestLeafSample:
 
     @pytest.mark.parametrize("build", [build_hss, build_blr2])
     def test_kernel_entries_witness(self, build, monkeypatch):
-        # A leaf evaluates its diagonal block, the leaves left of it, and
-        # its near band and proxies on the right: no point right of the
-        # leaf and outside its band is ever evaluated.
-        ps = generate_grid(4096)
-        index = {tuple(p): k for k, p in enumerate(ps.points)}
-        calls = []
+        # with every leaf's row up to the diagonal, 0.649 N**2; now 0.438
+        kernel_entries_witness(build, 4096, 0.45, monkeypatch)
 
-        def counted(spec, x, y):
-            calls.append((x, y))
-            return kernel_matrix(spec, x, y)
-
-        monkeypatch.setattr(construct, "kernel_matrix", counted)
-        build(KernelSpec("yukawa"), ps, 256, 100, workers=2)
-        # three calls per leaf: its row up to the diagonal, its near band
-        # right of it, and its proxies
-        assert len(calls) == 3 * 16
-        assert sum(len(x) * len(y) for x, y in calls) <= 0.7 * ps.n**2
-        for x, y in calls:
-            r0 = index[tuple(x[0])]
-            lo, hi = x.min(axis=0), x.max(axis=0)
-            radius = construct.NEAR_RADIUS * np.linalg.norm(hi - lo) / 2
-            right = [k for k in (index.get(tuple(p)) for p in y)
-                     if k is not None and k >= r0 + len(x)]
-            assert np.all(np.linalg.norm(ps.points[right] - (lo + hi) / 2, axis=1) < radius)
+    @pytest.mark.parametrize("build", [build_hss, build_blr2])
+    def test_kernel_entries_witness_large(self, build, monkeypatch):
+        # with every leaf's row up to the diagonal, 0.547 N**2; now 0.253
+        kernel_entries_witness(build, 16384, 0.30, monkeypatch)
 
 
 class TestBlr2:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hssulv import construct, generate_grid
+from hssulv import KERNEL_KINDS, KernelSpec, build_hss, construct, generate_grid
 from hssulv.geometry import PointSet
 
 
@@ -71,6 +71,17 @@ def test_points_are_immutable():
 def test_pointset_rejects_bad_shapes():
     with pytest.raises(ValueError):
         PointSet(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pointset_rejects_non_finite_points(kind, bad):
+    # Unrefused, a NaN point passed as a coincident one under matern
+    # (sigma**2) and made NaN entries under yukawa and laplace2d.
+    pts = generate_grid(256).points.copy()
+    pts[17, 1] = bad
+    with pytest.raises(ValueError, match=rf"point 17 is not finite: \(.*, {bad}\)"):
+        build_hss(KernelSpec(kind), PointSet(pts), 64, 32)
 
 
 def test_same_grid_is_deterministic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
-from scipy.special import gamma, kv
+from scipy.special import gamma, k1, kv
 
 from hssulv import (KernelEvaluationError, KernelSpec, generate_grid,
                     kernel_matrix, kernels)
@@ -106,6 +106,24 @@ def test_matern_order_one_fast_path_matches_kv():
     got = kernel_matrix(spec, pts[:256], pts)
     ref = _matern_by_kv(spec, pts[:256], pts)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_matern_order_one_in_place_bitwise():
+    # evaluated in place, the product keeps the order of pref * t * k1(t)
+    spec = KernelSpec("matern", mu=0.07, rho=0.8)
+    pts = generate_grid(4096).points
+    d = cdist(pts[:256], pts)
+    t = d / spec.mu
+    pref = spec.sigma**2 / (2.0 ** (spec.rho - 1.0) * gamma(spec.rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = np.where(d > 0, pref * t * k1(t), spec.sigma**2)
+    assert np.array_equal(kernel_matrix(spec, pts[:256], pts), ref)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+def test_matern_non_finite_names_distance(sigma):
+    with pytest.raises(KernelEvaluationError, match=r"non-finite at distance .*inf"):
+        kernel_matrix(KernelSpec("matern", sigma=sigma), [[0.0, 0.0]], [[np.inf, 0.0]])
 
 
 def test_matern_other_orders_use_kv_bitwise():

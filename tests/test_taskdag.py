@@ -12,8 +12,8 @@ from hssulv import (KernelSpec, NotPositiveDefiniteError, Task, TaskGraph,
                     execute, export_comm_csv, export_schedule_jsonl,
                     generate_grid, simulate_comm, ulv_factor_blr2,
                     ulv_factor_hss)
-from hssulv.factor import ROOT_TILE, root_tile_count
-from hssulv.taskdag import run_graph
+from hssulv.factor import ROOT_TILE, FactorRun, root_tile_count
+from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
 # smallest square-or-2:1 grid for each level count
 TINY_N = {1: 4, 2: 16, 3: 16, 4: 64, 5: 64, 6: 256, 7: 256, 8: 1024}
@@ -193,6 +193,22 @@ class TestBlr2Graph:
             factors, _ = execute(graph, tiled, workers=workers, shuffle_seed=seed)
             assert factors_equal(ref, factors)
         assert factors_equal(ref, ulv_factor_blr2(tiled))
+
+    def test_remainders_dropped_by_their_last_tile_merge(self, tiled):
+        # blocks 6 and 13 span tile boundaries, so three tile merges read
+        # each; the last of them to run drops it, under any schedule, up to
+        # more workers than cores, switching threads as often as possible
+        graph = build_dag(tiled)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [call_with_timeout(lambda: run_graph(
+                graph, _FACTOR_BODIES, FactorRun(tiled), workers, shuffle_seed=seed))
+                for workers, seed in [(4, 0), (4, 1), (3, None)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for results, _ in runs:
+            assert not [key for key in results if key[0] in ("dp", "pf", "mg")]
 
     def test_executor_matches_inline_run(self, blr2):
         graph = build_dag(blr2)
