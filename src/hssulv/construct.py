@@ -47,17 +47,18 @@ earlier leaf, evaluates the kernel once between their skeleton points
 and its own, and forms each coupling with an earlier leaf ``j`` as
 ``C_j A(sk_j, sk_i) C_i^T``, stored as rows of the earlier leaf.  HSS
 upper levels follow the same rule, one basis task and one coupling task
-per node: a ``Transfer`` task per node waits for every coupling of the
-level below and compresses its children's rows of them, and a
-``Coupling`` task per node ``q >= 1`` waits for the transfer bases of
-its own and every earlier node of its level, projects the couplings of
-their children, and then drops the couplings of its children with those
-of earlier nodes, which it is the last to read.  Every task writes its
-own result, stored under its id (``("leaf", i)``,
-``("coupling", level, i)``, ``("transfer", level, p)``), so the operator
-is bitwise independent of the worker count and the schedule, and a
-failing task raises its own error.  Both formats need at least two
-blocks.
+per node: a ``Transfer`` task per node waits for the couplings of the
+level below that hold its children's rows and compresses those rows, and
+a ``Coupling`` task per node ``q >= 1`` waits for the transfer bases of
+its own and every earlier node of its level and for its children's
+couplings, and projects the couplings of their children.  Every task
+depends on exactly what it reads, so the runtime drops each result
+(``("leaf", i)``, ``("coupling", level, i)``) once its last reader has
+finished.  The operator's pieces are side entries (``("diag", i)``,
+``("basis", level, i)``, ``("pair", level, j, i)``) assembled in key
+order, so the operator is bitwise independent of the worker count and
+the schedule, and a failing task raises its own error.  Both formats
+need at least two blocks.
 """
 
 from __future__ import annotations
@@ -328,12 +329,12 @@ class _BuildContext:
     max_rank: int
 
 
-# Task bodies of the build graph, run by hssulv.taskdag.run_graph.  A
-# task's id is its result key: ("leaf", i) -> (diagonal, basis, skeleton
-# points, interpolation matrix), ("transfer", level, p) -> the transfer
-# basis of upper node p, and ("coupling", level, i) -> the list of
-# couplings (j, i) of nodes j < i with node i of a level, from a
-# LeafCoupling task at the leaves and a Coupling task above.
+# Task bodies of the build graph, run by hssulv.taskdag.run_graph.  Each
+# writes its pieces of the operator as side entries and returns what
+# later tasks read: ("leaf", i) -> the skeleton points and interpolation
+# matrix of leaf i, and ("coupling", level, i) -> the list of couplings
+# (j, i) of nodes j < i with node i of a level, from a LeafCoupling task
+# at the leaves and a Coupling task above.
 
 
 def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple:
@@ -392,24 +393,34 @@ def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
     left = np.count_nonzero(near < r0)
     band = kernel_matrix(b.spec, x, b.points[np.concatenate(
         [near[:left], np.arange(r0, r1), near[left:]])])
-    diagonal = _freeze(band[:, left:left + r1 - r0])
+    results[("diag", i)] = _freeze(band[:, left:left + r1 - r0])
     sample = np.hstack([band[:, :left], band[:, left + r1 - r0:],
                         weight * kernel_matrix(b.spec, x, proxies)])
     del band  # freed before the QR copies the sample
-    basis = build_shared_basis(sample.T, b.max_rank)
-    return diagonal, basis, *_interpolation(basis, r0)
+    basis = results[("basis", task.level, i)] = build_shared_basis(sample.T, b.max_rank)
+    return _interpolation(basis, r0)
+
+
+def _keep_pairs(results: dict, task, pairs: list):
+    """Write the couplings ``pairs[j]`` of nodes ``j`` with node ``i`` that
+    the operator keeps, the siblings', as side entries ``("pair", level, j,
+    i)``: every pair of level 1, and ``(i - 1, i)`` for odd ``i`` below."""
+    level, i = task.level, task.node
+    for j in range(0 if level == 1 else i - i % 2, i):
+        results[("pair", level, j, i)] = pairs[j]
 
 
 def _leaf_coupling(b: _BuildContext, results: dict, task) -> list:
     # S(j, i) = C_j A(sk_j, sk_i) C_i^T for every earlier leaf j, from one
     # kernel call over their skeleton points against leaf i's.
-    *earlier, (_, _, sk_i, c_i) = [results[("leaf", j)] for j in range(task.node + 1)]
-    block = kernel_matrix(b.spec, b.points[np.concatenate([leaf[2] for leaf in earlier])],
+    *earlier, (sk_i, c_i) = [results[("leaf", j)] for j in range(task.node + 1)]
+    block = kernel_matrix(b.spec, b.points[np.concatenate([sk for sk, _ in earlier])],
                           b.points[sk_i]) @ c_i
     out, start = [], 0
-    for _, _, sk, c in earlier:
+    for sk, c in earlier:
         out.append(_freeze(c.T @ block[start:start + len(sk)]))
         start += len(sk)
+    _keep_pairs(results, task, out)
     return out
 
 
@@ -421,7 +432,7 @@ def _pair(results: dict, level: int, i: int, j: int) -> np.ndarray:
     return results[("coupling", level, i)][j].T
 
 
-def _transfer(b: _BuildContext, results: dict, task) -> BlockBasis:
+def _transfer(b: _BuildContext, results: dict, task) -> None:
     # The rows of children 2p and 2p + 1 against every other node of
     # their level, in node order, written transposed into the one
     # F-ordered array that the QR then factors in place.
@@ -435,23 +446,20 @@ def _transfer(b: _BuildContext, results: dict, task) -> BlockBasis:
         height = row[0].shape[0]
         np.concatenate(row, axis=1, out=stacked[top:top + height])
         top += height
-    return _truncated(*dominant_basis_full(stacked.T, overwrite=True), b.max_rank)
+    results[("basis", task.level, task.node)] = _truncated(
+        *dominant_basis_full(stacked.T, overwrite=True), b.max_rank)
 
 
 def _coupling(b: _BuildContext, results: dict, task) -> list:
     # S(p, q) = skel_p^T [S(2p + a, 2q + c)]_{a, c = 0, 1} skel_q for p < q.
     level, q, below = task.level, task.node, task.level + 1
-    skel_q = results[("transfer", level, q)].skeleton
-    out = [_freeze(results[("transfer", level, p)].skeleton.T
+    skel_q = results[("basis", level, q)].skeleton
+    out = [_freeze(results[("basis", level, p)].skeleton.T
                    @ np.block([[_pair(results, below, c, d) for d in (2 * q, 2 * q + 1)]
                                for c in (2 * p, 2 * p + 1)])
                    @ skel_q)
            for p in range(q)]
-    # The pairs of q's children with the children of earlier nodes are
-    # read by the two nodes' Transfer tasks and by this task, which
-    # waits for both: drop them, keeping the children's own pair.
-    for c in (2 * q, 2 * q + 1):
-        results[("coupling", below, c)][:2 * q] = [None] * (2 * q)
+    _keep_pairs(results, task, out)
     return out
 
 
@@ -489,12 +497,14 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
             add(("coupling", max_level, i), TaskKind.LEAF_COUPLING, max_level, i,
                 [("leaf", j) for j in range(i + 1)])
     for level in range(max_level - 1, 0, -1):  # HSS only: BLR2 has one level
-        below = [("coupling", level + 1, i) for i in range(1, 2**(level + 1))]
         for p in range(2**level):
-            add(("transfer", level, p), TaskKind.TRANSFER, level, p, below)
+            # Pair (k, c) is in list max(k, c), so lists 2p and up hold the children's rows.
+            add(("transfer", level, p), TaskKind.TRANSFER, level, p,
+                [("coupling", level + 1, i) for i in range(max(2 * p, 1), 2**(level + 1))])
             if p:
                 add(("coupling", level, p), TaskKind.COUPLING, level, p,
-                    [("transfer", level, j) for j in range(p + 1)])
+                    [("transfer", level, j) for j in range(p + 1)]
+                    + [("coupling", level + 1, c) for c in (2 * p, 2 * p + 1)])
     bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
               TaskKind.TRANSFER: _transfer, TaskKind.COUPLING: _coupling}
     box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
@@ -502,19 +512,10 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     results, stats = run_graph(TaskGraph(max_level, tasks), bodies, ctx, workers,
                                shuffle_seed=shuffle_seed)
 
-    leaves = [results[("leaf", i)] for i in range(nb)]
-    bases = {(max_level, i): leaf[1] for i, leaf in enumerate(leaves)}
-    coupling: dict = {}
-    for tid in tasks:
-        if tid[0] == "transfer":
-            bases[tid[1:]] = results[tid]
-        elif tid[0] == "coupling":
-            # Keep the pairs whose nodes share a parent: every pair of
-            # level 1, and (i - 1, i) for odd i below it.
-            _, level, i = tid
-            first = 0 if level == 1 else i - i % 2
-            coupling.update(((level, j, i), results[tid][j]) for j in range(first, i))
-    h = HssMatrix(max_level, tuple(leaf[0] for leaf in leaves), bases, coupling)
+    def side(name):  # the side entries named name, in key order
+        return {key[1:]: results[key] for key in sorted(k for k in results if k[0] == name)}
+
+    h = HssMatrix(max_level, tuple(side("diag").values()), side("basis"), side("pair"))
     return h, stats
 
 

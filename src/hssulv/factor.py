@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -228,9 +227,7 @@ class FactorRun:
     The root's first tile merge to run allocates the block, F-ordered,
     before it writes into it, so an HSS factorization, whose one root
     merge runs last, holds it only from then on.  The tile merges fill
-    its lower tiles, and the tile tasks factor it in place.  ``readers``
-    counts, per level-1 node, the tile merges still to read its skeleton
-    remainder; the last of them drops it.
+    its lower tiles, and the tile tasks factor it in place.
     """
 
     def __init__(self, h: HssMatrix):
@@ -238,19 +235,8 @@ class FactorRun:
         self.dims = root_dims(h)
         self.couplings = {key[1:]: block for key, block in h.coupling.items()
                           if key[0] == 1}
-        t = root_tile_count(h)
-        self.readers = Counter(c for j in range(t) for i in range(j, t)
-                               for c in tile_children(self.dims, i, j))
         self._root = None
         self._lock = threading.Lock()
-
-    def done_reading(self, results: dict, node: int):
-        """One tile merge has read the remainder of level-1 ``node``; the
-        last one drops it from ``results``."""
-        with self._lock:
-            self.readers[node] -= 1
-            if not self.readers[node]:
-                del results[("pf", 1, node)]
 
     @property
     def root(self) -> np.ndarray:
@@ -266,14 +252,14 @@ class FactorRun:
 
 
 # Task bodies run by the task-graph executor with a FactorRun.  Results
-# are stored under the task ids ("dp"|"pf"|"mg", level, node).  A rotated
-# diagonal or a merged block below the root has one consumer, which pops
-# it.  A partial factor leaves the node's factors under ("nf", level,
-# node) for assemble_factors and returns its skeleton remainder, which
-# its parent's merge pops; at the root several tile merges may read it,
-# and the last to run drops it (FactorRun.done_reading).  The
-# root's merge tasks ("asm", i, j) and tile tasks write the run's root
-# block in place and store None.
+# are stored under the task ids ("dp"|"pf"|"mg", level, node), and the
+# runtime drops each when its last reader finishes: a rotated diagonal or
+# a merged block below the root has one reader.  A partial factor leaves
+# the node's factors under the side entry ("nf", level, node) for
+# assemble_factors and returns its skeleton remainder, which its parent's
+# merge reads; at the root the tile merges whose tiles it meets read it.
+# The root's merge tasks ("asm", i, j) and tile tasks write the run's
+# root block in place and store None.
 
 
 def run_diag_product(run: FactorRun, results: dict, task):
@@ -281,7 +267,7 @@ def run_diag_product(run: FactorRun, results: dict, task):
     if level == h.max_level:
         block = h.leaf_diag[node]
     else:
-        block = results.pop(("mg", level + 1, node))
+        block = results[("mg", level + 1, node)]
     return diagonal_product(block, h.bases[(level, node)])
 
 
@@ -290,7 +276,7 @@ def run_partial_factor(run: FactorRun, results: dict, task):
     basis = run.h.bases[(level, node)]
     try:
         pf = partial_cholesky(
-            results.pop(("dp", level, node)), basis.redundant_dim,
+            results[("dp", level, node)], basis.redundant_dim,
             context=f"level {level} node {node} (skeleton rank {basis.skeleton_dim})")
     except NotPositiveDefiniteError as err:
         err.level, err.node, err.rank = level, node, basis.skeleton_dim
@@ -309,7 +295,7 @@ def run_merge(run: FactorRun, results: dict, task):
         kids = h.children(level - 1, task.node)
         return merge_children(
             [h.skeleton_dim(level, c) for c in kids],
-            [results.pop(("pf", level, c)) for c in kids],
+            [results[("pf", level, c)] for c in kids],
             {(a, b): h.coupling[(level, kids[a], kids[b])]
              for a in range(len(kids)) for b in range(a + 1, len(kids))})
     _, i, j = task.id
@@ -317,8 +303,6 @@ def run_merge(run: FactorRun, results: dict, task):
     rows, cols = tile_range(root.shape[0], i), tile_range(root.shape[0], j)
     merge_children(run.dims, {dep[2]: results[dep] for dep in task.deps},
                    run.couplings, root, rows, cols)
-    for dep in task.deps:
-        run.done_reading(results, dep[2])
     if not np.isfinite(root[rows.start:rows.stop, cols.start:cols.stop]).all():
         raise ValueError(f"NaN or infinite entries in {run.context}, tile ({i}, {j})")
     return None

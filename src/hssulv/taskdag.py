@@ -3,7 +3,8 @@ simulated multi-process distribution with communication accounting.
 
 :func:`run_graph` runs any task graph from three things: the tasks'
 dependencies, a body per task kind, and the workers.  A task's id is the
-key its result is stored under; tasks start when their dependencies have
+key its result is stored under, and the result lives until the last task
+that depends on it finishes; tasks start when their dependencies have
 finished, and the ready task with the smallest priority goes first.  A
 failing task raises its own error.  Execution is shared memory: the
 calling thread is worker 0 and ``workers - 1`` threads join it, so one
@@ -118,11 +119,11 @@ class Task:
         # diagonal product, which it consumes.  Merges feed the level
         # above; rank them with it so the path toward the root drains
         # first on ties.  In the build, an upper node's coupling ranks right
-        # after its basis, so its Coupling task drops the pairs of the level
-        # below that it reads last as soon as it can.  At the leaves every
-        # basis goes first, then the couplings, so that no leaf basis, on
-        # which the last coupling waits, queues behind the couplings of
-        # earlier leaves.
+        # after its basis, so the pairs of the level below that its
+        # Coupling task reads last are dropped as soon as they can be.  At
+        # the leaves every basis goes first, then the couplings, so that no
+        # leaf basis, on which the last coupling waits, queues behind the
+        # couplings of earlier leaves.
         if self.kind in (TaskKind.LEAF_BASIS, TaskKind.LEAF_COUPLING):
             return (self.level, _KIND_ORDER[self.kind], self.node)
         level = self.level - 1 if self.kind == TaskKind.MERGE else self.level
@@ -321,17 +322,18 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
     """Run a task graph on the calling thread plus ``workers - 1`` threads.
 
     ``bodies`` maps each task kind to ``body(ctx, results, task)``, whose
-    return value is stored in ``results`` under ``task.id``.  A body may
-    also pop the results it consumes and write side entries under keys
-    that are no task's id.  Tasks start when and only when their
-    dependencies completed, so when every task writes its own slot the
-    results are bitwise identical for any worker count.  ``workers=None``
-    means the cores this process may use; with one worker no thread is
-    started.  BLAS runs with one thread inside every task (the pools are
-    set before the workers start), so the workers are the only
-    parallelism.  ``shuffle_seed`` replaces each ready task's priority
-    with a random rank drawn when it becomes ready (scheduling stress for
-    tests), without affecting results.
+    return value is stored in ``results`` under ``task.id`` until the last
+    of its dependents finishes.  A body reads only its dependencies'
+    results and may write side entries under keys that are no task's id;
+    those and the results no task depends on are returned.  Tasks start
+    when and only when their dependencies completed, so when every task
+    writes its own slot the results are bitwise identical for any worker
+    count.  ``workers=None`` means the cores this process may use; with
+    one worker no thread is started.  BLAS runs with one thread inside
+    every task (the pools are set before the workers start), so the
+    workers are the only parallelism.  ``shuffle_seed`` replaces each
+    ready task's priority with a random rank drawn when it becomes ready
+    (scheduling stress for tests), without affecting results.
 
     When a body raises, no further task starts, the running tasks finish,
     the workers are joined and the first exception is re-raised as is.
@@ -342,6 +344,7 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
     workers = worker_count(workers)
     dependents = g.dependents()
     remaining = {tid: len(t.deps) for tid, t in g.tasks.items()}
+    readers = {tid: len(dependents[tid]) for tid in g.tasks}
     results: dict = {}
     records: list = []
     ready: list = []
@@ -381,16 +384,22 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
                     cond.notify_all()
                 return
             end = time.perf_counter_ns()
+            dropped = []  # freed after the lock is released
             with cond:
                 running -= 1
                 results[tid] = out
                 records.append(TaskRecord(tid, task.kind, task.level, task.node,
                                           worker_id, start, end))
+                for dep in task.deps:
+                    readers[dep] -= 1
+                    if not readers[dep]:
+                        dropped.append(results.pop(dep, None))
                 for nxt in dependents[tid]:
                     remaining[nxt] -= 1
                     if remaining[nxt] == 0:
                         push_ready(nxt)
                 cond.notify_all()
+            del out, dropped  # a worker waiting for its next task holds no result
 
     threads = [threading.Thread(target=worker_loop, args=(w,), daemon=True)
                for w in range(1, workers)]

@@ -97,6 +97,8 @@ def test_build_schedule_independent(tree, workers, seed):
                  for level in range(1, op.max_level + 1) for p in range(1 << (level - 1))}
         assert len(pairs) == nb - 1
     assert op.coupling.keys() == ref.coupling.keys() == pairs
+    # the build's side entries land in schedule order; the operator's dicts do not
+    assert list(op.bases) == list(ref.bases) and list(op.coupling) == list(ref.coupling)
     assert all(np.array_equal(op.coupling[k], c) for k, c in ref.coupling.items())
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import threading
+from collections.abc import MutableMapping
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import factors_equal, root_tree
 from hssulv import (KernelSpec, NotPositiveDefiniteError, Task, TaskGraph,
                     TaskKind, assign_owners, build_blr2, build_dag, build_hss,
                     execute, export_comm_csv, export_schedule_jsonl,
-                    generate_grid, simulate_comm, ulv_factor_blr2,
+                    generate_grid, simulate_comm, taskdag, ulv_factor_blr2,
                     ulv_factor_hss)
 from hssulv.factor import ROOT_TILE, FactorRun, root_tile_count
 from hssulv.taskdag import _FACTOR_BODIES, run_graph
@@ -387,19 +388,47 @@ def call_with_timeout(fn, timeout=30):
 
 class TestRunGraph:
     def test_results_stored_under_task_ids(self):
+        # every body reads the results it depends on, and a result is gone
+        # once its last dependent has finished: only the last layer's stay;
         # up to more workers than cores, switching threads as often as possible
         graph = layered_graph(8, 6)
+
+        def body(ctx, results, task):
+            assert all(results[dep] == dep[2] for dep in task.deps)
+            return task.node
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs = [call_with_timeout(lambda: run_graph(
-                graph, {TaskKind.DIAG_PRODUCT: lambda c, r, t: t.node}, None, workers,
+                graph, {TaskKind.DIAG_PRODUCT: body}, None, workers,
                 shuffle_seed=0)) for workers in (2, 4)]
         finally:
             sys.setswitchinterval(interval)
         for results, stats in runs:
-            assert results == {tid: tid[2] for tid in graph.tasks}
+            assert results == {("t", 5, i): i for i in range(8)}
             assert sorted(r.task_id for r in stats.records) == sorted(graph.tasks)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_result_with_two_readers_present_for_both(self, workers):
+        # a -> b, c -> d: a's result outlives whichever of b and c ends first
+        deps = {("a",): [], ("b",): [("a",)], ("c",): [("a",)], ("d",): [("b",), ("c",)]}
+        graph = TaskGraph(1, {tid: Task(tid, TaskKind.DIAG_PRODUCT, 1, i, frozenset(d))
+                              for i, (tid, d) in enumerate(deps.items())})
+
+        def body(ctx, results, task):
+            return task.id[0] + "".join(results[dep] for dep in sorted(task.deps))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [call_with_timeout(lambda: run_graph(
+                graph, {TaskKind.DIAG_PRODUCT: body}, None, workers, shuffle_seed=seed))
+                for seed in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        for results, _ in runs:
+            assert results == {("d",): "dbaca"}
 
     def test_shuffled_orders_leave_priority_and_keep_dependencies(self):
         # at one worker the records are in run order
@@ -446,6 +475,58 @@ class TestRunGraph:
         assert set(threading.enumerate()) <= before
         if workers == 1:
             assert ran[-1] == failing
+
+
+class _ReadLog(MutableMapping):
+    """The results one task's body sees, logging its reads of task ids."""
+
+    def __init__(self, results, task, ids, reads):
+        self.results, self.task, self.ids, self.reads = results, task, ids, reads
+
+    def __getitem__(self, key):
+        if key in self.ids:
+            self.reads.append((self.task, key))
+        return self.results[key]
+
+    def __setitem__(self, key, value):
+        self.results[key] = value
+
+    def __delitem__(self, key):
+        del self.results[key]
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self):
+        return len(self.results)
+
+
+@pytest.mark.parametrize("build", [build_hss, build_blr2])
+def test_every_task_reads_only_its_dependencies(build, monkeypatch):
+    # the runtime drops a result after its last dependent, so a body that
+    # reads a result it does not depend on may find it gone; the build
+    # (run_graph imported at call time) and execute (run_graph by its
+    # global name) both run through the logging wrapper
+    reads, run = [], taskdag.run_graph
+
+    def logging_run_graph(g, bodies, ctx, workers, shuffle_seed=None):
+        def logged(body):
+            return lambda ctx, results, task: body(
+                ctx, _ReadLog(results, task, g.tasks, reads), task)
+        return run(g, {kind: logged(body) for kind, body in bodies.items()}, ctx,
+                   workers, shuffle_seed)
+
+    monkeypatch.setattr(taskdag, "run_graph", logging_run_graph)
+    ps = generate_grid(2048)
+    for workers, seed in [(1, None), (2, 0), (3, 1), (2, 2)]:
+        # 16 leaves of rank 60: four HSS levels, a BLR2 root of 3 x 3 tiles
+        h = build(KernelSpec("yukawa"), ps, 128, 60, workers=workers, shuffle_seed=seed)
+        execute(build_dag(h), h, workers, seed)
+    kinds = {task.kind for task, _ in reads}
+    assert kinds >= {TaskKind.LEAF_COUPLING, TaskKind.PARTIAL_FACTOR, TaskKind.MERGE}
+    assert build is build_blr2 or kinds >= {
+        TaskKind.TRANSFER, TaskKind.COUPLING, TaskKind.DIAG_PRODUCT}
+    assert [(task.id, key) for task, key in reads if key not in task.deps] == []
 
 
 # Graphs that cannot finish, by their dependencies, and the error each names.
