@@ -29,7 +29,7 @@ spec = KernelSpec("laplace2d")
 h = build_hss(spec, ps, nleaf=NLEAF, max_rank=MAX_RANK)
 print(f"grid: {N} points, leaf blocks of at most {NLEAF}, "
       f"tree depth {h.max_level}")
-ranks = [h.skeleton_dim(h.max_level, i) for i in range(h.num_nodes(h.max_level))]
+ranks = [h.skeleton_dim(h.max_level, i) for i in range(h.tree.num_nodes(h.max_level))]
 print(f"leaf skeleton ranks: {ranks}")
 err = construct_error(h, spec, ps, seed=SEED)
 print(f"construction error (random probe): {err:.3e}")
@@ -60,5 +60,5 @@ print(f"forward/backward solve residual: {solve_error(f, h, seed=SEED):.3e}")
 # the root merge is the same rule as the binary merges above.
 m = build_blr2(spec, ps, nleaf=NLEAF, max_rank=MAX_RANK)
 fm = ulv_factor_hss(m)
-print(f"BLR2: {m.num_nodes(1)} blocks under the root, root block dimension "
+print(f"BLR2: {m.tree.num_nodes(1)} blocks under the root, root block dimension "
       f"{fm.root_dim}, solve residual {solve_error(fm, m, seed=SEED):.3e}")

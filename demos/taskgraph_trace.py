@@ -30,7 +30,7 @@ counts = graph.kind_counts()
 print(f"tasks: {len(graph)} total, {counts}")
 
 owners = assign_owners(graph, PROCS)
-leaf_owner = [owners.owner_of(h.max_level, i) for i in range(h.num_nodes(h.max_level))]
+leaf_owner = [owners.owner_of(h.max_level, i) for i in range(h.tree.num_nodes(h.max_level))]
 print(f"leaf owners (round robin over {PROCS} ranks): {leaf_owner}")
 
 # --- executor: dependency-driven, deterministic results -------------------

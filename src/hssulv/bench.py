@@ -155,8 +155,8 @@ class ExperimentReport:
 def _rank_stats(h, max_rank: int) -> list:
     out = []
     for level in range(1, h.max_level + 1):
-        ranks = [h.skeleton_dim(level, i) for i in range(h.num_nodes(level))]
-        tails = [h.bases[(level, i)].tail for i in range(h.num_nodes(level))]
+        ranks = [h.skeleton_dim(level, i) for i in range(h.tree.num_nodes(level))]
+        tails = [h.bases[(level, i)].tail for i in range(h.tree.num_nodes(level))]
         out.append({"level": level, "min": min(ranks), "mean": float(np.mean(ranks)),
                     "max": max(ranks), "at_cap": ranks.count(max_rank),
                     "tail_max": max(tails)})

@@ -18,7 +18,7 @@ exact columns of its near band, and proxy points in an annulus around
 the band, weighted to stand for the points beyond it (see
 ``NEAR_RADIUS``).  Its basis is then close to the optimum for the whole
 row, not at it.
-The two formats differ only in fan-out:
+The two formats differ only in the fan-out of their :class:`Tree`:
 
 * HSS (:func:`build_hss`) is a binary tree of depth L.  An upper-level
   basis is a transfer matrix acting on the stacked skeleton coefficients
@@ -63,8 +63,8 @@ need at least two blocks.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -191,54 +191,61 @@ def _truncated(q: np.ndarray, rank: int, s: np.ndarray, max_rank: int) -> BlockB
 
 
 @dataclass(frozen=True)
+class Tree:
+    """Node table: node ``(level, i)`` holds points ``offsets[level][i]:offsets[level][i + 1]``.
+
+    Level 0 is the root, ``[0, n)``, and the leaves are at ``max_level``.
+    A node's children are the nodes of the level below inside its range.
+    """
+
+    offsets: tuple
+
+    @property
+    def max_level(self) -> int:
+        return len(self.offsets) - 1
+
+    def num_nodes(self, level: int) -> int:
+        return len(self.offsets[level]) - 1
+
+    def children(self, level: int, node: int) -> range:
+        """Indices at ``level + 1`` of the children of node ``(level, node)``."""
+        below, bounds = self.offsets[level + 1], self.offsets[level]
+        return range(bisect_left(below, bounds[node]), bisect_left(below, bounds[node + 1]))
+
+    def parent(self, level: int, node: int) -> int:
+        """Index at ``level - 1`` of the parent of node ``(level, node)``."""
+        return bisect_right(self.offsets[level - 1], self.offsets[level][node]) - 1
+
+
+@dataclass(frozen=True)
 class HssMatrix:
     """Nested-basis tree format; BLR2 is its one-level case.
 
-    Leaf ``i`` holds points ``leaf_offsets[i]:leaf_offsets[i + 1]``, the
-    orders of ``leaf_diag`` summed.  ``bases[(level, i)]`` is the shared
-    basis of node ``i`` at ``level`` (levels run 1..max_level, leaves at
-    max_level; the root, level 0, has none).  Leaf bases act on raw
-    coordinates; upper bases are transfer matrices on the stacked skeleton
-    coefficients of the node's children.  ``coupling[(level, i, j)]``
-    couples node ``i`` (rows) to its sibling ``j`` (columns); it holds
-    exactly the keys with ``i < j`` where ``i`` and ``j`` are children of
-    one parent, and the ``(j, i)`` block is its transpose.  That is
-    ``nb - 1`` blocks for an HSS tree with ``nb`` leaves and
-    ``nb * (nb - 1) / 2`` for BLR2.
-
-    A level's node count is the number of its bases, and each parent owns
-    an equal contiguous run of the level below: two children per parent
-    from :func:`build_hss`, every leaf under the root from
-    :func:`build_blr2`.
+    ``tree`` is the node table, whose leaf ``i`` holds the points of
+    ``leaf_diag[i]``.  ``bases[(level, i)]`` is the shared basis of node
+    ``i`` at ``level`` (levels run 1..max_level, leaves at max_level; the
+    root, level 0, has none).  Leaf bases act on raw coordinates; upper
+    bases are transfer matrices on the stacked skeleton coefficients of
+    the node's children.  ``coupling[(level, i, j)]`` couples node ``i``
+    (rows) to its sibling ``j`` (columns); it holds exactly the keys with
+    ``i < j`` where ``i`` and ``j`` are children of one parent, in sorted
+    order, and the ``(j, i)`` block is its transpose.  That is ``nb - 1``
+    blocks for an HSS tree with ``nb`` leaves and ``nb * (nb - 1) / 2``
+    for BLR2.
     """
 
-    max_level: int
+    tree: Tree
     leaf_diag: tuple
     bases: dict
     coupling: dict
 
-    @cached_property
-    def leaf_offsets(self) -> tuple:
-        return tuple(accumulate((d.shape[0] for d in self.leaf_diag), initial=0))
+    @property
+    def max_level(self) -> int:
+        return self.tree.max_level
 
     @property
     def n(self) -> int:
-        return self.leaf_offsets[-1]
-
-    @cached_property
-    def _level_sizes(self) -> tuple:
-        sizes = [1] + [0] * self.max_level
-        for level, _ in self.bases:
-            sizes[level] += 1
-        return tuple(sizes)
-
-    def num_nodes(self, level: int) -> int:
-        return self._level_sizes[level]
-
-    def children(self, level: int, node: int) -> range:
-        """Indices at ``level + 1`` of the children of node ``(level, node)``."""
-        fan_out = self.num_nodes(level + 1) // self.num_nodes(level)
-        return range(node * fan_out, (node + 1) * fan_out)
+        return self.tree.offsets[0][-1]
 
     def skeleton_dim(self, level: int, node: int) -> int:
         return self.bases[(level, node)].skeleton_dim
@@ -267,55 +274,56 @@ def _available_bytes() -> int | None:
     return None
 
 
-def _leaf_partition(n: int, nleaf: int, one_level: bool) -> tuple[int, tuple]:
-    """Leaf level and offsets: leaf ``i`` holds points ``offsets[i]:offsets[i + 1]``.
+def _partition(n: int, nleaf: int, one_level: bool) -> Tree:
+    """The tree of either format over ``n`` points.
 
-    HSS halves ``[0, n)``, ``size // 2`` points first as the bisection
-    order splits, until every range holds at most ``nleaf`` points.  BLR2
-    cuts blocks of ``nleaf`` with a shorter last block.
+    HSS halves ``[0, n)``, ``size // 2`` points first as the bisection order
+    splits, until every range holds at most ``nleaf`` points, and keeps
+    every level of the halving.  BLR2 cuts blocks of ``nleaf`` with a
+    shorter last block, all children of the root.
     """
     if nleaf <= 0:
         raise ValueError(f"nleaf={nleaf} must be positive")
     if one_level:
-        level, sizes = 1, [min(nleaf, n - start) for start in range(0, n, nleaf)]
+        levels = [[n], [min(nleaf, n - start) for start in range(0, n, nleaf)]]
     else:
-        level, sizes = 0, [n]
-        while max(sizes) > nleaf:
-            if min(sizes) < 2:
+        levels = [[n]]
+        while max(levels[-1]) > nleaf:
+            if min(levels[-1]) < 2:
                 raise ValueError(f"n={n} cannot be halved into leaves of at most "
                                  f"nleaf={nleaf} points")
-            level, sizes = level + 1, [h for s in sizes for h in (s // 2, s - s // 2)]
-    if len(sizes) < 2:
+            levels.append([h for s in levels[-1] for h in (s // 2, s - s // 2)])
+    if len(levels[-1]) < 2:
         raise ValueError(f"n={n} with nleaf={nleaf} is a single block; "
                          "a shared-basis tree needs at least two blocks")
-    return level, tuple(accumulate(sizes, initial=0))
+    return Tree(tuple(tuple(accumulate(sizes, initial=0)) for sizes in levels))
 
 
-def _peak_bytes(n: int, nleaf: int, max_rank: int, workers: int, one_level: bool) -> int:
-    """Upper estimate of a build's peak working set, in bytes.
+def _peak_bytes(tree: Tree, nleaf: int, max_rank: int, workers: int) -> int:
+    """Upper estimate of the peak working set of a build of ``tree``, in bytes.
 
-    Each worker runs the largest of three tasks.  A leaf task holds its
-    near band's kernel block, which has the diagonal block in it, its
-    proxies' block and the scaled copy of it, and its sample, and then the
-    sample and the copy of it that the QR factors in place; a leaf has at
-    most ``nleaf`` points, its band at most ``n``, and its sample at most
-    ``n`` near columns and ``PROXY_COUNT`` proxy columns.  A leaf coupling
-    task holds the kernel block of every other leaf's ``k'`` skeleton
-    points against its own and that block times its interpolation matrix.
-    An HSS transfer task holds its children's stacked rows, ``2 *
-    max_rank`` by at most ``nb * max_rank``, which the QR factors in place.
-    The build keeps the coupling of every pair of nodes on each level (a
-    level of ``m`` nodes has ``m * (m - 1) / 2``), the diagonals, the leaf
-    bases and interpolation matrices, and at most one transfer basis of
-    side ``2 * max_rank`` per leaf.
+    Each worker runs the largest of three tasks.  A leaf task holds its near
+    band's kernel block, which has the diagonal block in it, its proxies'
+    block and the scaled copy of it, and its sample, and then the sample
+    and the copy of it that the QR factors in place; a leaf has at most
+    ``nleaf`` points, its band at most ``n``, and its sample at most ``n``
+    near columns and ``PROXY_COUNT`` proxy columns.  A leaf coupling task
+    holds the kernel block of every other leaf's ``k'`` skeleton points
+    against its own and that block times its interpolation matrix.  An HSS
+    transfer task holds its children's stacked rows, ``2 * max_rank`` by
+    at most ``nb * max_rank``, which the QR factors in place; a one-level
+    tree has none.  The build keeps the coupling of every pair of nodes on
+    each level (a level of ``m`` nodes has ``m * (m - 1) / 2``), the
+    diagonals, the leaf bases and interpolation matrices, and at most one
+    transfer basis of side ``2 * max_rank`` per leaf.
     """
-    levels, offsets = _leaf_partition(n, nleaf, one_level)
-    nb = len(offsets) - 1
+    n, levels = tree.offsets[0][-1], tree.max_level
+    nb = tree.num_nodes(levels)
     k = min(nleaf, max_rank + ID_OVERSAMPLE)
     leaf_task = nleaf * (2 * n + 3 * PROXY_COUNT)
     coupling_task = nb * k * (k + max_rank)
-    transfer_task = 0 if one_level else (2 * max_rank) * (nb * max_rank)
-    pairs = sum(m * (m - 1) // 2 for m in (nb >> j for j in range(levels)))
+    transfer_task = 0 if levels == 1 else (2 * max_rank) * (nb * max_rank)
+    pairs = sum(m * (m - 1) // 2 for m in map(tree.num_nodes, range(1, levels + 1)))
     output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2 + k * max_rank) + pairs * max_rank**2
     return int(8 * (workers * max(leaf_task, coupling_task, transfer_task) + output))
 
@@ -325,7 +333,7 @@ class _BuildContext:
     spec: KernelSpec
     points: np.ndarray
     box: np.ndarray  # rows: the smallest and the largest coordinates of points
-    offsets: tuple  # leaf i holds points[offsets[i]:offsets[i + 1]]
+    tree: Tree
     max_rank: int
 
 
@@ -337,28 +345,29 @@ class _BuildContext:
 # at the leaves and a Coupling task above.
 
 
-def _leaf_sample(points: np.ndarray, box: np.ndarray, r0: int, r1: int) -> tuple:
-    """Near band, proxies and proxy weight of the leaf ``points[r0:r1]``.
+def _leaf_sample(b: _BuildContext, i: int) -> tuple:
+    """Near band, proxies and proxy weight of leaf ``i`` of the build's tree.
 
     The band is the indices of the other points closer than
     ``NEAR_RADIUS`` half-diagonals of the leaf's bounding box to the box's
     centre, in order.  The proxies are the spiral pattern around that
-    centre with the ones outside ``box`` (the bounding box of ``points``)
+    centre with the ones outside ``b.box`` (the points' bounding box)
     dropped, unless that drops them all.  Their kernel columns are scaled
     by the weight, so that each proxy stands for an equal share of the
     points beyond the band.
     """
-    x = points[r0:r1]
+    r0, r1 = b.tree.offsets[-1][i:i + 2]
+    x = b.points[r0:r1]
     lo, hi = x.min(axis=0), x.max(axis=0)
     centre, radius = (lo + hi) / 2, NEAR_RADIUS * np.linalg.norm(hi - lo) / 2
-    offsets = points - centre
+    offsets = b.points - centre
     inside = np.einsum("ij,ij->i", offsets, offsets) < radius**2
     near = np.flatnonzero(inside)
     proxies = centre + radius * _PROXY_PATTERN
-    in_box = ((proxies >= box[0]) & (proxies <= box[1])).all(axis=1)
+    in_box = ((proxies >= b.box[0]) & (proxies <= b.box[1])).all(axis=1)
     if in_box.any():  # the box of a small or thin point set may hold none
         proxies = proxies[in_box]
-    weight = np.sqrt((len(points) - len(near)) / len(proxies))
+    weight = np.sqrt((len(b.points) - len(near)) / len(proxies))
     return near[(near < r0) | (near >= r1)], proxies, weight
 
 
@@ -383,9 +392,9 @@ def _interpolation(basis: BlockBasis, r0: int) -> tuple:
 
 def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
     i = task.node
-    r0, r1 = b.offsets[i], b.offsets[i + 1]
+    r0, r1 = b.tree.offsets[-1][i:i + 2]
     x = b.points[r0:r1]
-    near, proxies, weight = _leaf_sample(b.points, b.box, r0, r1)
+    near, proxies, weight = _leaf_sample(b, i)
     # One kernel call for the near band with the leaf in it, in point
     # order: the band left of the leaf, the exact diagonal block and the
     # band right of it.  The rest of the row is sampled by the proxies,
@@ -401,12 +410,12 @@ def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
     return _interpolation(basis, r0)
 
 
-def _keep_pairs(results: dict, task, pairs: list):
+def _keep_pairs(b: _BuildContext, results: dict, task, pairs: list):
     """Write the couplings ``pairs[j]`` of nodes ``j`` with node ``i`` that
-    the operator keeps, the siblings', as side entries ``("pair", level, j,
-    i)``: every pair of level 1, and ``(i - 1, i)`` for odd ``i`` below."""
-    level, i = task.level, task.node
-    for j in range(0 if level == 1 else i - i % 2, i):
+    the operator keeps, those of its earlier siblings, as side entries
+    ``("pair", level, j, i)``."""
+    level, i, tree = task.level, task.node, b.tree
+    for j in range(tree.children(level - 1, tree.parent(level, i)).start, i):
         results[("pair", level, j, i)] = pairs[j]
 
 
@@ -420,7 +429,7 @@ def _leaf_coupling(b: _BuildContext, results: dict, task) -> list:
     for sk, c in earlier:
         out.append(_freeze(c.T @ block[start:start + len(sk)]))
         start += len(sk)
-    _keep_pairs(results, task, out)
+    _keep_pairs(b, results, task, out)
     return out
 
 
@@ -433,12 +442,12 @@ def _pair(results: dict, level: int, i: int, j: int) -> np.ndarray:
 
 
 def _transfer(b: _BuildContext, results: dict, task) -> None:
-    # The rows of children 2p and 2p + 1 against every other node of
-    # their level, in node order, written transposed into the one
-    # F-ordered array that the QR then factors in place.
-    below, kids = task.level + 1, (2 * task.node, 2 * task.node + 1)
+    # The rows of the node's children against every other node of their
+    # level, in node order, written transposed into the one F-ordered
+    # array that the QR then factors in place.
+    below, kids = task.level + 1, b.tree.children(task.level, task.node)
     blocks = [[_pair(results, below, k, c) for c in kids]
-              for k in range(2**below) if k not in kids]
+              for k in range(b.tree.num_nodes(below)) if k not in kids]
     stacked = np.empty((sum(row[0].shape[0] for row in blocks),
                         sum(block.shape[1] for block in blocks[0])), order="F")
     top = 0
@@ -451,15 +460,15 @@ def _transfer(b: _BuildContext, results: dict, task) -> None:
 
 
 def _coupling(b: _BuildContext, results: dict, task) -> list:
-    # S(p, q) = skel_p^T [S(2p + a, 2q + c)]_{a, c = 0, 1} skel_q for p < q.
-    level, q, below = task.level, task.node, task.level + 1
+    # S(p, q) = skel_p^T [S(c, d)]_{c child of p, d child of q} skel_q for p < q.
+    level, q, below, kids = task.level, task.node, task.level + 1, b.tree.children
     skel_q = results[("basis", level, q)].skeleton
     out = [_freeze(results[("basis", level, p)].skeleton.T
-                   @ np.block([[_pair(results, below, c, d) for d in (2 * q, 2 * q + 1)]
-                               for c in (2 * p, 2 * p + 1)])
+                   @ np.block([[_pair(results, below, c, d) for d in kids(level, q)]
+                               for c in kids(level, p)])
                    @ skel_q)
            for p in range(q)]
-    _keep_pairs(results, task, out)
+    _keep_pairs(b, results, task, out)
     return out
 
 
@@ -468,20 +477,20 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     """Run the build graph of either format; returns the tree and the
     runtime's :class:`~hssulv.taskdag.ExecutionStats`.
 
-    Both formats need two or more leaves from :func:`_leaf_partition`
-    and ``max_rank <= nleaf``.  A failing task raises its own
+    Both formats need two or more leaves from :func:`_partition` and
+    ``max_rank <= nleaf``.  A failing task raises its own
     error, such as a :class:`~hssulv.kernels.KernelEvaluationError`
     naming the distance.
     """
     from .taskdag import Task, TaskGraph, TaskKind, run_graph  # taskdag imports this module
 
-    max_level, offsets = _leaf_partition(ps.n, nleaf, one_level)
-    nb = len(offsets) - 1
+    tree = _partition(ps.n, nleaf, one_level)
+    max_level, nb = tree.max_level, tree.num_nodes(tree.max_level)
     if max_rank > nleaf:
         raise ValueError(f"max_rank={max_rank} exceeds nleaf={nleaf}")
     workers = worker_count(workers)
     available = _available_bytes()
-    estimate = _peak_bytes(ps.n, nleaf, max_rank, workers, one_level)
+    estimate = _peak_bytes(tree, nleaf, max_rank, workers)
     if available is not None and estimate > available:
         raise InsufficientMemoryError(
             f"{'build_blr2' if one_level else 'build_hss'}(n={ps.n}, nleaf={nleaf}, "
@@ -497,25 +506,26 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
             add(("coupling", max_level, i), TaskKind.LEAF_COUPLING, max_level, i,
                 [("leaf", j) for j in range(i + 1)])
     for level in range(max_level - 1, 0, -1):  # HSS only: BLR2 has one level
-        for p in range(2**level):
-            # Pair (k, c) is in list max(k, c), so lists 2p and up hold the children's rows.
+        for p in range(tree.num_nodes(level)):
+            # Pair (k, c) is in list max(k, c), so lists kids.start and up hold kids' rows.
+            kids, end = tree.children(level, p), tree.num_nodes(level + 1)
             add(("transfer", level, p), TaskKind.TRANSFER, level, p,
-                [("coupling", level + 1, i) for i in range(max(2 * p, 1), 2**(level + 1))])
+                [("coupling", level + 1, i) for i in range(max(kids.start, 1), end)])
             if p:
                 add(("coupling", level, p), TaskKind.COUPLING, level, p,
                     [("transfer", level, j) for j in range(p + 1)]
-                    + [("coupling", level + 1, c) for c in (2 * p, 2 * p + 1)])
+                    + [("coupling", level + 1, c) for c in kids])
     bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
               TaskKind.TRANSFER: _transfer, TaskKind.COUPLING: _coupling}
     box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
-    ctx = _BuildContext(spec, ps.points, box, offsets, max_rank)
-    results, stats = run_graph(TaskGraph(max_level, tasks), bodies, ctx, workers,
+    ctx = _BuildContext(spec, ps.points, box, tree, max_rank)
+    results, stats = run_graph(TaskGraph(tree, tasks), bodies, ctx, workers,
                                shuffle_seed=shuffle_seed)
 
     def side(name):  # the side entries named name, in key order
         return {key[1:]: results[key] for key in sorted(k for k in results if k[0] == name)}
 
-    h = HssMatrix(max_level, tuple(side("diag").values()), side("basis"), side("pair"))
+    h = HssMatrix(tree, tuple(side("diag").values()), side("basis"), side("pair"))
     return h, stats
 
 
@@ -543,7 +553,7 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
     """Compress a kernel matrix into the multi-level nested-basis format.
 
     The leaves are the ranges that halving ``[0, n)`` gives once each
-    holds at most ``nleaf`` points (:func:`_leaf_partition`); where ``n``
+    holds at most ``nleaf`` points (:func:`_partition`); where ``n``
     is ``nleaf`` times a power of two, each holds ``nleaf``.  Requires
     ``n > nleaf`` and ``max_rank <= nleaf``.  The same rank cap is applied
     at every level; with ``max_rank == nleaf`` (and caps never
@@ -562,37 +572,32 @@ def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != n:
         raise ValueError(f"operand has leading dimension {x.shape[0]}, expected {n}")
     work = x.reshape(n, -1)
-    L, offs = m.max_level, m.leaf_offsets
+    tree, L, offs = m.tree, m.max_level, m.tree.offsets[-1]
     # Upward sweep: skeleton coefficients per node, leaves first.
     coeffs = {}
-    for i in range(m.num_nodes(L)):
+    for i in range(tree.num_nodes(L)):
         coeffs[(L, i)] = m.bases[(L, i)].skeleton.T @ work[offs[i]:offs[i + 1]]
     for level in range(L - 1, 0, -1):
-        for i in range(m.num_nodes(level)):
-            stacked = np.concatenate([coeffs[(level + 1, c)] for c in m.children(level, i)])
+        for i in range(tree.num_nodes(level)):
+            stacked = np.concatenate([coeffs[(level + 1, c)] for c in tree.children(level, i)])
             coeffs[(level, i)] = m.bases[(level, i)].skeleton.T @ stacked
-    # Sibling couplings, each stored block applied both ways; in pair
+    # Sibling couplings, each stored block applied both ways; in key
     # order every node sums its terms in increasing sibling index.
     partial = {key: np.zeros_like(c) for key, c in coeffs.items()}
-    for level in range(1, L + 1):
-        for p in range(m.num_nodes(level - 1)):
-            siblings = m.children(level - 1, p)
-            for i in siblings:
-                for j in range(i + 1, siblings.stop):
-                    s = m.coupling[(level, i, j)]
-                    partial[(level, i)] += s @ coeffs[(level, j)]
-                    partial[(level, j)] += s.T @ coeffs[(level, i)]
+    for (level, i, j), s in m.coupling.items():
+        partial[(level, i)] += s @ coeffs[(level, j)]
+        partial[(level, j)] += s.T @ coeffs[(level, i)]
     # Downward sweep: push accumulated skeleton results to the children.
     for level in range(1, L):
-        for i in range(m.num_nodes(level)):
+        for i in range(tree.num_nodes(level)):
             down = m.bases[(level, i)].skeleton @ partial[(level, i)]
             off = 0
-            for c in m.children(level, i):
+            for c in tree.children(level, i):
                 k = coeffs[(level + 1, c)].shape[0]
                 partial[(level + 1, c)] += down[off:off + k]
                 off += k
     y = np.empty_like(work)
-    for i in range(m.num_nodes(L)):
+    for i in range(tree.num_nodes(L)):
         r0, r1 = offs[i], offs[i + 1]
         y[r0:r1] = m.leaf_diag[i] @ work[r0:r1] + m.bases[(L, i)].skeleton @ partial[(L, i)]
     return y[:, 0] if x.ndim == 1 else y
@@ -611,7 +616,7 @@ def construct_error(m, spec: KernelSpec, ps: PointSet, seed: int) -> float:
         raise ValueError(f"n={n} exceeds the streaming dense guard {DENSE_STREAM_LIMIT}")
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n)
-    offs = m.leaf_offsets
+    offs = m.tree.offsets[-1]
     exact = np.empty(n)
     pts = ps.points
     for start, stop in zip(offs, offs[1:]):

@@ -196,7 +196,7 @@ class UlvFactors:
 def root_dims(h: HssMatrix) -> tuple:
     """Orders of the level-1 nodes' skeletons, in the order they fill
     the root block."""
-    return tuple(h.skeleton_dim(1, i) for i in range(h.num_nodes(1)))
+    return tuple(h.skeleton_dim(1, i) for i in range(h.tree.num_nodes(1)))
 
 
 def root_tile_count(h: HssMatrix) -> int:
@@ -292,7 +292,7 @@ def run_merge(run: FactorRun, results: dict, task):
     block and refuses a NaN or an infinity in it."""
     h, level = run.h, task.level
     if level > 1:
-        kids = h.children(level - 1, task.node)
+        kids = h.tree.children(level - 1, task.node)
         return merge_children(
             [h.skeleton_dim(level, c) for c in kids],
             [results[("pf", level, c)] for c in kids],
@@ -350,7 +350,7 @@ def _perm_for_level(factors: list) -> np.ndarray:
 
 def assemble_factors(run: FactorRun, results: dict) -> UlvFactors:
     h = run.h
-    levels = {level: [results[("nf", level, node)] for node in range(h.num_nodes(level))]
+    levels = {level: [results[("nf", level, node)] for node in range(h.tree.num_nodes(level))]
               for level in range(h.max_level, 0, -1)}
     return UlvFactors(h.n, h.max_level, levels, run.root)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from ._threads import single_blas_thread, worker_count
-from .construct import HssMatrix
+from .construct import HssMatrix, Tree
 from .factor import (FactorRun, UlvFactors, assemble_factors, root_dims,
                      root_tile_count, run_diag_product, run_merge,
                      run_partial_factor, run_root_tile, tile_children,
@@ -140,7 +140,7 @@ class Task:
 
 @dataclass
 class TaskGraph:
-    max_level: int
+    tree: Tree | None  # the node table the graph was built from, if any
     tasks: dict
 
     def __len__(self) -> int:
@@ -181,22 +181,22 @@ def build_dag(h: HssMatrix) -> TaskGraph:
     ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` tasks; for BLR2 with ``nb``
     blocks ``2*nb + t*(t+1)/2 + T(t)``.
     """
-    L = h.max_level
+    L, tree = h.max_level, h.tree
     tasks = {}
 
     def add(tid, kind, level, node, deps):
         tasks[tid] = Task(tid, kind, level, node, frozenset(deps))
 
     for level in range(L, 0, -1):
-        for node in range(h.num_nodes(level)):
+        for node in range(tree.num_nodes(level)):
             dp, pf = ("dp", level, node), ("pf", level, node)
             add(dp, TaskKind.DIAG_PRODUCT, level, node,
                 () if level == L else [("mg", level + 1, node)])
             add(pf, TaskKind.PARTIAL_FACTOR, level, node, [dp])
         if level > 1:
-            for parent in range(h.num_nodes(level - 1)):
+            for parent in range(tree.num_nodes(level - 1)):
                 add(("mg", level, parent), TaskKind.MERGE, level, parent,
-                    [("pf", level, c) for c in h.children(level - 1, parent)])
+                    [("pf", level, c) for c in tree.children(level - 1, parent)])
     t, dims = root_tile_count(h), root_dims(h)
     for j in range(t):
         for i in range(j, t):
@@ -216,7 +216,7 @@ def build_dag(h: HssMatrix) -> TaskGraph:
             for j in range(k + 1, i):
                 add(("gemm", i, j, k), TaskKind.ROOT_FACTOR, 0, 0,
                     [("trsm", i, k), ("trsm", j, k), after(("gemm", i, j, k - 1), k, i, j)])
-    return TaskGraph(L, tasks)
+    return TaskGraph(tree, tasks)
 
 
 @dataclass(frozen=True)
@@ -239,17 +239,12 @@ class OwnerMap:
 def assign_owners(g: TaskGraph, nprocs: int) -> OwnerMap:
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
-    L = g.max_level
-    nodes = {0: 1}  # nodes per level: one diagonal product each, and the root
-    for t in g.tasks.values():
-        if t.kind == TaskKind.DIAG_PRODUCT:
-            nodes[t.level] = nodes.get(t.level, 0) + 1
-    assignment = {(L, node): node % nprocs for node in range(nodes[L])}
-    # Each parent's children are an equal contiguous run of the level below.
-    for level in range(L, 0, -1):
-        fan_out = nodes[level] // nodes[level - 1]
-        for parent in range(nodes[level - 1]):
-            assignment[(level - 1, parent)] = assignment[(level, parent * fan_out)]
+    tree, L = g.tree, g.tree.max_level
+    assignment = {(L, node): node % nprocs for node in range(tree.num_nodes(L))}
+    for level in range(L - 1, -1, -1):
+        for parent in range(tree.num_nodes(level)):
+            assignment[(level, parent)] = \
+                assignment[(level + 1, tree.children(level, parent).start)]
     return OwnerMap(nprocs, assignment)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hssulv import (BlockBasis, HssMatrix, KernelSpec, Task, TaskGraph,
                     TaskKind, build_dag, build_hss, generate_grid,
                     kernel_matrix, ulv_factor_hss)
+from hssulv.construct import Tree
 from hssulv.factor import FactorRun
 from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
@@ -87,7 +88,7 @@ def root_tree(a):
     """A one-leaf tree whose basis is all skeleton, so that its root block
     is ``a`` itself."""
     n = a.shape[0]
-    return HssMatrix(1, (a,), {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
+    return HssMatrix(Tree(((0, n), (0, n))), (a,), {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
 
 
 def factor_root(a, workers=1, shuffle_seed=None):
@@ -100,5 +101,5 @@ def factor_root(a, workers=1, shuffle_seed=None):
     tasks[("pf", 1, 0)] = Task(("pf", 1, 0), TaskKind.PARTIAL_FACTOR, 1, 0, frozenset())
     bodies = {**_FACTOR_BODIES, TaskKind.PARTIAL_FACTOR: lambda run, results, task: a}
     run = FactorRun(h)
-    run_graph(TaskGraph(1, tasks), bodies, run, workers, shuffle_seed)
+    run_graph(TaskGraph(h.tree, tasks), bodies, run, workers, shuffle_seed)
     return run.root

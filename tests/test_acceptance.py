@@ -128,7 +128,7 @@ def test_criterion_7_dag_structure(cache):
         n = {1: 4, 2: 16, 3: 16, 4: 64, 5: 64, 6: 256, 7: 256, 8: 1024}[level]
         h = cache.hss("laplace2d", n, n >> level, max(n >> level, 1) // 2 or 1)
         graph = build_dag(h)
-        assert graph.max_level == level
+        assert graph.tree.max_level == level
         assert len(graph) == 2 * (2 ** (level + 1) - 2) + (2 ** level - 1) + 1
         # acyclic: Kahn peeling consumes every task
         remaining = {tid: len(t.deps) for tid, t in graph.tasks.items()}

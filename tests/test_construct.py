@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from hssulv import (KERNEL_KINDS, InsufficientMemoryError, KernelSpec,
@@ -168,10 +170,12 @@ class TestLeafSample:
     def test_proxies_in_box_and_apart_from_leaf(self):
         ps = generate_grid(4096)
         box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
+        ctx = construct._BuildContext(KernelSpec("laplace2d"), ps.points, box,
+                                      construct._partition(4096, 256, True), 100)
         for i in leaf_kinds(ps, 256).values():
             r0, r1 = i * 256, (i + 1) * 256
             x = ps.points[r0:r1]
-            near, proxies, weight = construct._leaf_sample(ps.points, box, r0, r1)
+            near, proxies, weight = construct._leaf_sample(ctx, i)
             assert len(proxies) and weight > 0
             assert np.all((proxies >= box[0]) & (proxies <= box[1]))
             half_diagonal = np.linalg.norm(x.max(axis=0) - x.min(axis=0)) / 2
@@ -293,19 +297,46 @@ class TestHss:
 
 
 @pytest.mark.parametrize("one_level, n, nleaf, level, sizes", [
-    (False, 1024, 256, 2, [256] * 4),
-    (False, 256, 100, 2, [64] * 4),
-    (False, 1250, 256, 3, [156, 156, 156, 157, 156, 156, 156, 157]),
-    (True, 1024, 256, 1, [256] * 4),
-    (True, 2304, 256, 1, [256] * 9),
-    (True, 2500, 256, 1, [256] * 9 + [196]),
+    (False, 1024, 256, 2, [[1024], [512] * 2, [256] * 4]),
+    (False, 256, 100, 2, [[256], [128] * 2, [64] * 4]),
+    (False, 1250, 256, 3, [[1250], [625] * 2, [312, 313] * 2,
+                           [156, 156, 156, 157, 156, 156, 156, 157]]),
+    (True, 1024, 256, 1, [[1024], [256] * 4]),
+    (True, 2304, 256, 1, [[2304], [256] * 9]),
+    (True, 2500, 256, 1, [[2500], [256] * 9 + [196]]),
 ])
 def test_leaf_partition(one_level, n, nleaf, level, sizes):
-    # HSS halves [0, n), the first half of a range holding size // 2;
-    # BLR2 cuts blocks of nleaf with a shorter last one
-    got_level, offsets = construct._leaf_partition(n, nleaf, one_level)
-    assert (got_level, list(np.diff(offsets))) == (level, sizes)
-    assert offsets[0] == 0 and offsets[-1] == n
+    # HSS halves [0, n), the first half of a range holding size // 2, and
+    # keeps every level; BLR2 cuts blocks of nleaf with a shorter last one
+    tree = construct._partition(n, nleaf, one_level)
+    assert tree.max_level == level
+    assert [list(np.diff(offsets)) for offsets in tree.offsets] == sizes
+    assert all(offsets[0] == 0 and offsets[-1] == n for offsets in tree.offsets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nleaf=st.integers(2, 600), extra=st.integers(1, 20000), one_level=st.booleans())
+def test_partition_node_table(nleaf, extra, one_level):
+    # no kernel evaluation: the table alone, for any n > nleaf
+    n = nleaf + extra
+    tree = construct._partition(n, nleaf, one_level)
+    for offsets in tree.offsets:
+        assert offsets[0] == 0 and offsets[-1] == n
+        assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    assert tree.num_nodes(0) == 1 and max(np.diff(tree.offsets[-1])) <= nleaf
+    for level in range(tree.max_level):
+        below, fan_outs = tree.offsets[level + 1], []
+        for node in range(tree.num_nodes(level)):
+            kids = tree.children(level, node)
+            # the children tile the node's range exactly
+            assert (below[kids.start], below[kids.stop]) == tree.offsets[level][node:node + 2]
+            assert [tree.parent(level + 1, c) for c in kids] == [node] * len(kids)
+            fan_outs.append(len(kids))
+        assert sum(fan_outs) == tree.num_nodes(level + 1)
+        if one_level:
+            assert tree.max_level == 1 and fan_outs == [tree.num_nodes(1)]
+        else:
+            assert set(fan_outs) == {2}
 
 
 class TestMatvec:
@@ -449,13 +480,15 @@ class TestMemoryRefusal:
         assert calls == []
 
     def test_estimate_grows_with_workers_and_pairs(self):
-        one = construct._peak_bytes(4096, 256, 100, 1, False)
-        assert construct._peak_bytes(4096, 256, 100, 2, False) > one
+        tree = construct._partition(4096, 256, False)
+        one = construct._peak_bytes(tree, 256, 100, 1)
+        assert construct._peak_bytes(tree, 256, 100, 2) > one
         # at N = 32768 both formats keep a coupling for every pair of its
         # 128 leaves, 0.65 GB; HSS keeps the pairs of its upper levels too
         leaf_pairs = 8 * 128 * 127 // 2 * 100**2
-        assert construct._peak_bytes(32768, 256, 100, 1, True) > leaf_pairs
-        assert construct._peak_bytes(32768, 256, 100, 1, False) > leaf_pairs
+        for one_level in (True, False):
+            tree = construct._partition(32768, 256, one_level)
+            assert construct._peak_bytes(tree, 256, 100, 1) > leaf_pairs
 
     def test_hss_peak_near_blr2_peak(self):
         # HSS keeps the leaf pairs BLR2 keeps, plus the far fewer pairs of
@@ -485,9 +518,11 @@ class TestMemoryRefusal:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < construct._peak_bytes(n, 256, 100, 2, build is build_blr2), n
+            tree = construct._partition(n, 256, build is build_blr2)
+            assert peak < construct._peak_bytes(tree, 256, 100, 2), n
 
     def test_normal_build_unaffected(self):
         available = construct._available_bytes()
         assert available is None or (
-            construct._peak_bytes(4096, 256, 100, 4, False) < available)
+            construct._peak_bytes(construct._partition(4096, 256, False), 256, 100, 4)
+            < available)

@@ -11,6 +11,7 @@ from hssulv import (BlockBasis, HssMatrix, KernelSpec,
                     diagonal_product, generate_grid, kernel_matrix, matvec,
                     merge_children, reconstruct_check, solve_error,
                     ulv_factor_blr2, ulv_factor_hss, ulv_solve)
+from hssulv.construct import Tree
 from hssulv.factor import FactorRun, root_tile_count
 from hssulv.linalg import _failed_pivot_value
 from hssulv.taskdag import _FACTOR_BODIES, build_dag, run_graph
@@ -138,7 +139,8 @@ class TestBlr2Ulv:
         # all skeleton is made by hand.
         pts = generate_grid(64).points
         block = kernel_matrix(KernelSpec("yukawa"), pts, pts)
-        m = HssMatrix(1, (block,), {(1, 0): BlockBasis(np.eye(64), 0, 64)}, {})
+        m = HssMatrix(Tree(((0, 64), (0, 64))), (block,),
+                      {(1, 0): BlockBasis(np.eye(64), 0, 64)}, {})
         f = ulv_factor_blr2(m)
         from hssulv import cholesky
         assert np.array_equal(f.root_chol, cholesky(block))
@@ -428,7 +430,7 @@ def test_uneven_tree_solve_matches_dense_oracle(n, build):
     for kind in ("laplace2d", "yukawa", "matern"):
         spec = KernelSpec(kind)
         h = build(spec, ps, 256, 256)
-        assert h.n == n and len(set(np.diff(h.leaf_offsets))) == 2
+        assert h.n == n and len(set(np.diff(h.tree.offsets[-1]))) == 2
         ref = dense_solve(kernel_matrix(spec, ps.points, ps.points), b)
         x = ulv_solve(ulv_factor_hss(h), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), kind

@@ -55,7 +55,7 @@ def test_odd_halves_are_square_patches():
     # bisection goes on through the odd 625-point halves, so each leaf
     # covers a near-square patch, not a 1:4 strip
     ps = generate_grid(1250)
-    _, offsets = construct._leaf_partition(1250, 160, one_level=False)
+    offsets = construct._partition(1250, 160, one_level=False).offsets[-1]
     for lo, hi in zip(offsets, offsets[1:]):
         extent = np.ptp(ps.points[lo:hi], axis=0)
         assert hi - lo in (156, 157)

@@ -119,7 +119,7 @@ def test_leaf_couplings_from_skeleton_points(tree, lossless):
     op = build(spec, ps, nleaf, max_rank)
     dense = kernel_matrix(spec, ps.points, ps.points)
     rounding = 1e-13 * np.linalg.norm(dense)
-    offs = op.leaf_offsets
+    offs = op.tree.offsets[-1]
     for (level, i, j), s in op.coupling.items():
         if level == op.max_level:
             u_i, u_j = op.bases[(level, i)].skeleton, op.bases[(level, j)].skeleton

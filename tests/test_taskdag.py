@@ -133,7 +133,7 @@ class TestBlr2Graph:
         # task; a tiled root's merges together read every block
         graph = build_dag(blr2)
         assert root_tile_count(blr2) == 1
-        assert graph.max_level == 1 and len(graph) == 2 * 8 + 1 + root_task_count(1)
+        assert graph.tree.max_level == 1 and len(graph) == 2 * 8 + 1 + root_task_count(1)
         merge = graph.tasks[("asm", 0, 0)]
         assert {graph.tasks[d].node for d in merge.deps} == set(range(8))
         merges = [t for t in build_dag(tiled).tasks.values() if t.kind == TaskKind.MERGE]
@@ -242,8 +242,23 @@ class TestBlr2Graph:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_root_tiles_start_before_the_level_drains(self, tiled, workers):
         # dataflow witness: the root's first tiles wait only for the
-        # blocks they cover, not for the whole level
-        _, stats = execute(build_dag(tiled), tiled, workers=workers)
+        # blocks they cover, not for the whole level.  The last block's
+        # partial factor waits until a root tile has run, which it can
+        # only do if no root tile waits for that block.
+        root_started = threading.Event()
+
+        def root_tile(run, results, task):
+            root_started.set()
+            return _FACTOR_BODIES[TaskKind.ROOT_FACTOR](run, results, task)
+
+        def partial_factor(run, results, task):
+            if task.node == tiled.tree.num_nodes(1) - 1:
+                assert root_started.wait(20), "no root tile started before the last block"
+            return _FACTOR_BODIES[TaskKind.PARTIAL_FACTOR](run, results, task)
+
+        bodies = {**_FACTOR_BODIES, TaskKind.ROOT_FACTOR: root_tile,
+                  TaskKind.PARTIAL_FACTOR: partial_factor}
+        _, stats = run_graph(build_dag(tiled), bodies, FactorRun(tiled), workers)
         first_root = min(r.start_ns for r in stats.records if r.kind == TaskKind.ROOT_FACTOR)
         assert first_root < max(r.end_ns for r in stats.records
                                 if r.kind == TaskKind.PARTIAL_FACTOR)
@@ -268,11 +283,16 @@ class TestAssignOwners:
         assert all(leaf_owners.count(r) == 4 for r in range(4))
 
     def test_parent_inherits_left_child(self):
-        owners = assign_owners(build_dag(tiny_hss(3)), 3)
-        for level in (2, 1, 0):
-            for node in range(1 << level):
-                assert owners.owner_of(level, node) == \
-                    owners.owner_of(level + 1, 2 * node)
+        spec = KernelSpec("laplace2d")
+        for h in (tiny_hss(3),
+                  build_blr2(spec, generate_grid(2500), 256, 40),  # 10 blocks, the last short
+                  build_hss(spec, generate_grid(1250), 160, 40)):  # odd halves
+            graph = build_dag(h)
+            owners, tree = assign_owners(graph, 3), graph.tree
+            for level in range(tree.max_level - 1, -1, -1):
+                for node in range(tree.num_nodes(level)):
+                    assert owners.owner_of(level, node) == \
+                        owners.owner_of(level + 1, tree.children(level, node).start)
 
 
 class TestExecute:
@@ -356,7 +376,7 @@ def layered_graph(width, depth):
                 {("t", layer - 1, i), ("t", layer - 1, (i + 1) % width)})
             tid = ("t", layer, i)
             tasks[tid] = Task(tid, TaskKind.DIAG_PRODUCT, depth - layer, i, deps)
-    return TaskGraph(depth, tasks)
+    return TaskGraph(None, tasks)
 
 
 def transitive_dependents(graph, tid):
@@ -413,8 +433,8 @@ class TestRunGraph:
     def test_result_with_two_readers_present_for_both(self, workers):
         # a -> b, c -> d: a's result outlives whichever of b and c ends first
         deps = {("a",): [], ("b",): [("a",)], ("c",): [("a",)], ("d",): [("b",), ("c",)]}
-        graph = TaskGraph(1, {tid: Task(tid, TaskKind.DIAG_PRODUCT, 1, i, frozenset(d))
-                              for i, (tid, d) in enumerate(deps.items())})
+        graph = TaskGraph(None, {tid: Task(tid, TaskKind.DIAG_PRODUCT, 1, i, frozenset(d))
+                                 for i, (tid, d) in enumerate(deps.items())})
 
         def body(ctx, results, task):
             return task.id[0] + "".join(results[dep] for dep in sorted(task.deps))
@@ -543,8 +563,8 @@ UNFINISHABLE = {
 @pytest.mark.parametrize("case", list(UNFINISHABLE))
 def test_unfinishable_graph_raises_named(case, workers):
     deps, message = UNFINISHABLE[case]
-    graph = TaskGraph(1, {tid: Task(tid, TaskKind.DIAG_PRODUCT, 1, i, frozenset(d))
-                          for i, (tid, d) in enumerate(deps.items())})
+    graph = TaskGraph(None, {tid: Task(tid, TaskKind.DIAG_PRODUCT, 1, i, frozenset(d))
+                             for i, (tid, d) in enumerate(deps.items())})
     error = call_with_timeout(lambda: run_graph(
         graph, {TaskKind.DIAG_PRODUCT: lambda c, r, t: None}, None, workers))
     assert isinstance(error, ValueError)
