@@ -5,7 +5,8 @@ into an HSS or a BLR2 tree, task-graph factorization, solve) and
 returns an :class:`ExperimentReport` with both error metrics, wall
 times with 95% confidence intervals (of
 factorization, of a solve and of a 16-column block solve), the BLAS
-thread count in effect inside library calls, the skeleton ranks and
+thread count in effect inside library calls, the operator's bytes
+against the build's estimated peak working bytes, the skeleton ranks and
 truncation tails reached at each tree level, the runtime's makespan,
 per-kind and per-level task seconds and busy ratio of the build, and its
 breakdown of the last factorization: makespan, scheduler and idle
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._threads import blas_threads
-from .construct import _build_tree, construct_error
+from .construct import _build_tree, _peak_bytes, construct_error
 from .factor import solve_error, ulv_solve
 from .geometry import _grid_shape, generate_grid
 from .kernels import KernelSpec
@@ -118,6 +119,10 @@ class ExperimentReport:
     construct_error: float
     solve_error: float
     build_seconds: float
+    # bytes the operator holds (HssMatrix.nbytes) and the build's upper
+    # estimate of its peak working bytes, which the memory refusal reads
+    compressed_bytes: int
+    build_peak_bytes_estimate: int
     build_makespan_seconds: float
     build_per_kind_seconds: dict
     # build task seconds by tree level; the leaf tasks are at the leaf level
@@ -213,6 +218,8 @@ def run_single(cfg: ExperimentConfig) -> ExperimentReport:
         construct_error=cons_err,
         solve_error=solv_err,
         build_seconds=build_s,
+        compressed_bytes=h.nbytes,
+        build_peak_bytes_estimate=_peak_bytes(h.tree, cfg.nleaf, cfg.max_rank, cfg.workers),
         build_makespan_seconds=build_stats.makespan_seconds,
         build_per_kind_seconds=build_stats.per_kind_seconds,
         build_per_level_seconds=_per_level_seconds(build_stats),

@@ -1,7 +1,8 @@
 """Shared-basis compression of kernel matrices into one tree format.
 
-Both formats are an :class:`HssMatrix` tree that keeps exact dense leaf
-diagonal blocks and compresses everything off the block diagonal (weak
+Both formats are an :class:`HssMatrix` tree that keeps the exact leaf
+diagonal blocks, each symmetric and so stored once, as its packed lower
+triangle, and compresses everything off the block diagonal (weak
 admissibility).  Each node shares one orthonormal basis, split into
 redundant and skeleton columns; blocks between sibling nodes are stored
 only through their small skeleton coupling ``S_ij = Us_i^T A_ij Us_j``,
@@ -35,8 +36,8 @@ The two formats differ only in the fan-out of their :class:`Tree`:
 Both builders are task graphs run by :func:`hssulv.taskdag.run_graph`,
 the runtime the factorization runs on.  A ``LeafBasis`` task per leaf
 evaluates its near band in one kernel call, which holds its exact
-diagonal block, and its proxies in another, and compresses the sample
-into the leaf basis.  The rest of its row is never evaluated.  It then
+diagonal block (kept packed), and its proxies in another, and
+compresses the sample into the leaf basis.  The rest of its row is never evaluated.  It then
 picks ``k'`` skeleton points of the leaf, ``r + ID_OVERSAMPLE`` at most,
 and an interpolation matrix ``C`` from the basis itself (an
 interpolative decomposition, as in Martinsson & Rokhlin, JCP 2005, and
@@ -72,7 +73,8 @@ import numpy as np
 from ._threads import single_blas_thread, worker_count
 from .geometry import PointSet
 from .kernels import KernelSpec, kernel_matrix
-from .linalg import dominant_basis_full, pivot_columns
+from .linalg import (dominant_basis_full, pack_lower, pivot_columns,
+                     symmetric_product, unpack_lower)
 
 __all__ = [
     "BlockBasis",
@@ -221,9 +223,13 @@ class Tree:
 class HssMatrix:
     """Nested-basis tree format; BLR2 is its one-level case.
 
-    ``tree`` is the node table, whose leaf ``i`` holds the points of
-    ``leaf_diag[i]``.  ``bases[(level, i)]`` is the shared basis of node
-    ``i`` at ``level`` (levels run 1..max_level, leaves at max_level; the
+    ``tree`` is the node table.  ``leaf_diag[i]`` is the exact diagonal
+    block of leaf ``i``, which is symmetric, stored once: its lower
+    triangle packed column by column (:func:`~hssulv.linalg.pack_lower`,
+    LAPACK ``dtrttp``), ``k * (k + 1) / 2`` entries for a leaf of ``k``
+    points.  ``matvec`` and the diagonal product unpack it
+    (:func:`~hssulv.linalg.unpack_lower`).  ``bases[(level, i)]`` is the
+    shared basis of node ``i`` at ``level`` (levels run 1..max_level, leaves at max_level; the
     root, level 0, has none).  Leaf bases act on raw coordinates; upper
     bases are transfer matrices on the stacked skeleton coefficients of
     the node's children.  ``coupling[(level, i, j)]`` couples node ``i``
@@ -246,6 +252,13 @@ class HssMatrix:
     @property
     def n(self) -> int:
         return self.tree.offsets[0][-1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the operator holds: its diagonals, bases and couplings."""
+        return (sum(d.nbytes for d in self.leaf_diag)
+                + sum(b.q.nbytes for b in self.bases.values())
+                + sum(c.nbytes for c in self.coupling.values()))
 
     def skeleton_dim(self, level: int, node: int) -> int:
         return self.bases[(level, node)].skeleton_dim
@@ -314,8 +327,9 @@ def _peak_bytes(tree: Tree, nleaf: int, max_rank: int, workers: int) -> int:
     at most ``nb * max_rank``, which the QR factors in place; a one-level
     tree has none.  The build keeps the coupling of every pair of nodes on
     each level (a level of ``m`` nodes has ``m * (m - 1) / 2``), the
-    diagonals, the leaf bases and interpolation matrices, and at most one
-    transfer basis of side ``2 * max_rank`` per leaf.
+    diagonals as packed triangles of ``nleaf * (nleaf + 1) / 2`` entries,
+    the leaf bases and interpolation matrices, and at most one transfer
+    basis of side ``2 * max_rank`` per leaf.
     """
     n, levels = tree.offsets[0][-1], tree.max_level
     nb = tree.num_nodes(levels)
@@ -324,7 +338,8 @@ def _peak_bytes(tree: Tree, nleaf: int, max_rank: int, workers: int) -> int:
     coupling_task = nb * k * (k + max_rank)
     transfer_task = 0 if levels == 1 else (2 * max_rank) * (nb * max_rank)
     pairs = sum(m * (m - 1) // 2 for m in map(tree.num_nodes, range(1, levels + 1)))
-    output = nb * (2 * nleaf**2 + (2 * max_rank) ** 2 + k * max_rank) + pairs * max_rank**2
+    output = (nb * (nleaf * (nleaf + 1) // 2 + nleaf**2 + (2 * max_rank) ** 2 + k * max_rank)
+              + pairs * max_rank**2)
     return int(8 * (workers * max(leaf_task, coupling_task, transfer_task) + output))
 
 
@@ -402,7 +417,9 @@ def _leaf_basis(b: _BuildContext, results: dict, task) -> tuple:
     left = np.count_nonzero(near < r0)
     band = kernel_matrix(b.spec, x, b.points[np.concatenate(
         [near[:left], np.arange(r0, r1), near[left:]])])
-    results[("diag", i)] = _freeze(band[:, left:left + r1 - r0])
+    # The diagonal block is bitwise symmetric, so its transpose, a
+    # column-major view, packs to the same lower triangle.
+    results[("diag", i)] = _freeze(pack_lower(band[:, left:left + r1 - r0].T))
     sample = np.hstack([band[:, :left], band[:, left + r1 - r0:],
                         weight * kernel_matrix(b.spec, x, proxies)])
     del band  # freed before the QR copies the sample
@@ -566,12 +583,16 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
 
 @single_blas_thread
 def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply the compressed operator to a vector or a block of vectors."""
+    """Apply the compressed operator to a vector or a block of vectors.
+
+    Each leaf's packed diagonal is unpacked into one buffer of the largest
+    leaf's order and applied by one symmetric product for all columns.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = m.n
     if x.shape[0] != n:
         raise ValueError(f"operand has leading dimension {x.shape[0]}, expected {n}")
-    work = x.reshape(n, -1)
+    work = np.asfortranarray(x.reshape(n, -1))
     tree, L, offs = m.tree, m.max_level, m.tree.offsets[-1]
     # Upward sweep: skeleton coefficients per node, leaves first.
     coeffs = {}
@@ -596,10 +617,15 @@ def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
                 k = coeffs[(level + 1, c)].shape[0]
                 partial[(level + 1, c)] += down[off:off + k]
                 off += k
-    y = np.empty_like(work)
+    y = np.empty_like(work, order="F")
+    size = max(b - a for a, b in zip(offs, offs[1:]))
+    diag = np.empty((size, size), order="F")
     for i in range(tree.num_nodes(L)):
         r0, r1 = offs[i], offs[i + 1]
-        y[r0:r1] = m.leaf_diag[i] @ work[r0:r1] + m.bases[(L, i)].skeleton @ partial[(L, i)]
+        block = diag[:r1 - r0, :r1 - r0]
+        unpack_lower(m.leaf_diag[i], block)
+        y[r0:r1] = m.bases[(L, i)].skeleton @ partial[(L, i)]
+        symmetric_product(block, work[r0:r1], y[r0:r1])
     return y[:, 0] if x.ndim == 1 else y
 
 

@@ -1,9 +1,11 @@
 """ULV factorization of shared-basis trees and the matching solves.
 
-Each diagonal block is rotated by its basis, the redundant part is
-eliminated with a partial Cholesky, and the skeleton Schur complement is
-deferred upward.  Off-diagonal blocks are never touched: in the rotated
-coordinates they are zero outside the skeleton corner, so sibling
+Each diagonal block is rotated by its basis (a leaf's, which the
+operator keeps as a packed triangle, is unpacked into the rotation's own
+output), the redundant part is eliminated with a partial Cholesky, and
+the skeleton Schur complement is deferred upward.  Off-diagonal blocks
+are never touched: in the rotated coordinates they are zero outside the
+skeleton corner, so sibling
 couplings flow straight into the parent merge.  That removes every
 same-level data dependency; only the merge links two levels.  One merge
 rule, :func:`merge_children`, serves every fan-out: two children in
@@ -49,7 +51,7 @@ import numpy as np
 from ._threads import single_blas_thread
 from .construct import BlockBasis, HssMatrix, matvec
 from .linalg import (NotPositiveDefiniteError, _potrf, partial_cholesky,
-                     solve_lower, tile_gemm, tile_syrk, tile_trsm)
+                     solve_lower, tile_gemm, tile_syrk, tile_trsm, unpack_lower)
 # Not called here any more; the benchmark's traced run
 # (perfbench/tracing.py) wraps factor.cholesky by name.
 from .linalg import cholesky  # noqa: F401
@@ -78,28 +80,65 @@ RECONSTRUCT_GUARD = 2048
 ROOT_TILE = 400
 
 
-# Rows of Q^T D that diagonal_product multiplies by Q at a time.  At one
-# BLAS thread a 256 block took 1.07 ms in bands of 128, 1.12 ms in bands
-# of 64 and 1.06 ms whole.  A yukawa BLR2 factorization at N = 2048 and
-# two workers traced a peak of at most 1.17x its factor bytes in bands
-# of 128, against 1.22x whole (40 runs each).
-PRODUCT_ROWS = 128
+# Side of the bands diagonal_product works in: a packed block's Q^T D is
+# formed a band of PRODUCT_BAND columns at a time, and Q^T D is multiplied
+# by Q a band of as many rows at a time.  At one BLAS thread a square 256
+# block took 1.07 ms in row bands of 128, 1.12 ms in bands of 64 and
+# 1.06 ms whole.  A yukawa BLR2 factorization at N = 2048 and two workers
+# traced a peak of at most 1.17x its factor bytes in row bands of 128,
+# against 1.22x whole (40 runs each).  Over the 16 yukawa leaves at
+# N = 4096, a packed block took 1.48-1.49 ms against 1.28-1.31 ms square
+# (medians of 40 rounds, cold caches).
+PRODUCT_BAND = 128
+_STRICT_LOWER = np.tri(PRODUCT_BAND, k=-1, dtype=bool)
+
+
+def _symmetric_columns(up: np.ndarray, start: int, stop: int, cols: np.ndarray) -> None:
+    """Columns ``start:stop`` of the symmetric matrix whose upper triangle
+    the square ``up`` holds, written into ``cols``; only columns ``start:``
+    of ``up`` are read."""
+    w = stop - start
+    cols[:stop] = up[:stop, start:stop]
+    np.copyto(cols[start:stop], up[start:stop, start:stop].T, where=_STRICT_LOWER[:w, :w])
+    cols[stop:] = up[start:stop, stop:].T
 
 
 def diagonal_product(block: np.ndarray, basis: BlockBasis) -> np.ndarray:
-    """Rotate a dense diagonal block into its basis: ``Q^T D Q``.
+    """Rotate a diagonal block into its basis: ``Q^T D Q``.
 
-    ``Q^T D`` is formed once and multiplied by ``Q`` in place, a
-    :data:`PRODUCT_ROWS` band of its rows at a time, so the product holds
-    one array of the block's size and one band rather than two arrays.
+    ``block`` is ``D`` itself, square, or, for a leaf, the lower triangle of
+    a symmetric ``D`` packed as :func:`~hssulv.linalg.pack_lower` gives.
+    ``Q^T D`` of a square ``D`` is one product.  A packed ``D`` is unpacked
+    into the product's own output, and ``Q^T D`` overwrites it a band of
+    :data:`PRODUCT_BAND` columns at a time, first band first, each read
+    whole from the columns not yet overwritten.  ``Q^T D`` is then
+    multiplied by ``Q`` in place, a band of its rows at a time.  So the
+    product holds one array of the block's size and one band, and copies
+    neither ``Q`` nor ``D``.  Each entry of ``Q^T D`` is one ``dgemm`` dot
+    product over the whole block, as from the square ``D``; the bits are
+    the same wherever the BLAS kernel rounds a band's columns as it
+    rounds them in the whole block (at orders 256 and 200, for one).
     """
+    q, n = basis.q, basis.size
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (basis.size, basis.size):
-        raise ValueError(f"block shape {block.shape} does not match basis size {basis.size}")
-    out = basis.q.T @ block
-    for start in range(0, out.shape[0], PRODUCT_ROWS):
-        band = out[start:start + PRODUCT_ROWS]
-        band[...] = band @ basis.q
+    band = np.empty(n * min(PRODUCT_BAND, n))
+    if block.ndim == 2:
+        if block.shape != (n, n):
+            raise ValueError(f"block shape {block.shape} does not match basis size {n}")
+        out = q.T @ block
+    else:
+        out = np.empty((n, n))
+        unpack_lower(block, out.T)  # D's lower triangle, column-major: its upper, row-major
+        for start in range(0, n, PRODUCT_BAND):
+            stop = min(start + PRODUCT_BAND, n)
+            cols = band[:n * (stop - start)].reshape(n, stop - start)
+            _symmetric_columns(out, start, stop, cols)
+            np.matmul(q.T, cols, out=out[:, start:stop])
+    for start in range(0, n, PRODUCT_BAND):
+        rows = out[start:start + PRODUCT_BAND]
+        product = band[:rows.size].reshape(rows.shape)
+        np.matmul(rows, q, out=product)
+        rows[...] = product
     return out
 
 

@@ -23,23 +23,22 @@ def _bisection_order(points: np.ndarray) -> np.ndarray:
     Each subset of two or more points is split along its longer
     bounding-box axis (ties prefer x), the first ``size // 2`` points in
     the first half.  Sorting is stable, so the result is deterministic.
+    The recursion runs a level at a time: every segment of a level takes
+    its extents from one ``reduceat`` and is sorted by one stable
+    ``lexsort`` over all points, keyed by segment and then coordinate.
     """
-    out = []
-
-    def rec(sel):
-        if sel.size <= 1:
-            out.append(sel)
-            return
-        sub = points[sel]
-        extent = sub.max(axis=0) - sub.min(axis=0)
-        axis = 0 if extent[0] >= extent[1] else 1
-        srt = sel[np.argsort(sub[:, axis], kind="stable")]
-        half = sel.size // 2
-        rec(srt[:half])
-        rec(srt[half:])
-
-    rec(np.arange(len(points)))
-    return np.concatenate(out)
+    n = len(points)
+    order = np.arange(n)
+    starts = np.zeros(min(n, 1), dtype=np.intp)
+    while len(starts) < n:  # some segment still holds two or more points
+        p = points[order]
+        extent = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
+        sizes = np.diff(starts, append=n)
+        segment = np.repeat(np.arange(len(starts)), sizes)
+        along_y = (extent[:, 0] < extent[:, 1])[segment]
+        order = order[np.lexsort((np.where(along_y, p[:, 1], p[:, 0]), segment))]
+        starts = np.sort(np.concatenate([starts, (starts + sizes // 2)[sizes > 1]]))
+    return order
 
 
 @dataclass(frozen=True)

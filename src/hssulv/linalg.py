@@ -1,5 +1,5 @@
 """Small dense building blocks: Cholesky, the dominant basis, pivoted
-columns and partial Cholesky.
+columns, partial Cholesky, and the packed storage of symmetric blocks.
 
 Everything here is a deterministic pure function backed by LAPACK through
 scipy; the value added is the contracts (explicit pivot failures, rank
@@ -8,12 +8,14 @@ truncation, block splits) that the factorization layers rely on.
 Every LAPACK and BLAS routine has one binding.  The factorization's
 Cholesky (``dpotrf``), the tile updates of the root (``dtrsm``,
 ``dsyrk``, ``dgemm``), the compression behind every shared basis of a
-build (``dgeqrt``, ``dgesdd``) and the choice of a leaf's skeleton points
-(``dgeqp3``) go through :func:`_routine`: ctypes
-function pointers to the routines that ``scipy.linalg.cython_lapack``
-and ``scipy.linalg.cython_blas`` export, called with the GIL released
-and in place on F-ordered arrays or column-major views into them, so
-the workers of a build or a factorization run them side by side.  Every
+build (``dgeqrt``, ``dgesdd``), the choice of a leaf's skeleton points
+(``dgeqp3``), the packing of a leaf's diagonal block and its unpacking
+(``dtrttp``, ``dtpttr``) and its product in ``matvec`` (``dsymm``) go
+through :func:`_routine`: ctypes function pointers to the routines that
+``scipy.linalg.cython_lapack`` and ``scipy.linalg.cython_blas`` export,
+called with the GIL released and in place on F-ordered arrays or
+column-major views into them, so the workers of a build or a
+factorization run them side by side.  Every
 triangular solve, the factorization's panel and the solve's sweeps,
 goes through :func:`solve_lower`, scipy's f2py ``dtrtrs``, which holds
 the GIL but costs less per call.  It is the same library that
@@ -36,12 +38,15 @@ __all__ = [
     "PartialFactorResult",
     "cholesky",
     "dominant_basis_full",
+    "pack_lower",
     "partial_cholesky",
     "pivot_columns",
     "solve_lower",
+    "symmetric_product",
     "tile_gemm",
     "tile_syrk",
     "tile_trsm",
+    "unpack_lower",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -219,6 +224,37 @@ def tile_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
     k = a.shape[1]
     _require_shapes((a, (m, k)), (b, (n, k)))
     _routine("dgemm")(*_args(b"N", b"T", m, n, k, -1.0, a, _ld(a), b, _ld(b), 1.0, c, _ld(c)))
+
+
+def symmetric_product(low: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """``c <- s @ b + c`` in place, where ``s`` is the symmetric matrix
+    whose lower triangle is that of the square ``low``; the strictly upper
+    triangle of ``low`` is not read.  One ``dsymm`` on column-major
+    float64 operands, for any number of columns of ``b``."""
+    m, n = c.shape
+    _require_shapes((low, (m, m)), (b, (m, n)))
+    _routine("dsymm")(*_args(b"L", b"L", m, n, 1.0, low, _ld(low), b, _ld(b), 1.0, c, _ld(c)))
+
+
+def pack_lower(a: np.ndarray) -> np.ndarray:
+    """The lower triangle of the square column-major float64 ``a``, packed
+    column by column as LAPACK stores a symmetric matrix (``dtrttp``):
+    ``n * (n + 1) // 2`` entries, ``a[j:, j]`` for ``j = 0 .. n - 1``."""
+    n = _require_square(a, "a").shape[0]
+    packed = np.empty(n * (n + 1) // 2)
+    _call("dtrttp", b"L", n, a, _ld(a), packed)
+    return packed
+
+
+def unpack_lower(packed: np.ndarray, out: np.ndarray) -> None:
+    """Write the triangle :func:`pack_lower` packed into the lower triangle
+    of the square column-major float64 ``out`` (``dtpttr``); the strictly
+    upper triangle of ``out`` is left as it was."""
+    n = _require_square(out, "out").shape[0]
+    if packed.dtype != np.float64 or packed.shape != (n * (n + 1) // 2,):
+        raise ValueError(f"packed triangle of shape {packed.shape} does not fill "
+                         f"an order-{n} block")
+    _call("dtpttr", b"L", n, np.ascontiguousarray(packed), out, _ld(out))
 
 
 def solve_lower(low: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:

@@ -8,6 +8,7 @@ from hssulv import (BlockBasis, HssMatrix, KernelSpec, Task, TaskGraph,
                     kernel_matrix, ulv_factor_hss)
 from hssulv.construct import Tree
 from hssulv.factor import FactorRun
+from hssulv.linalg import pack_lower, unpack_lower
 from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
 
@@ -84,11 +85,36 @@ def factors_equal(a, b):
                for x, y in zip(a.levels[level], b.levels[level]))
 
 
+def packed_index(n, i, j):
+    """Index of entry ``(i, j)``, ``i >= j``, of an order-``n`` lower
+    triangle packed column by column, as ``HssMatrix.leaf_diag`` holds it."""
+    return j * n - j * (j - 1) // 2 + i - j
+
+
+def packed(a):
+    """The lower triangle of the square ``a``, packed as a leaf diagonal."""
+    return pack_lower(np.asfortranarray(a, dtype=np.float64))
+
+
+def unpacked(p, n):
+    """The symmetric order-``n`` block whose packed lower triangle is ``p``."""
+    low = np.zeros((n, n), order="F")
+    unpack_lower(p, low)
+    return low + np.tril(low, -1).T
+
+
+def leaf_block(h, i):
+    """Leaf ``i``'s exact diagonal block of ``h``, unpacked."""
+    offsets = h.tree.offsets[-1]
+    return unpacked(h.leaf_diag[i], offsets[i + 1] - offsets[i])
+
+
 def root_tree(a):
     """A one-leaf tree whose basis is all skeleton, so that its root block
-    is ``a`` itself."""
+    is the symmetric ``a`` itself."""
     n = a.shape[0]
-    return HssMatrix(Tree(((0, n), (0, n))), (a,), {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
+    return HssMatrix(Tree(((0, n), (0, n))), (packed(a),),
+                     {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
 
 
 def factor_root(a, workers=1, shuffle_seed=None):

@@ -210,6 +210,12 @@ class TestBuildTimings:
         report = json.loads(json.dumps(run_single(small_config()).as_dict()))
         assert report["build_makespan_seconds"] > 0
         assert report["build_per_kind_seconds"]["LeafBasis"] > 0
+        # two packed 256-point diagonals, two square bases, one coupling of
+        # the two leaves' skeleton ranks
+        ranks = report["rank_stats"][0]
+        assert report["compressed_bytes"] == 8 * (
+            2 * 256 * 257 // 2 + 2 * 256**2 + ranks["min"] * ranks["max"])
+        assert report["build_peak_bytes_estimate"] > report["compressed_bytes"]
 
     def test_build_per_level_seconds(self, tmp_path):
         # the same task records split by level: L3 holds the leaf tasks,

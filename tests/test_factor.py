@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import indefinite_root_hss, random_spd
+from conftest import indefinite_root_hss, packed, packed_index, random_spd
 from hssulv import (BlockBasis, HssMatrix, KernelSpec,
                     NotPositiveDefiniteError, build_blr2, build_hss,
                     diagonal_product, generate_grid, kernel_matrix, matvec,
@@ -52,6 +52,20 @@ class TestDiagonalProduct:
         basis = BlockBasis(np.eye(4), 1, 3)
         with pytest.raises(ValueError, match="does not match"):
             diagonal_product(np.eye(5), basis)
+        with pytest.raises(ValueError, match="does not fill an order-4 block"):
+            diagonal_product(packed(np.eye(5)), basis)
+
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 200, 256, 300])
+    def test_packed_block_matches_square(self, n):
+        # one band, a short last band, several bands; each entry of Q^T D
+        # is one dot product over the whole block either way
+        rng = np.random.default_rng(n)
+        d = random_spd(rng, n)
+        d = np.tril(d) + np.tril(d, -1).T  # bitwise symmetric
+        basis = random_orthonormal_basis(rng, n, max(n // 3, 1))
+        want = diagonal_product(d, basis)
+        got = diagonal_product(packed(d), basis)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestMergeChildren:
@@ -139,7 +153,7 @@ class TestBlr2Ulv:
         # all skeleton is made by hand.
         pts = generate_grid(64).points
         block = kernel_matrix(KernelSpec("yukawa"), pts, pts)
-        m = HssMatrix(Tree(((0, 64), (0, 64))), (block,),
+        m = HssMatrix(Tree(((0, 64), (0, 64))), (packed(block),),
                       {(1, 0): BlockBasis(np.eye(64), 0, 64)}, {})
         f = ulv_factor_blr2(m)
         from hssulv import cholesky
@@ -248,7 +262,7 @@ class TestHssUlv:
         h = build(KernelSpec("laplace2d"), generate_grid(512), 128, 60)
         bad_diag = list(h.leaf_diag)
         bad_diag[1] = np.array(bad_diag[1])
-        bad_diag[1][5, 5] = np.nan
+        bad_diag[1][packed_index(h.tree.offsets[-1][2] - h.tree.offsets[-1][1], 5, 5)] = np.nan
         broken = dataclasses.replace(h, leaf_diag=tuple(bad_diag))
         with pytest.raises(ValueError, match=f"NaN or infinite entries in level "
                                              f"{h.max_level} node 1 "):

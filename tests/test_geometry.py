@@ -1,8 +1,56 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hssulv import KERNEL_KINDS, KernelSpec, build_hss, construct, generate_grid
-from hssulv.geometry import PointSet
+from hssulv.geometry import PointSet, _bisection_order, _grid_shape
+
+
+def recursive_bisection_order(points):
+    """The reference order: split each subset of two or more points along
+    its longer bounding-box axis (ties prefer x) by a stable sort, the
+    first ``size // 2`` points first, and recurse into both halves."""
+    out = []
+
+    def rec(sel):
+        if sel.size <= 1:
+            out.append(sel)
+            return
+        sub = points[sel]
+        extent = sub.max(axis=0) - sub.min(axis=0)
+        axis = 0 if extent[0] >= extent[1] else 1
+        srt = sel[np.argsort(sub[:, axis], kind="stable")]
+        half = sel.size // 2
+        rec(srt[:half])
+        rec(srt[half:])
+
+    rec(np.arange(len(points)))
+    return np.concatenate(out)
+
+
+def test_bisection_matches_recursion_on_every_grid():
+    # every valid grid size up to 8192, square and 2:1
+    for n in range(1, 8193):
+        try:
+            nx, ny = _grid_shape(n)
+        except ValueError:
+            continue
+        xs, ys = np.meshgrid(np.arange(nx) / max(nx - 1, 1), np.arange(ny) / max(nx - 1, 1),
+                             indexing="ij")
+        pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        assert np.array_equal(_bisection_order(pts), recursive_bisection_order(pts)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,
+                      max_size=300),
+       scale=st.sampled_from([0.5, 1.0, 3.0]))
+def test_bisection_matches_recursion_with_ties(cells, scale):
+    # coordinates on a 6 x 6 lattice, so that points repeat, extents tie
+    # and sort keys tie
+    pts = scale * np.array(cells, dtype=float)
+    assert np.array_equal(_bisection_order(pts), recursive_bisection_order(pts))
 
 
 def test_tiny_grid_is_unit_square_corners():

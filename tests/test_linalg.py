@@ -278,17 +278,23 @@ class TestRootTiles:
 
     def test_root_asymmetry_named_before_any_tile_runs(self):
         # the root's merges place couplings as S and S.T, so asymmetry can
-        # only come in through a remainder, whose partial factor refuses it
-        a = random_spd(np.random.default_rng(7), ROOT_TILE + 8)
-        a[ROOT_TILE + 3, 2] += 1
-        h = root_tree(a)
+        # only come in through a remainder, whose partial factor refuses it;
+        # a packed leaf diagonal cannot hold any, so it is put into the
+        # rotated diagonal, which the all-skeleton basis leaves as it is
+        h = root_tree(random_spd(np.random.default_rng(7), ROOT_TILE + 8))
         ran = []
+
+        def skewed_product(run, results, task):
+            rotated = _FACTOR_BODIES[TaskKind.DIAG_PRODUCT](run, results, task)
+            rotated[ROOT_TILE + 3, 2] += 1
+            return rotated
 
         def root_tile(run, results, task):
             ran.append(task.id)
             return _FACTOR_BODIES[TaskKind.ROOT_FACTOR](run, results, task)
 
-        bodies = {**_FACTOR_BODIES, TaskKind.ROOT_FACTOR: root_tile}
+        bodies = {**_FACTOR_BODIES, TaskKind.DIAG_PRODUCT: skewed_product,
+                  TaskKind.ROOT_FACTOR: root_tile}
         with pytest.raises(ValueError, match=r"a_hat is not symmetric .* in level 1 node 0 "):
             run_graph(build_dag(h), bodies, FactorRun(h), workers=2)
         assert ran == []

@@ -1,10 +1,13 @@
-"""The library names that the benchmark harness in ``perfbench/`` wraps.
+"""The library names that the benchmark harness in ``perfbench/`` wraps,
+and the operator bytes it reports.
 
 ``perfbench/tracing.py`` times the library by swapping module attributes
 of ``hssulv`` for wrappers, and the library must keep calling the wrapped
 functions through those attributes.  A renamed or moved function makes a
 per-layer span silently vanish from the benchmark; this test runs both
-pipelines the benchmark drives, at N = 512, and fails instead.
+pipelines the benchmark drives, at N = 512, and fails instead.  The
+benchmark's ``compressed_mb`` sums the arrays of the operator itself, so
+it must read what ``HssMatrix.nbytes`` says the library stores.
 """
 
 import sys
@@ -25,6 +28,22 @@ def tracing():
         yield tracing
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+        yield workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("build", [construct.build_hss, construct.build_blr2])
+def test_compressed_bytes_are_the_operator_bytes(workloads, build):
+    op = build(KernelSpec("yukawa"), geometry.generate_grid(512), 256, 100)
+    assert workloads.compressed_bytes(op) == op.nbytes
 
 
 def test_benchmark_boundaries_fire(tracing):

@@ -9,24 +9,28 @@ the exact blocks next to what those projections leave out,
 the factors of ``ulv_factor_hss`` rebuild it exactly, and the executor
 reproduces them bitwise for any worker count and scheduling order.  A
 block solve agrees column by column with single solves and inverts the
-operator's ``matvec``.  The tiled symmetry check that guards every
+operator's ``matvec``.  A symmetric block packs to its lower triangle
+and unpacks bitwise, and ``matvec`` over packed leaf diagonals agrees
+with applying the dense blocks.  The tiled symmetry check that guards every
 Cholesky decides as the dense formula does.  The root's tiled Cholesky
 matches a dense one, bitwise the same for any worker count and
 scheduling order.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import factor_root, factors_equal, random_spd
+from conftest import factor_root, factors_equal, leaf_block, packed, random_spd, unpacked
 from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
                     build_blr2, build_dag, build_hss, execute, generate_grid,
                     kernel_matrix, matvec, reconstruct_check, ulv_factor_hss,
                     ulv_solve)
 from hssulv.factor import ROOT_TILE
-from hssulv.linalg import SYMMETRY_RTOL, TILE, _require_symmetric
+from hssulv.linalg import SYMMETRY_RTOL, TILE, _require_symmetric, pack_lower
 
 # Criterion 2's solve bounds at N = 4096, nleaf 256, max_rank 100.
 SOLVE_BOUNDS = {"laplace2d": 1e-8, "yukawa": 1e-11, "matern": 1e-9}
@@ -136,6 +140,36 @@ def test_compressed_operator_symmetric(tree):
     build, spec, n, nleaf, max_rank = tree
     dense = matvec(build(spec, generate_grid(n), nleaf, max_rank), np.eye(n))
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**16))
+def test_pack_round_trip_bitwise(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a = np.tril(a) + np.tril(a, -1).T
+    p = packed(a)
+    assert p.shape == (n * (n + 1) // 2,)
+    assert np.array_equal(unpacked(p, n), a)
+    # a symmetric block's transpose, a column-major view of a C-ordered
+    # array, packs to the same triangle
+    assert np.array_equal(pack_lower(np.ascontiguousarray(a).T), p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=trees(), k=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_matvec_matches_dense_diagonal_reference(tree, k, seed):
+    # the off-diagonal part from the same operator with zero diagonals,
+    # plus every unpacked leaf block applied densely
+    build, spec, n, nleaf, max_rank = tree
+    op = build(spec, generate_grid(n), nleaf, max_rank)
+    x = np.random.default_rng(seed).standard_normal((n, k))
+    zero = dataclasses.replace(op, leaf_diag=tuple(np.zeros_like(d) for d in op.leaf_diag))
+    want = matvec(zero, x)
+    offs = op.tree.offsets[-1]
+    for i in range(len(offs) - 1):
+        want[offs[i]:offs[i + 1]] += leaf_block(op, i) @ x[offs[i]:offs[i + 1]]
+    got = matvec(op, x)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 @settings(max_examples=30, deadline=None)

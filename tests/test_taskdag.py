@@ -346,15 +346,21 @@ class TestExecute:
         with pytest.raises(NotPositiveDefiniteError, match="level 3 node 5"):
             execute(build_dag(broken), broken, workers=2)
 
-    def test_non_symmetric_block_named(self):
+    def test_non_symmetric_block_named(self, monkeypatch):
+        # a packed leaf diagonal cannot hold a skew, so leaf 2's rotated
+        # diagonal gets it
         h = tiny_hss(3)
-        bad_diag = list(h.leaf_diag)
-        skewed = np.array(bad_diag[2])
-        skewed[0, -1] += 1.0
-        bad_diag[2] = skewed
-        broken = dataclasses.replace(h, leaf_diag=tuple(bad_diag))
+        product = _FACTOR_BODIES[TaskKind.DIAG_PRODUCT]
+
+        def skewed_product(run, results, task):
+            rotated = product(run, results, task)
+            if (task.level, task.node) == (3, 2):
+                rotated[0, -1] += 1.0
+            return rotated
+
+        monkeypatch.setitem(_FACTOR_BODIES, TaskKind.DIAG_PRODUCT, skewed_product)
         with pytest.raises(ValueError, match="not symmetric .* level 3 node 2"):
-            execute(build_dag(broken), broken, workers=2)
+            execute(build_dag(h), h, workers=2)
 
     def test_stats_accounting(self, cache):
         h = cache.hss("laplace2d", 1024, 256, 64)
