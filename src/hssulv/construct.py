@@ -499,7 +499,7 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
     error, such as a :class:`~hssulv.kernels.KernelEvaluationError`
     naming the distance.
     """
-    from .taskdag import Task, TaskGraph, TaskKind, run_graph  # taskdag imports this module
+    from .taskdag import TaskGraph, TaskKind, run_graph  # taskdag imports this module
 
     tree = _partition(ps.n, nleaf, one_level)
     max_level, nb = tree.max_level, tree.num_nodes(tree.max_level)
@@ -512,32 +512,34 @@ def _build_tree(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int,
         raise InsufficientMemoryError(
             f"{'build_blr2' if one_level else 'build_hss'}(n={ps.n}, nleaf={nleaf}, "
             f"max_rank={max_rank}, workers={workers})", estimate, available)
-    tasks: dict = {}
-
-    def add(tid, kind, level, node, deps):
-        tasks[tid] = Task(tid, kind, level, node, frozenset(deps))
-
-    for i in range(nb):
-        add(("leaf", i), TaskKind.LEAF_BASIS, max_level, i, ())
-        if i:
-            add(("coupling", max_level, i), TaskKind.LEAF_COUPLING, max_level, i,
-                [("leaf", j) for j in range(i + 1)])
-    for level in range(max_level - 1, 0, -1):  # HSS only: BLR2 has one level
+    g = TaskGraph(tree)
+    # Listed in run order.  Upper levels first, from level 1 down (HSS only:
+    # BLR2 has one level), each node's coupling right after its basis, so
+    # that the pairs of the level below that its Coupling task reads last
+    # are dropped as soon as they can be.
+    for level in range(1, max_level):
         for p in range(tree.num_nodes(level)):
             # Pair (k, c) is in list max(k, c), so lists kids.start and up hold kids' rows.
             kids, end = tree.children(level, p), tree.num_nodes(level + 1)
-            add(("transfer", level, p), TaskKind.TRANSFER, level, p,
-                [("coupling", level + 1, i) for i in range(max(kids.start, 1), end)])
+            g.add(("transfer", level, p), TaskKind.TRANSFER, level, p,
+                  [("coupling", level + 1, i) for i in range(max(kids.start, 1), end)])
             if p:
-                add(("coupling", level, p), TaskKind.COUPLING, level, p,
-                    [("transfer", level, j) for j in range(p + 1)]
-                    + [("coupling", level + 1, c) for c in kids])
+                g.add(("coupling", level, p), TaskKind.COUPLING, level, p,
+                      [("transfer", level, j) for j in range(p + 1)]
+                      + [("coupling", level + 1, c) for c in kids])
+    # Then every leaf basis before the leaf couplings, so that no basis, on
+    # which the last coupling waits, queues behind the couplings of earlier
+    # leaves.
+    for i in range(nb):
+        g.add(("leaf", i), TaskKind.LEAF_BASIS, max_level, i)
+    for i in range(1, nb):
+        g.add(("coupling", max_level, i), TaskKind.LEAF_COUPLING, max_level, i,
+              [("leaf", j) for j in range(i + 1)])
     bodies = {TaskKind.LEAF_BASIS: _leaf_basis, TaskKind.LEAF_COUPLING: _leaf_coupling,
               TaskKind.TRANSFER: _transfer, TaskKind.COUPLING: _coupling}
     box = np.stack([ps.points.min(axis=0), ps.points.max(axis=0)])
     ctx = _BuildContext(spec, ps.points, box, tree, max_rank)
-    results, stats = run_graph(TaskGraph(tree, tasks), bodies, ctx, workers,
-                               shuffle_seed=shuffle_seed)
+    results, stats = run_graph(g, bodies, ctx, workers, shuffle_seed=shuffle_seed)
 
     def side(name):  # the side entries named name, in key order
         return {key[1:]: results[key] for key in sorted(k for k in results if k[0] == name)}
@@ -583,15 +585,19 @@ def build_hss(spec: KernelSpec, ps: PointSet, nleaf: int, max_rank: int, *,
 
 @single_blas_thread
 def matvec(m: HssMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply the compressed operator to a vector or a block of vectors.
+    """Apply the compressed operator to ``x`` of shape ``(n,)`` or ``(n, k)``.
 
     Each leaf's packed diagonal is unpacked into one buffer of the largest
     leaf's order and applied by one symmetric product for all columns.
     """
     x = np.asarray(x, dtype=np.float64)
     n = m.n
+    if x.ndim not in (1, 2):
+        raise ValueError(f"operand must have shape ({n},) or ({n}, k), got {x.shape}")
     if x.shape[0] != n:
         raise ValueError(f"operand has leading dimension {x.shape[0]}, expected {n}")
+    if x.size == 0:  # no columns
+        return np.empty((n, 0))
     work = np.asfortranarray(x.reshape(n, -1))
     tree, L, offs = m.tree, m.max_level, m.tree.offsets[-1]
     # Upward sweep: skeleton coefficients per node, leaves first.

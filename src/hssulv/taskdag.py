@@ -5,10 +5,11 @@ simulated multi-process distribution with communication accounting.
 dependencies, a body per task kind, and the workers.  A task's id is the
 key its result is stored under, and the result lives until the last task
 that depends on it finishes; tasks start when their dependencies have
-finished, and the ready task with the smallest priority goes first.  A
-failing task raises its own error.  Execution is shared memory: the
-calling thread is worker 0 and ``workers - 1`` threads join it, so one
-worker runs the graph inline.  Construction
+finished, and among ready tasks the one listed first in the graph goes
+first, so each graph's builder sets its schedule.  A failing task raises
+its own error.  Execution is shared memory: the calling thread is worker
+0 and ``workers - 1`` threads join it, so one worker runs the graph
+inline.  Construction
 (:func:`hssulv.construct.build_hss`, :func:`hssulv.construct.build_blr2`)
 and factorization (:func:`execute`) are both graphs on this one loop,
 with one schedule record and one determinism guarantee.
@@ -84,28 +85,13 @@ class TaskKind:
     ROOT_FACTOR = "RootFactor"
 
 
-_KIND_ORDER = {
-    TaskKind.LEAF_BASIS: 0,
-    TaskKind.LEAF_COUPLING: 1,
-    TaskKind.TRANSFER: 0,
-    TaskKind.COUPLING: 1,
-    TaskKind.DIAG_PRODUCT: 0,
-    TaskKind.PARTIAL_FACTOR: 1,
-    TaskKind.MERGE: 2,
-    TaskKind.ROOT_FACTOR: 3,
-}
-
-
-_TILE_STEP = {"potrf": 0, "trsm": 1, "syrk": 2, "gemm": 2}
-
-
 @dataclass(frozen=True)
 class Task:
     """One step of a task graph; ``deps`` are ids that must finish first.
 
     ``id`` is also the key the task's result is stored under, such as
-    ``("pf", level, node)``.  Among ready tasks, the one with the smallest
-    :meth:`priority` runs first.
+    ``("pf", level, node)``.  The task's place in its graph's listing
+    decides when it runs among ready tasks (:class:`TaskGraph`).
     """
 
     id: tuple
@@ -114,37 +100,21 @@ class Task:
     node: int
     deps: frozenset
 
-    def priority(self) -> tuple:
-        # Depth first: a node's partial factor runs right after its own
-        # diagonal product, which it consumes.  Merges feed the level
-        # above; rank them with it so the path toward the root drains
-        # first on ties.  In the build, an upper node's coupling ranks right
-        # after its basis, so the pairs of the level below that its
-        # Coupling task reads last are dropped as soon as they can be.  At
-        # the leaves every basis goes first, then the couplings, so that no
-        # leaf basis, on which the last coupling waits, queues behind the
-        # couplings of earlier leaves.
-        if self.kind in (TaskKind.LEAF_BASIS, TaskKind.LEAF_COUPLING):
-            return (self.level, _KIND_ORDER[self.kind], self.node)
-        level = self.level - 1 if self.kind == TaskKind.MERGE else self.level
-        head = (level, self.node, _KIND_ORDER[self.kind])
-        if self.kind == TaskKind.ROOT_FACTOR:
-            # Root tiles by the column they write, then by panel: the
-            # updates of the next column and its factor run before the
-            # rest of a panel's updates, as a lookahead would.
-            step, *tile = self.id
-            column = tile[1] if step == "gemm" else tile[0] if step == "syrk" else tile[-1]
-            return head + (column, tile[-1], _TILE_STEP[step], tile[0])
-        return head
-
 
 @dataclass
 class TaskGraph:
+    """Tasks in run order: among ready tasks, the one listed first in
+    ``tasks`` runs first, so a graph's builder sets its schedule by the
+    order in which it adds the tasks."""
+
     tree: Tree | None  # the node table the graph was built from, if any
-    tasks: dict
+    tasks: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+    def add(self, tid, kind: str, level: int, node: int, deps=()):
+        self.tasks[tid] = Task(tid, kind, level, node, frozenset(deps))
 
     def dependents(self) -> dict:
         out = {tid: [] for tid in self.tasks}
@@ -182,41 +152,46 @@ def build_dag(h: HssMatrix) -> TaskGraph:
     blocks ``2*nb + t*(t+1)/2 + T(t)``.
     """
     L, tree = h.max_level, h.tree
-    tasks = {}
+    g = TaskGraph(tree)
+    t, dims = root_tile_count(h), root_dims(h)
+    # Listed in run order, the root first, so that on ties the path toward
+    # the root drains first.  The root's tile merges go row by row.
+    for i in range(t):
+        for j in range(i + 1):
+            g.add(("asm", i, j), TaskKind.MERGE, 1, 0,
+                  [("pf", 1, c) for c in tile_children(dims, i, j)])
 
-    def add(tid, kind, level, node, deps):
-        tasks[tid] = Task(tid, kind, level, node, frozenset(deps))
+    def last(i, j, k):  # the task that wrote tile (i, j) last before panel k
+        if not k:
+            return ("asm", i, j)
+        return ("syrk", i, k - 1) if i == j else ("gemm", i, j, k - 1)
 
-    for level in range(L, 0, -1):
+    # Then the root's tiles by the column c they write, then by panel k: the
+    # updates of the next column and its factor run before the rest of a
+    # panel's updates, as a lookahead would.
+    tile = TaskKind.ROOT_FACTOR
+    for c in range(t):
+        for k in range(c):
+            g.add(("syrk", c, k), tile, 0, 0, [("trsm", c, k), last(c, c, k)])
+            for i in range(c + 1, t):
+                g.add(("gemm", i, c, k), tile, 0, 0,
+                      [("trsm", i, k), ("trsm", c, k), last(i, c, k)])
+        g.add(("potrf", c), tile, 0, 0, [last(c, c, c)])
+        for i in range(c + 1, t):
+            g.add(("trsm", i, c), tile, 0, 0, [("potrf", c), last(i, c, c)])
+    # Then levels 1..L node by node, depth first: a node's partial factor
+    # right after the diagonal product it consumes, and the merge that
+    # builds the node from its children after both.
+    for level in range(1, L + 1):
         for node in range(tree.num_nodes(level)):
             dp, pf = ("dp", level, node), ("pf", level, node)
-            add(dp, TaskKind.DIAG_PRODUCT, level, node,
-                () if level == L else [("mg", level + 1, node)])
-            add(pf, TaskKind.PARTIAL_FACTOR, level, node, [dp])
-        if level > 1:
-            for parent in range(tree.num_nodes(level - 1)):
-                add(("mg", level, parent), TaskKind.MERGE, level, parent,
-                    [("pf", level, c) for c in tree.children(level - 1, parent)])
-    t, dims = root_tile_count(h), root_dims(h)
-    for j in range(t):
-        for i in range(j, t):
-            add(("asm", i, j), TaskKind.MERGE, 1, 0,
-                [("pf", 1, c) for c in tile_children(dims, i, j)])
-
-    def after(tid, k, i, j):  # the previous update of tile (i, j), or its merge
-        return tid if k else ("asm", i, j)
-
-    for k in range(t):
-        add(("potrf", k), TaskKind.ROOT_FACTOR, 0, 0, [after(("syrk", k, k - 1), k, k, k)])
-        for i in range(k + 1, t):
-            add(("trsm", i, k), TaskKind.ROOT_FACTOR, 0, 0,
-                [("potrf", k), after(("gemm", i, k, k - 1), k, i, k)])
-            add(("syrk", i, k), TaskKind.ROOT_FACTOR, 0, 0,
-                [("trsm", i, k), after(("syrk", i, k - 1), k, i, i)])
-            for j in range(k + 1, i):
-                add(("gemm", i, j, k), TaskKind.ROOT_FACTOR, 0, 0,
-                    [("trsm", i, k), ("trsm", j, k), after(("gemm", i, j, k - 1), k, i, j)])
-    return TaskGraph(tree, tasks)
+            g.add(dp, TaskKind.DIAG_PRODUCT, level, node,
+                  () if level == L else [("mg", level + 1, node)])
+            g.add(pf, TaskKind.PARTIAL_FACTOR, level, node, [dp])
+            if level < L:
+                g.add(("mg", level + 1, node), TaskKind.MERGE, level + 1, node,
+                      [("pf", level + 1, c) for c in tree.children(level, node)])
+    return g
 
 
 @dataclass(frozen=True)
@@ -326,9 +301,11 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
     count.  ``workers=None`` means the cores this process may use; with
     one worker no thread is started.  BLAS runs with one thread inside
     every task (the pools are set before the workers start), so the
-    workers are the only parallelism.  ``shuffle_seed`` replaces each
-    ready task's priority with a random rank drawn when it becomes ready
-    (scheduling stress for tests), without affecting results.
+    workers are the only parallelism.  Among ready tasks the one listed
+    first in ``g.tasks`` starts first; ``shuffle_seed`` replaces each
+    ready task's place in the listing with a random rank drawn when it
+    becomes ready (scheduling stress for tests), without affecting
+    results.
 
     When a body raises, no further task starts, the running tasks finish,
     the workers are joined and the first exception is re-raised as is.
@@ -344,12 +321,13 @@ def run_graph(g: TaskGraph, bodies: dict, ctx, workers: int | None,
     records: list = []
     ready: list = []
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    position = {tid: i for i, tid in enumerate(g.tasks)}
     cond = threading.Condition(threading.Lock())
     failure = None
     running = 0
 
     def push_ready(tid):
-        rank = g.tasks[tid].priority() if rng is None else rng.random()
+        rank = position[tid] if rng is None else rng.random()
         heapq.heappush(ready, (rank, tid))
 
     for tid, count in remaining.items():

@@ -354,6 +354,12 @@ class TestMatvec:
         h = build_hss(spec, ps, nleaf=64, max_rank=30)
         with pytest.raises(ValueError, match="leading dimension"):
             matvec(h, np.zeros(100))
+        with pytest.raises(ValueError, match="leading dimension"):
+            matvec(h, np.zeros((100, 2)))
+        for shape in [(256, 2, 3), ()]:
+            with pytest.raises(ValueError, match=r"shape \(256,\) or \(256, k\)"):
+                matvec(h, np.zeros(shape))
+        assert matvec(h, np.zeros((256, 0))).shape == (256, 0)
 
     def test_operator_is_symmetric(self):
         spec = KernelSpec("matern")

@@ -10,7 +10,7 @@ import pytest
 from conftest import factors_equal, root_tree
 from hssulv import (KernelSpec, NotPositiveDefiniteError, Task, TaskGraph,
                     TaskKind, assign_owners, build_blr2, build_dag, build_hss,
-                    execute, export_comm_csv, export_schedule_jsonl,
+                    construct, execute, export_comm_csv, export_schedule_jsonl,
                     generate_grid, simulate_comm, taskdag, ulv_factor_blr2,
                     ulv_factor_hss)
 from hssulv.factor import ROOT_TILE, FactorRun, root_tile_count
@@ -395,6 +395,17 @@ def transitive_dependents(graph, tid):
     return out
 
 
+def assert_first_listed_ready_each_time(graph, order):
+    """``order`` ran ``graph`` at one worker taking, each time, the ready
+    task listed first in ``graph.tasks``."""
+    done = set()
+    for tid in order:
+        assert tid == next(t for t in graph.tasks
+                           if t not in done and graph.tasks[t].deps <= done)
+        done.add(tid)
+    assert done == set(graph.tasks)
+
+
 def call_with_timeout(fn, timeout=30):
     """Call ``fn`` on a side thread, so that a hang fails the test, not the suite."""
     outcome = []
@@ -473,6 +484,26 @@ class TestRunGraph:
             assert sorted(order) == sorted(graph.tasks)
             assert all(position[dep] < position[tid]
                        for tid in order for dep in graph.tasks[tid].deps)
+
+    def test_first_listed_ready_task_runs_first(self):
+        # listed neither in id order nor by depth: ("d",) and ("b",) are
+        # ready at the start, and ("e",) is listed first but waits for ("b",)
+        listing = {("e",): [("b",)], ("d",): [], ("c",): [("d",)], ("b",): [],
+                   ("a",): [("c",)]}
+        graph = TaskGraph(None)
+        for i, (tid, deps) in enumerate(listing.items()):
+            graph.add(tid, TaskKind.DIAG_PRODUCT, 1, i, deps)
+        stats = run_graph(graph, {TaskKind.DIAG_PRODUCT: lambda c, r, t: None}, None, 1)[1]
+        order = [r.task_id for r in stats.records]
+        assert order == [("d",), ("c",), ("b",), ("e",), ("a",)]
+        assert_first_listed_ready_each_time(graph, order)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_factor_graph_runs_first_listed_ready_task(self, level):
+        graph = build_dag(tiny_hss(level))
+        bodies = dict.fromkeys(graph.kind_counts(), lambda c, r, t: None)
+        stats = run_graph(graph, bodies, None, 1)[1]
+        assert_first_listed_ready_each_time(graph, [r.task_id for r in stats.records])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
@@ -553,6 +584,30 @@ def test_every_task_reads_only_its_dependencies(build, monkeypatch):
     assert build is build_blr2 or kinds >= {
         TaskKind.TRANSFER, TaskKind.COUPLING, TaskKind.DIAG_PRODUCT}
     assert [(task.id, key) for task, key in reads if key not in task.deps] == []
+
+
+@pytest.mark.parametrize("one_level, n, nleaf, rank", [
+    (False, 2048, 128, 60), (False, 1250, 160, 60), (False, 4096, 256, 100),
+    (True, 2048, 128, 60)], ids=["hss-2048", "hss-1250", "hss-4096", "blr2-2048"])
+def test_one_worker_runs_in_listing_order(one_level, n, nleaf, rank):
+    # every leaf basis before every leaf coupling, an upper node's coupling
+    # right after its transfer, and a partial factor right after its
+    # diagonal product
+    h, stats = construct._build_tree(KernelSpec("yukawa"), generate_grid(n), nleaf, rank,
+                                     one_level, 1, None)
+    kinds = [r.kind for r in stats.records]
+    assert kinds.index(TaskKind.LEAF_COUPLING) > max(
+        i for i, kind in enumerate(kinds) if kind == TaskKind.LEAF_BASIS)
+    built = [r.task_id for r in stats.records]
+    before = dict(zip(built[1:], built))
+    couplings = [r.task_id for r in stats.records if r.kind == TaskKind.COUPLING]
+    assert len(couplings) == sum(h.tree.num_nodes(level) - 1 for level in range(1, h.max_level))
+    assert all(before[tid] == ("transfer", *tid[1:]) for tid in couplings)
+    graph = build_dag(h)
+    order = [r.task_id for r in execute(graph, h, 1)[1].records]
+    before = dict(zip(order[1:], order))
+    assert all(before[tid] == ("dp", *tid[1:]) for tid in order if tid[0] == "pf")
+    assert_first_listed_ready_each_time(graph, order)
 
 
 # Graphs that cannot finish, by their dependencies, and the error each names.
