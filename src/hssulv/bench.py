@@ -87,6 +87,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tree not in TREES:
             raise ValueError(f"tree={self.tree!r} is not one of {TREES}")
+        for name in ("nleaf", "max_rank"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if self.max_rank > self.nleaf:
             raise ValueError(f"max_rank={self.max_rank} exceeds nleaf={self.nleaf}")
         _grid_shape(self.n)  # run_single's grid; the build checks the leaves

@@ -114,6 +114,8 @@ def main(argv=None) -> int:
         args, constants = _parse(argv)
         kernel = KernelSpec(args.kernel or "laplace2d", **constants)
         sizes = _parse_sizes(args.N)
+        if not sizes:
+            raise ValueError(f"--N names no size, got {args.N!r}")
         if len(sizes) != 1 and args.sweep != "scaling":
             raise ValueError(f"--N takes one size unless --sweep scaling, got {args.N!r}")
         base = ExperimentConfig(

@@ -9,8 +9,8 @@ skeleton corner, so sibling
 couplings flow straight into the parent merge.  That removes every
 same-level data dependency; only the merge links two levels.  One merge
 rule, :func:`merge_children`, serves every fan-out: two children in
-HSS, all blocks under the root in BLR2.  It writes a window of the
-parent's block: the whole block below the root, one tile at the root.
+HSS, all blocks under the root in BLR2.  It copies whole children into
+the parent's block: all of them below the root, one tile's at the root.
 
 This module holds the task bodies; :func:`hssulv.taskdag.execute` runs
 them.  :func:`ulv_factor_hss` (alias :func:`ulv_factor_blr2`) is that
@@ -21,14 +21,16 @@ its own error naming the level and node from either entry point.
 The factored form is a product, per level, of a block-diagonal basis
 rotation, a block unit-lower elimination and a gather permutation,
 closed by a dense Cholesky of the root block.  The root is assembled
-and factored as tiles of side :data:`ROOT_TILE`, in place in one
-F-ordered block: a merge task per lower tile copies in what the tile
-covers as soon as the children whose diagonal blocks it covers are
-factored, and each task of a right-looking tiled Cholesky (Buttari et
+and factored in tiles, in place in one F-ordered block.  A tile is a run
+of whole level-1 nodes (:func:`root_tiles`), so each child's blocks fall
+in one tile row and one tile column: a merge task per lower tile copies
+in the couplings between its rows' and columns' nodes, and a diagonal
+tile's merge the skeleton remainders of its own nodes as soon as they
+are factored.  Each task of a right-looking tiled Cholesky (Buttari et
 al., "A class of parallel tiled linear algebra algorithms for multicore
-architectures", Parallel Computing 2009) starts as soon as its tiles
-are ready, so the workers share the root and no tile waits for the
-whole level.  The factorization is exact on the compressed operator:
+architectures", Parallel Computing 2009) starts as soon as its tiles are
+ready, so the workers share the root and no tile waits for the whole
+level.  The factorization is exact on the compressed operator:
 compression error lives entirely in construction.
 
 :func:`ulv_solve` reads that product twice, leaves to root and back,
@@ -42,7 +44,6 @@ so the factors are read once for all ``k`` columns.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -70,13 +71,15 @@ __all__ = [
 
 RECONSTRUCT_GUARD = 2048
 
-# Side of the tiles the root block is assembled and factored in.  On the
-# order-1600 root of yukawa BLR2 at N = 4096, two workers factored the
-# operator in 54-55 ms with tiles of 400, 53-57 ms with 534, 55-59 ms
-# with 800, 58 ms with 320, 62-66 ms with 200 and 82 ms untiled (medians
-# of 20 rounds, two runs, 2 vCPUs); 400 gives four equal tiles there.
-# An HSS root has order at most 2 * max_rank, so up to max_rank 200 it
-# is one tile: one dpotrf, bitwise the untiled Cholesky.
+# The most skeleton order a root tile gathers: a tile is a run of whole
+# level-1 nodes whose skeleton orders add up to at most ROOT_TILE, or one
+# node that alone exceeds it.  On the order-1600 root of yukawa BLR2 at
+# N = 4096, two workers factored the operator in 54-55 ms with tiles of
+# 400, 53-57 ms with 534, 55-59 ms with 800, 58 ms with 320, 62-66 ms
+# with 200 and 82 ms untiled (medians of 20 rounds, two runs, 2 vCPUs);
+# 400 gives four tiles of four rank-100 blocks there.  An HSS root has
+# order at most 2 * max_rank, so up to max_rank 200 it is one tile: one
+# dpotrf, bitwise the untiled Cholesky.
 ROOT_TILE = 400
 
 
@@ -142,20 +145,10 @@ def diagonal_product(block: np.ndarray, basis: BlockBasis) -> np.ndarray:
     return out
 
 
-def _meeting(offsets: tuple, window: range) -> list:
-    """The children ``c`` whose range ``offsets[c]:offsets[c + 1]`` shares
-    an index with ``window``."""
-    if not window:
-        return []
-    first = bisect_right(offsets, window.start) - 1
-    return [c for c in range(first, bisect_left(offsets, window.stop))
-            if offsets[c] < offsets[c + 1]]
-
-
 def merge_children(dims, remainders, couplings: dict, out: np.ndarray | None = None,
                    rows: range | None = None, cols: range | None = None) -> np.ndarray:
-    """Assemble window ``rows`` x ``cols`` of a parent's diagonal block from
-    its children.
+    """Assemble the blocks of children ``rows`` x ``cols`` of a parent's
+    diagonal block.
 
     Child ``a`` covers rows and columns ``offsets[a]:offsets[a + 1]`` of
     the block, where ``offsets`` are the running sums of ``dims``.  Its
@@ -163,24 +156,19 @@ def merge_children(dims, remainders, couplings: dict, out: np.ndarray | None = N
     fills diagonal block ``(a, a)``, and ``couplings[(a, b)]`` (child
     ``a`` rows, child ``b`` columns, ``a < b``) fills off-diagonal block
     ``(a, b)`` and, transposed, ``(b, a)``, matching the gather
-    permutation of the factored form.  Only the blocks that meet the
-    window are read, so ``remainders`` may map just the children whose
-    diagonal block meets it.
+    permutation of the factored form.  So ``remainders`` need only map
+    the children in both ``rows`` and ``cols``.
 
     Without ``out``, a new F-ordered block, the layout LAPACK reads, is
-    made; ``rows`` and ``cols`` default to the whole block.  Returns
-    ``out``.
+    made; ``rows`` and ``cols`` default to all children.  Returns ``out``.
     """
     offsets = tuple(accumulate(dims, initial=0))
     if out is None:
         out = np.empty((offsets[-1], offsets[-1]), order="F")
-    rows = range(offsets[-1]) if rows is None else rows
-    cols = range(offsets[-1]) if cols is None else cols
-    col_children = _meeting(offsets, cols)
-    for a in _meeting(offsets, rows):
-        r0, r1 = max(rows.start, offsets[a]), min(rows.stop, offsets[a + 1])
-        for b in col_children:
-            c0, c1 = max(cols.start, offsets[b]), min(cols.stop, offsets[b + 1])
+    rows = range(len(dims)) if rows is None else rows
+    cols = range(len(dims)) if cols is None else cols
+    for a in rows:
+        for b in cols:
             if a == b:
                 what, block = "skeleton remainder", remainders[a]
             else:
@@ -188,8 +176,7 @@ def merge_children(dims, remainders, couplings: dict, out: np.ndarray | None = N
             if block.shape != (dims[a], dims[b]):
                 raise ValueError(f"{what} shape {block.shape} does not match the "
                                  f"children's orders ({dims[a]}, {dims[b]})")
-            out[r0:r1, c0:c1] = \
-                block[r0 - offsets[a]:r1 - offsets[a], c0 - offsets[b]:c1 - offsets[b]]
+            out[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = block
     return out
 
 
@@ -238,30 +225,26 @@ def root_dims(h: HssMatrix) -> tuple:
     return tuple(h.skeleton_dim(1, i) for i in range(h.tree.num_nodes(1)))
 
 
-def root_tile_count(h: HssMatrix) -> int:
-    """Tiles per side of the root block: its order over :data:`ROOT_TILE`,
-    rounded up, and at least one.  The last tile may be shorter."""
-    return max(1, -(-sum(root_dims(h)) // ROOT_TILE))
-
-
-def tile_range(order: int, i: int) -> range:
-    """Rows (or columns) of tile ``i`` of a root block of ``order``."""
-    return range(i * ROOT_TILE, min((i + 1) * ROOT_TILE, order))
-
-
-def tile_children(dims, i: int, j: int) -> list:
-    """The level-1 nodes whose diagonal block, in a root block of level-1
-    skeleton orders ``dims``, meets tile ``(i, j)``: the nodes whose
-    skeleton remainders that tile's merge reads."""
-    offsets = tuple(accumulate(dims, initial=0))
-    cols = set(_meeting(offsets, tile_range(offsets[-1], j)))
-    return [c for c in _meeting(offsets, tile_range(offsets[-1], i)) if c in cols]
+def root_tiles(dims) -> tuple:
+    """Node bounds of the root's tiles for level-1 skeleton orders
+    ``dims``: tile ``t`` holds nodes ``tiles[t]:tiles[t + 1]``.  Nodes are
+    taken in order while their orders add up to at most :data:`ROOT_TILE`;
+    a node that alone exceeds it is a tile by itself."""
+    tiles, order = [0], 0
+    for c, d in enumerate(dims):
+        if c > tiles[-1] and order + d > ROOT_TILE:
+            tiles.append(c)
+            order = 0
+        order += d
+    return (*tiles, len(dims))
 
 
 class FactorRun:
     """What the task bodies of one factorization of ``h`` share: the tree,
-    its level-1 skeleton orders ``dims``, its level-1 couplings keyed by
-    node pairs as :func:`merge_children` reads them, and the root block.
+    its level-1 skeleton orders ``dims`` and their running sums
+    ``offsets``, the node bounds of the root's ``tiles``, its level-1
+    couplings keyed by node pairs as :func:`merge_children` reads them,
+    and the root block.
 
     The root's first tile merge to run allocates the block, F-ordered,
     before it writes into it, so an HSS factorization, whose one root
@@ -272,6 +255,8 @@ class FactorRun:
     def __init__(self, h: HssMatrix):
         self.h = h
         self.dims = root_dims(h)
+        self.offsets = tuple(accumulate(self.dims, initial=0))
+        self.tiles = root_tiles(self.dims)
         self.couplings = {key[1:]: block for key, block in h.coupling.items()
                           if key[0] == 1}
         self._root = None
@@ -281,12 +266,22 @@ class FactorRun:
     def root(self) -> np.ndarray:
         with self._lock:
             if self._root is None:
-                self._root = np.empty((sum(self.dims), sum(self.dims)), order="F")
+                self._root = np.empty((self.offsets[-1], self.offsets[-1]), order="F")
             return self._root
+
+    def nodes(self, i: int) -> range:
+        """The level-1 nodes of tile row (or column) ``i``."""
+        return range(self.tiles[i], self.tiles[i + 1])
+
+    def tile(self, i: int, j: int) -> np.ndarray:
+        """Tile ``(i, j)`` of the root block, a view."""
+        rows = slice(self.offsets[self.tiles[i]], self.offsets[self.tiles[i + 1]])
+        cols = slice(self.offsets[self.tiles[j]], self.offsets[self.tiles[j + 1]])
+        return self.root[rows, cols]
 
     @property
     def context(self) -> str:
-        return (f"root block (order {sum(self.dims)}, "
+        return (f"root block (order {self.offsets[-1]}, "
                 f"level-1 skeleton ranks {list(self.dims)})")
 
 
@@ -296,7 +291,7 @@ class FactorRun:
 # a merged block below the root has one reader.  A partial factor leaves
 # the node's factors under the side entry ("nf", level, node) for
 # assemble_factors and returns its skeleton remainder, which its parent's
-# merge reads; at the root the tile merges whose tiles it meets read it.
+# merge reads; at the root its own tile's diagonal merge reads it.
 # The root's merge tasks ("asm", i, j) and tile tasks write the run's
 # root block in place and store None.
 
@@ -338,11 +333,9 @@ def run_merge(run: FactorRun, results: dict, task):
             {(a, b): h.coupling[(level, kids[a], kids[b])]
              for a in range(len(kids)) for b in range(a + 1, len(kids))})
     _, i, j = task.id
-    root = run.root
-    rows, cols = tile_range(root.shape[0], i), tile_range(root.shape[0], j)
     merge_children(run.dims, {dep[2]: results[dep] for dep in task.deps},
-                   run.couplings, root, rows, cols)
-    if not np.isfinite(root[rows.start:rows.stop, cols.start:cols.stop]).all():
+                   run.couplings, run.root, run.nodes(i), run.nodes(j))
+    if not np.isfinite(run.tile(i, j)).all():
         raise ValueError(f"NaN or infinite entries in {run.context}, tile ({i}, {j})")
     return None
 
@@ -354,15 +347,11 @@ def run_root_tile(run: FactorRun, results: dict, task):
     ``("syrk", i, k)`` and ``("gemm", i, j, k)`` subtract panel ``k`` from
     tiles ``(i, i)`` and ``(i, j)``.  Only lower tiles are read, and the
     first step on a tile waits for its merge."""
-    block = run.root
     step, *ij = task.id
-
-    def tile(i, j):
-        return block[i * ROOT_TILE:(i + 1) * ROOT_TILE, j * ROOT_TILE:(j + 1) * ROOT_TILE]
-
+    tile = run.tile
     if step == "potrf":
         (k,) = ij
-        _potrf(tile(k, k), run.context, first=k * ROOT_TILE)
+        _potrf(tile(k, k), run.context, first=run.offsets[run.tiles[k]])
     elif step == "trsm":
         i, k = ij
         tile_trsm(tile(k, k), tile(i, k))

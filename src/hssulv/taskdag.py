@@ -18,11 +18,11 @@ The factorization graph is built from the tree of either format: per
 level there is one diagonal-product and one partial-factor task per node
 and one merge per parent below the root; the root is assembled by one
 merge task per lower tile, and the tile tasks of its Cholesky close the
-graph.  The only edges between nodes are produced by the merge step, so
-a merge can fire as soon as the children it reads finish (two in HSS),
-independent of the rest of its level, and a root tile as soon as the
-children whose diagonal blocks it covers finish (at most a few of the
-blocks in BLR2, none for most off-diagonal tiles).
+graph.  A root tile is a run of whole level-1 nodes.  The only edges
+between nodes are produced by the merge step, so a merge can fire as
+soon as the children it reads finish (two in HSS), independent of the
+rest of its level, a diagonal root tile as soon as its own nodes finish
+(a few of the blocks in BLR2), and an off-diagonal one at once.
 :func:`hssulv.factor.ulv_factor_hss` is :func:`execute` on this graph.
 
 The simulated "process" distribution is pure accounting, kept out of the
@@ -31,9 +31,9 @@ merged parent inherits its first child's owner, and a task runs on the
 owner of the node it builds (the merges ``("mg", l, p)`` build node
 ``(l - 1, p)``, the root's tile merges ``("asm", i, j)`` the root).  A
 transfer event is recorded for every dependency edge whose endpoints
-resolve to different owners: a child's skeleton remainder, or the part
-of it that a root tile holds, read by its parent's merge.  The schedule
-export computes the owners when writing.
+resolve to different owners: a child's skeleton remainder, whole, read
+by its parent's merge or, at the root, by its own tile's diagonal merge.
+The schedule export computes the owners when writing.
 """
 
 from __future__ import annotations
@@ -44,14 +44,12 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from ._threads import single_blas_thread, worker_count
 from .construct import HssMatrix, Tree
 from .factor import (FactorRun, UlvFactors, assemble_factors, root_dims,
-                     root_tile_count, run_diag_product, run_merge,
-                     run_partial_factor, run_root_tile, tile_children,
-                     tile_range)
+                     root_tiles, run_diag_product, run_merge,
+                     run_partial_factor, run_root_tile)
 
 __all__ = [
     "TaskKind",
@@ -137,29 +135,33 @@ def build_dag(h: HssMatrix) -> TaskGraph:
 
     A diagonal product and a partial factor per node per level, a merge
     ``("mg", level, parent)`` per parent below the root, and the root's
-    tiled Cholesky.  With ``t`` tiles per side
-    (:func:`hssulv.factor.root_tile_count`) the root has a merge
-    ``("asm", i, j)`` per lower tile, which waits for the partial factors
-    of the level-1 nodes whose diagonal blocks meet the tile; then a
-    ``("potrf", k)`` per diagonal tile, a ``("trsm", i, k)`` per tile below
-    it, and a ``("syrk", i, k)`` or ``("gemm", i, j, k)`` per lower tile
-    ``(i, i)`` or ``(i, j)`` and earlier panel ``k``: ``T(t) = t + t*(t-1)
-    + t*(t-1)*(t-2)/6`` tasks, all of kind ``RootFactor`` at level 0.  The
-    first step on a tile waits for the tile's merge, and its updates are
-    chained in panel order, so its bits do not depend on the schedule.
-    For a binary tree of depth ``L``, whose root is one tile, that is
+    tiled Cholesky.  With ``t`` tiles per side, each a run of whole
+    level-1 nodes (:func:`hssulv.factor.root_tiles`), the root has a merge
+    ``("asm", i, j)`` per lower tile: a diagonal tile's waits for the
+    partial factors of its own nodes, so each skeleton remainder has one
+    reader, and an off-diagonal tile's, which copies couplings only, for
+    none.  Then a ``("potrf", k)`` per diagonal tile, a ``("trsm", i, k)``
+    per tile below it, and a ``("syrk", i, k)`` or ``("gemm", i, j, k)``
+    per lower tile ``(i, i)`` or ``(i, j)`` and earlier panel ``k``:
+    ``T(t) = t + t*(t-1) + t*(t-1)*(t-2)/6`` tasks, all of kind
+    ``RootFactor`` at level 0.  The first step on a tile waits for the
+    tile's merge, and its updates are chained in panel order, so its bits
+    do not depend on the schedule.  For a binary tree of depth ``L``
+    whose two level-1 ranks add up to at most ``ROOT_TILE``, so that the
+    root is one tile, that is
     ``2*(2**(L+1) - 2) + (2**L - 1) + 1`` tasks; for BLR2 with ``nb``
     blocks ``2*nb + t*(t+1)/2 + T(t)``.
     """
     L, tree = h.max_level, h.tree
     g = TaskGraph(tree)
-    t, dims = root_tile_count(h), root_dims(h)
+    tiles = root_tiles(root_dims(h))
+    t = len(tiles) - 1
     # Listed in run order, the root first, so that on ties the path toward
     # the root drains first.  The root's tile merges go row by row.
     for i in range(t):
         for j in range(i + 1):
             g.add(("asm", i, j), TaskKind.MERGE, 1, 0,
-                  [("pf", 1, c) for c in tile_children(dims, i, j)])
+                  [("pf", 1, c) for c in range(tiles[i], tiles[i + 1])] if i == j else ())
 
     def last(i, j, k):  # the task that wrote tile (i, j) last before panel k
         if not k:
@@ -430,15 +432,10 @@ def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
     """Record one transfer per dependency edge crossing an owner boundary.
 
     A task runs on the owner of the node it builds, so the only edges that
-    cross owners carry a child's skeleton remainder to its parent's merge;
-    the payload, in matrix entries, is that remainder, or at the root the
-    part of it that the merged tile holds.
+    cross owners carry a child's skeleton remainder to its parent's merge
+    (at the root, its own tile's diagonal merge); the payload, in matrix
+    entries, is the whole remainder, shipped once.
     """
-    offsets = tuple(accumulate(root_dims(h), initial=0))
-
-    def overlap(window: range, child: int) -> int:
-        return max(0, min(window.stop, offsets[child + 1]) - max(window.start, offsets[child]))
-
     events = []
     for task in g.tasks.values():
         dst = _task_owner(owners, task)
@@ -446,14 +443,8 @@ def simulate_comm(g: TaskGraph, owners: OwnerMap, h: HssMatrix) -> CommTrace:
             dep = g.tasks[dep_id]
             src = _task_owner(owners, dep)
             if src != dst:
-                if task.id[0] == "asm":
-                    _, i, j = task.id
-                    entries = overlap(tile_range(offsets[-1], i), dep.node) * \
-                        overlap(tile_range(offsets[-1], j), dep.node)
-                else:
-                    entries = h.skeleton_dim(dep.level, dep.node) ** 2
                 events.append((task.id, f"ss_remainder[{dep.level},{dep.node}]",
-                               src, dst, entries))
+                               src, dst, h.skeleton_dim(dep.level, dep.node) ** 2))
     return CommTrace(owners.nprocs, events)
 
 

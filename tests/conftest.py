@@ -7,7 +7,7 @@ from hssulv import (BlockBasis, HssMatrix, KernelSpec, Task, TaskGraph,
                     TaskKind, build_dag, build_hss, generate_grid,
                     kernel_matrix, ulv_factor_hss)
 from hssulv.construct import Tree
-from hssulv.factor import FactorRun
+from hssulv.factor import ROOT_TILE, FactorRun
 from hssulv.linalg import pack_lower, unpack_lower
 from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
@@ -110,22 +110,39 @@ def leaf_block(h, i):
 
 
 def root_tree(a):
-    """A one-leaf tree whose basis is all skeleton, so that its root block
-    is the symmetric ``a`` itself."""
+    """A one-level tree whose root block is the symmetric ``a`` itself:
+    level-1 children of at most ``ROOT_TILE`` points, each with an
+    all-skeleton basis, every pair coupled by its block of ``a``, so that
+    each child is a root tile of its own.  Only the lower triangle of
+    ``a`` is read."""
     n = a.shape[0]
-    return HssMatrix(Tree(((0, n), (0, n))), (packed(a),),
-                     {(1, 0): BlockBasis(np.eye(n), 0, n)}, {})
+    bounds = (*range(0, n, ROOT_TILE), n)
+    kids = list(zip(bounds, bounds[1:]))
+    return HssMatrix(Tree(((0, n), bounds)),
+                     tuple(packed(a[r0:r1, r0:r1]) for r0, r1 in kids),
+                     {(1, c): BlockBasis(np.eye(r1 - r0), 0, r1 - r0)
+                      for c, (r0, r1) in enumerate(kids)},
+                     {(1, x, y): a[kids[y][0]:kids[y][1], kids[x][0]:kids[x][1]].T
+                      for x in range(len(kids)) for y in range(x + 1, len(kids))})
 
 
 def factor_root(a, workers=1, shuffle_seed=None):
     """``a`` factored by the root's tile merges and tile tasks of its
-    factorization graph alone: the level-1 partial factor they wait for
-    hands them ``a`` as its skeleton remainder."""
+    factorization graph alone: the level-1 partial factors they wait for
+    hand them the children's diagonal blocks of ``a`` as their skeleton
+    remainders."""
     h = root_tree(a)
+    bounds = h.tree.offsets[1]
     tasks = {tid: t for tid, t in build_dag(h).tasks.items()
              if t.kind in (TaskKind.MERGE, TaskKind.ROOT_FACTOR)}
-    tasks[("pf", 1, 0)] = Task(("pf", 1, 0), TaskKind.PARTIAL_FACTOR, 1, 0, frozenset())
-    bodies = {**_FACTOR_BODIES, TaskKind.PARTIAL_FACTOR: lambda run, results, task: a}
+    for c in range(h.tree.num_nodes(1)):
+        tasks[("pf", 1, c)] = Task(("pf", 1, c), TaskKind.PARTIAL_FACTOR, 1, c, frozenset())
+
+    def remainder(run, results, task):
+        r0, r1 = bounds[task.node], bounds[task.node + 1]
+        return a[r0:r1, r0:r1]
+
+    bodies = {**_FACTOR_BODIES, TaskKind.PARTIAL_FACTOR: remainder}
     run = FactorRun(h)
     run_graph(TaskGraph(h.tree, tasks), bodies, run, workers, shuffle_seed)
     return run.root

@@ -107,6 +107,10 @@ class TestRunSingle:
                              max_rank=100)
         with pytest.raises(ValueError, match="repetitions"):
             small_config(repetitions=0)
+        with pytest.raises(ValueError, match=r"nleaf=0 must be >= 1"):
+            small_config(nleaf=0, max_rank=100)
+        with pytest.raises(ValueError, match=r"max_rank=0 must be >= 1"):
+            small_config(max_rank=0)
 
 
 class TestSweeps:
@@ -362,6 +366,13 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["status"] == "error"
         assert err["error"] == "ValueError"
+
+    def test_empty_size_list_refused(self, capsys):
+        # the scaling sweep read the first size of an empty list
+        code = main(["--sweep", "scaling", "--N", ","])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--N" in err["message"]
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "rank"]], ids=["single", "rank"])
     def test_size_list_needs_scaling_sweep(self, capsys, sweep):

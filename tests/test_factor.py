@@ -12,7 +12,7 @@ from hssulv import (BlockBasis, HssMatrix, KernelSpec,
                     merge_children, reconstruct_check, solve_error,
                     ulv_factor_blr2, ulv_factor_hss, ulv_solve)
 from hssulv.construct import Tree
-from hssulv.factor import FactorRun, root_tile_count
+from hssulv.factor import FactorRun
 from hssulv.linalg import _failed_pivot_value
 from hssulv.taskdag import _FACTOR_BODIES, build_dag, run_graph
 
@@ -91,25 +91,22 @@ class TestMergeChildren:
         out = merge_children([2, 3], [np.eye(2), 2 * np.eye(3)], {(0, 1): np.ones((2, 3))})
         assert out.flags.f_contiguous
 
-    def test_windows_tile_the_whole_block(self):
-        # windows that cut through children's blocks, each written from
-        # the remainders of the children whose diagonal blocks it meets
-        # alone, assemble the whole block bitwise
+    def test_child_runs_tile_the_whole_block(self):
+        # runs of whole children, each diagonal run written from its own
+        # children's remainders alone and each off-diagonal one from
+        # couplings alone, assemble the whole block bitwise
         rng = np.random.default_rng(5)
         dims = [3, 0, 5, 4, 2]
         remainders = [rng.standard_normal((d, d)) for d in dims]
         couplings = {(a, b): rng.standard_normal((dims[a], dims[b]))
                      for a in range(5) for b in range(a + 1, 5)}
         whole = merge_children(dims, remainders, couplings)
-        offsets = np.cumsum([0] + dims)
         out = np.full_like(whole, np.nan)
-        cuts = [0, 4, 7, 11, 14]
-        for rows in map(range, cuts[:-1], cuts[1:]):
-            for cols in map(range, cuts[:-1], cuts[1:]):
-                met = {c: remainders[c] for c in range(5)
-                       if set(rows) & set(range(offsets[c], offsets[c + 1]))
-                       and set(cols) & set(range(offsets[c], offsets[c + 1]))}
-                merge_children(dims, met, couplings, out, rows, cols)
+        runs = [range(0, 2), range(2, 3), range(3, 5)]
+        for rows in runs:
+            for cols in runs:
+                own = {c: remainders[c] for c in rows if c in cols}
+                merge_children(dims, own, couplings, out, rows, cols)
         assert np.array_equal(out, whole)
 
     def test_lossless_parent_matches_dense_elimination(self):
@@ -275,7 +272,7 @@ class TestHssUlv:
         # off-diagonal tile whose merge waits for no partial factor
         h = build(KernelSpec("laplace2d"), generate_grid(2048), 128, 60)
         key = (1, 0, 15) if build is build_blr2 else (1, 0, 1)
-        assert (root_tile_count(h) > 1) == (build is build_blr2)
+        assert (len(FactorRun(h).tiles) > 2) == (build is build_blr2)
         coupling = dict(h.coupling)
         coupling[key] = np.array(coupling[key])
         coupling[key][3, 5] = bad

@@ -254,7 +254,8 @@ class TestRootTiles:
             with pytest.raises(NotPositiveDefiniteError) as err:
                 ulv_factor_hss(root_tree(a), workers=workers)
             assert err.value.pivot_index == k
-            assert err.value.context == f"root block (order {n}, level-1 skeleton ranks [{n}])"
+            assert err.value.context == \
+                f"root block (order {n}, level-1 skeleton ranks [{ROOT_TILE}, {ROOT_TILE}, 17])"
             assert err.value.pivot_value == pytest.approx(want, rel=1e-9)
             assert (err.value.level, err.value.node, err.value.rank) == (None, None, None)
 
@@ -280,13 +281,15 @@ class TestRootTiles:
         # the root's merges place couplings as S and S.T, so asymmetry can
         # only come in through a remainder, whose partial factor refuses it;
         # a packed leaf diagonal cannot hold any, so it is put into the
-        # rotated diagonal, which the all-skeleton basis leaves as it is
+        # rotated diagonal of the first tile's node, which the all-skeleton
+        # basis leaves as it is
         h = root_tree(random_spd(np.random.default_rng(7), ROOT_TILE + 8))
         ran = []
 
         def skewed_product(run, results, task):
             rotated = _FACTOR_BODIES[TaskKind.DIAG_PRODUCT](run, results, task)
-            rotated[ROOT_TILE + 3, 2] += 1
+            if task.node == 0:
+                rotated[ROOT_TILE - 3, 2] += 1
             return rotated
 
         def root_tile(run, results, task):

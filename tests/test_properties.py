@@ -12,9 +12,9 @@ block solve agrees column by column with single solves and inverts the
 operator's ``matvec``.  A symmetric block packs to its lower triangle
 and unpacks bitwise, and ``matvec`` over packed leaf diagonals agrees
 with applying the dense blocks.  The tiled symmetry check that guards every
-Cholesky decides as the dense formula does.  The root's tiled Cholesky
-matches a dense one, bitwise the same for any worker count and
-scheduling order.
+Cholesky decides as the dense formula does.  The root's tiles are
+greedy runs of whole level-1 nodes, and its tiled Cholesky matches a
+dense one, bitwise the same for any worker count and scheduling order.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ from hssulv import (KERNEL_KINDS, KernelSpec, NotPositiveDefiniteError,
                     build_blr2, build_dag, build_hss, execute, generate_grid,
                     kernel_matrix, matvec, reconstruct_check, ulv_factor_hss,
                     ulv_solve)
-from hssulv.factor import ROOT_TILE
+from hssulv.factor import ROOT_TILE, root_tiles
 from hssulv.linalg import SYMMETRY_RTOL, TILE, _require_symmetric, pack_lower
 
 # Criterion 2's solve bounds at N = 4096, nleaf 256, max_rank 100.
@@ -207,6 +207,18 @@ def test_tiled_symmetry_check_decides_as_dense_formula(n, order, ratio, data):
     except ValueError:
         tiled = True
     assert tiled == dense
+
+
+@given(dims=st.lists(st.integers(0, 2 * ROOT_TILE), min_size=1, max_size=30))
+def test_root_tiles_are_greedy_runs_of_whole_nodes(dims):
+    tiles = root_tiles(dims)
+    assert tiles[0] == 0 and tiles[-1] == len(dims)
+    assert all(a < b for a, b in zip(tiles, tiles[1:]))
+    for t in range(len(tiles) - 1):
+        order = sum(dims[tiles[t]:tiles[t + 1]])
+        assert order <= ROOT_TILE or tiles[t + 1] - tiles[t] == 1
+        if t + 2 < len(tiles):  # the next node would have overfilled the tile
+            assert order + dims[tiles[t + 1]] > ROOT_TILE
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,7 +13,7 @@ from hssulv import (KernelSpec, NotPositiveDefiniteError, Task, TaskGraph,
                     construct, execute, export_comm_csv, export_schedule_jsonl,
                     generate_grid, simulate_comm, taskdag, ulv_factor_blr2,
                     ulv_factor_hss)
-from hssulv.factor import ROOT_TILE, FactorRun, root_tile_count
+from hssulv.factor import ROOT_TILE, FactorRun, root_dims, root_tiles
 from hssulv.taskdag import _FACTOR_BODIES, run_graph
 
 # smallest square-or-2:1 grid for each level count
@@ -124,15 +124,16 @@ class TestBlr2Graph:
     @pytest.fixture(scope="class")
     def tiled(self):
         # 16 blocks of rank 60: a root of order 960, three tiles per side
+        # of 6, 6 and 4 blocks (360, 360 and 240 wide)
         m = build_blr2(KernelSpec("yukawa"), generate_grid(2048), 128, 60)
-        assert root_tile_count(m) == 3
+        assert root_tiles(root_dims(m)) == (0, 6, 12, 16)
         return m
 
     def test_one_merge_over_all_blocks(self, blr2, tiled):
         # a root of order at most 8 * 40 = 320 is one tile, merged by one
         # task; a tiled root's merges together read every block
         graph = build_dag(blr2)
-        assert root_tile_count(blr2) == 1
+        assert root_tiles(root_dims(blr2)) == (0, 8)
         assert graph.tree.max_level == 1 and len(graph) == 2 * 8 + 1 + root_task_count(1)
         merge = graph.tasks[("asm", 0, 0)]
         assert {graph.tasks[d].node for d in merge.deps} == set(range(8))
@@ -154,14 +155,14 @@ class TestBlr2Graph:
         assert all((t.level, t.node) == (1, 0) for t in merges)
 
     def test_tile_merges_wait_for_the_blocks_they_cover(self, tiled):
-        # rank 60 blocks: block 6 spans rows 360-420 across the first tile
-        # boundary and block 13 rows 780-840 across the second
+        # rank 60 blocks, whole in their tiles: a diagonal tile's merge
+        # waits for its own blocks, an off-diagonal one's for none
         graph = build_dag(tiled)
         assert [tiled.skeleton_dim(1, c) for c in range(16)] == [60] * 16
         deps = {t.id[1:]: sorted(d[2] for d in t.deps)
                 for t in graph.tasks.values() if t.kind == TaskKind.MERGE}
-        assert deps == {(0, 0): list(range(7)), (1, 0): [6], (1, 1): list(range(6, 14)),
-                        (2, 0): [], (2, 1): [13], (2, 2): [13, 14, 15]}
+        assert deps == {(0, 0): list(range(6)), (1, 0): [], (1, 1): list(range(6, 12)),
+                        (2, 0): [], (2, 1): [], (2, 2): list(range(12, 16))}
 
     def test_tiled_root_updates_chained_in_panel_order(self):
         # every task writing a tile depends on the one before it, so the
@@ -195,11 +196,16 @@ class TestBlr2Graph:
             assert factors_equal(ref, factors)
         assert factors_equal(ref, ulv_factor_blr2(tiled))
 
-    def test_remainders_dropped_by_their_last_tile_merge(self, tiled):
-        # blocks 6 and 13 span tile boundaries, so three tile merges read
-        # each; the last of them to run drops it, under any schedule, up to
-        # more workers than cores, switching threads as often as possible
+    def test_each_remainder_has_one_reader_and_is_dropped(self, tiled):
+        # each block's skeleton remainder is read by its own tile's diagonal
+        # merge alone, which drops it, under any schedule, up to more
+        # workers than cores, switching threads as often as possible
         graph = build_dag(tiled)
+        dependents = graph.dependents()
+        tiles = root_tiles(root_dims(tiled))
+        for i in range(len(tiles) - 1):
+            for c in range(tiles[i], tiles[i + 1]):
+                assert dependents[("pf", 1, c)] == [("asm", i, i)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -226,18 +232,15 @@ class TestBlr2Graph:
         off_rank = [i for i in range(8) if i % 4]
         assert [e[0] for e in trace.events] == [("asm", 0, 0)] * len(off_rank)
         assert trace.total_entries == sum(blr2.skeleton_dim(1, i) ** 2 for i in off_rank)
-        # tiled: each off-rank remainder goes to the tiles that hold it,
-        # its entries in the lower tiles, which are all that is read
+        # tiled: each off-rank remainder goes whole, once, to its own
+        # tile's diagonal merge
         graph = build_dag(tiled)
         trace = simulate_comm(graph, assign_owners(graph, 4), tiled)
-        order = 16 * 60
-        lower = np.tril(np.ones((3, 3), dtype=bool)).repeat(ROOT_TILE, 0).repeat(ROOT_TILE, 1)
-        shipped = {}
-        for tid, label, src, dst, entries in trace.events:
-            assert graph.tasks[tid].kind == TaskKind.MERGE and dst == 0
-            shipped[label] = shipped.get(label, 0) + entries
-        assert shipped == {f"ss_remainder[1,{c}]": int(lower[:order, :order][
-            60 * c:60 * (c + 1), 60 * c:60 * (c + 1)].sum()) for c in range(16) if c % 4}
+        tiles = root_tiles(root_dims(tiled))
+        assert [(e[0], e[1], e[3], e[4]) for e in trace.events] == [
+            (("asm", i, i), f"ss_remainder[1,{c}]", 0, 60 * 60)
+            for i in range(3) for c in range(tiles[i], tiles[i + 1]) if c % 4]
+        assert (len(trace.events), trace.total_entries) == (12, 43200)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_root_tiles_start_before_the_level_drains(self, tiled, workers):
